@@ -26,6 +26,7 @@ from typing import Sequence
 from .errors import DegreeCapError, DimensionMismatchError, RankDeficientError
 from .functionals import Functional, MomentFunctional, combine
 from .polynomials import Exponent, monomials_of_degree
+from .rational_linalg import identity
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
             f"degree cap {degree_cap} exceeds a stored moment cap {min(moment_caps)}"
         )
 
-    transform = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    transform = identity(n)
     pivots: list[Exponent] = []
     kappas: list[int] = []
     rank = 0

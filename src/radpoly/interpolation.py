@@ -4,20 +4,25 @@ Both constructions start from a graded basis lambda_1..lambda_n (orders
 kappa_1 <= ... <= kappa_n) of the span M of the input functionals.
 
 * The Schaback construction interpolates from the span of the radial images
-  w_j : x |-> lambda_j ||x - .||^(2 kappa_j).  The Gramian (lambda_i w_j) is
-  block upper triangular with invertible diagonal blocks, so the coefficient
-  solve is a block back-substitution.  When every input functional is a
-  combination of point evaluations, the w_j are composed with the orthogonal
-  projection onto the affine hull of the support points.  For points that
-  affinely span the whole space this changes nothing; for degenerate point
-  sets it is what makes the interpolant constant perpendicular to the hull
-  and equal to the least interpolant on one-dimensional hulls.  (The raw
-  images provably lack those properties: three collinear points with
-  quadratic data already give a counterexample.)
+  w_j : x |-> lambda_j ||x - .||^(2 kappa_j).  When every input functional
+  is a combination of point evaluations, the w_j are composed with the
+  orthogonal projection onto the affine hull of the support points.  For
+  points that affinely span the whole space this changes nothing; for
+  degenerate point sets it is what makes the interpolant constant
+  perpendicular to the hull and equal to the least interpolant on
+  one-dimensional hulls.  (The raw images provably lack those properties:
+  three collinear points with quadratic data already give a
+  counterexample.)
 
 * The least construction interpolates from the span of the lowest-degree
   homogeneous parts g_j of the lambda_j moment series.  That span depends
   only on M, not on the graded basis chosen.
+
+Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular
+with invertible diagonal blocks: lambda_i annihilates degrees below
+kappa_i, while w_j has degree kappa_j and g_j is homogeneous of degree
+kappa_j.  Both coefficient solves are therefore the same block
+back-substitution.
 
 Either interpolant matches every functional in M exactly and never raises
 the degree of its argument.
@@ -95,11 +100,7 @@ def flat_projector(points: Sequence[Sequence[Rational]]) -> AffineProjection:
     if any(len(p) != d for p in pts):
         raise DimensionMismatchError("points of mixed dimension")
     base = pts[0]
-    directions: list[list[Fraction]] = []
-    for p in pts[1:]:
-        v = [a - b for a, b in zip(p, base)]
-        if any(v) and linalg.rank(directions + [v]) > len(directions):
-            directions.append(v)
+    directions, _ = linalg.rref([[a - b for a, b in zip(p, base)] for p in pts[1:]])
     if not directions:
         q = [[Fraction(0)] * d for _ in range(d)]
     else:
@@ -129,7 +130,7 @@ class SchabackBasis:
 
 @dataclass(frozen=True)
 class LeastBasis:
-    """Homogeneous least-part basis g_j with its Gramian (lambda_i g_j)."""
+    """Homogeneous least-part basis g_j with its block-triangular Gramian."""
 
     source: GradedBasis
     g: tuple[Polynomial, ...]
@@ -166,10 +167,10 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
         projection = flat_projector(support)
         if not projection.is_identity:
             images = [w.compose_affine(projection.linear, projection.shift) for w in images]
-    for w, kappa in zip(images, graded.kappas):
+    for j, (w, kappa) in enumerate(zip(images, graded.kappas)):
         if w.degree != kappa:
             raise AssertionError(
-                f"radial image degree {w.degree} differs from order {kappa}"
+                f"schaback_basis: radial image w_{j} has degree {w.degree}, not its order {kappa}"
             )
     gramian = tuple(tuple(lam(w) for w in images) for lam in graded.lambdas)
     return SchabackBasis(source=graded, w=tuple(images), gramian=gramian)
@@ -178,9 +179,11 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
 def least_basis(graded: GradedBasis) -> LeastBasis:
     """Lowest-degree homogeneous parts g_j and the Gramian (lambda_i g_j)."""
     parts = [least_part(lam) for lam in graded.lambdas]
-    for g, kappa in zip(parts, graded.kappas):
+    for j, (g, kappa) in enumerate(zip(parts, graded.kappas)):
         if g.degree != kappa or not g.is_homogeneous(kappa):
-            raise AssertionError("least part is not homogeneous of the expected degree")
+            raise AssertionError(
+                f"least_basis: least part g_{j} is not homogeneous of degree {kappa}"
+            )
     gramian = tuple(tuple(lam(g) for g in parts) for lam in graded.lambdas)
     return LeastBasis(source=graded, g=tuple(parts), gramian=gramian)
 
@@ -224,66 +227,55 @@ def _data_vector(graded: GradedBasis, data, target) -> list[Fraction]:
     return values
 
 
-def _finish_report(method: str, basis, polynomials, graded: GradedBasis,
-                   coefficients: Sequence[Fraction], data: Sequence[Fraction]) -> InterpolantReport:
-    interpolant = Polynomial.zero(graded.dimension)
-    for a, p in zip(coefficients, polynomials):
-        if a:
-            interpolant = interpolant + a * p
-    residuals = tuple(mu(interpolant) - b for mu, b in zip(graded.span, data))
-    if any(residuals):
-        raise AssertionError("internal error: interpolation residuals are not zero")
-    return InterpolantReport(
-        method=method,
-        interpolant=interpolant,
-        coefficients=tuple(coefficients),
-        data=tuple(data),
-        residuals=residuals,
-        basis=basis,
-    )
-
-
-def schaback_interpolate(basis: GradedBasis | SchabackBasis, data=None, target=None,
-                         *, solver: str = "block") -> InterpolantReport:
-    """Interpolant from the radial-polynomial space matching all functionals.
-
-    ``data`` gives the values of the original span functionals (for point
-    spans: the point values); alternatively a ``target`` polynomial is
-    measured exactly and fed through the same path.  The default solver is
-    block back-substitution on the block upper triangular Gramian; "dense"
-    selects the generic exact solve as a cross-check.
-    """
-    sb = basis if isinstance(basis, SchabackBasis) else schaback_basis(basis)
-    graded = sb.source
-    b = _data_vector(graded, data, target)
-    lam_values = [
-        sum((t * v for t, v in zip(row, b) if t), Fraction(0))
-        for row in graded.transform
-    ]
-    gramian = [list(row) for row in sb.gramian]
-    if solver == "block":
-        coeffs = linalg.solve_block_upper(gramian, lam_values, graded.blocks())
-    elif solver == "dense":
-        coeffs = linalg.solve(gramian, lam_values)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-    return _finish_report("schaback", sb, sb.w, graded, coeffs, b)
-
-
-def least_interpolate(basis: GradedBasis | LeastBasis, data=None, target=None) -> InterpolantReport:
-    """Interpolant from the least space matching all functionals."""
-    lb = basis if isinstance(basis, LeastBasis) else least_basis(basis)
-    graded = lb.source
+def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -> InterpolantReport:
+    """Solve the block upper triangular Gramian and check the residuals."""
+    graded = basis.source
     b = _data_vector(graded, data, target)
     lam_values = [
         sum((t * v for t, v in zip(row, b) if t), Fraction(0))
         for row in graded.transform
     ]
     try:
-        coeffs = linalg.solve([list(row) for row in lb.gramian], lam_values)
+        coeffs = linalg.solve_block_upper(basis.gramian, lam_values, graded.blocks())
     except SingularMatrixError as exc:
-        raise SingularGramianError("least Gramian is singular") from exc
-    return _finish_report("least", lb, lb.g, graded, coeffs, b)
+        raise SingularGramianError(f"{method} Gramian is singular") from exc
+    interpolant = Polynomial.zero(graded.dimension)
+    for a, p in zip(coeffs, range_basis(basis)):
+        if a:
+            interpolant = interpolant + a * p
+    residuals = tuple(mu(interpolant) - value for mu, value in zip(graded.span, b))
+    j = next((j for j, r in enumerate(residuals) if r), None)
+    if j is not None:
+        raise AssertionError(
+            f"{method}_interpolate: residual mu_{j}(f) - data_{j} = {residuals[j]} is not zero"
+        )
+    return InterpolantReport(
+        method=method,
+        interpolant=interpolant,
+        coefficients=tuple(coeffs),
+        data=tuple(b),
+        residuals=residuals,
+        basis=basis,
+    )
+
+
+def schaback_interpolate(basis: GradedBasis | SchabackBasis, data=None,
+                         target=None) -> InterpolantReport:
+    """Interpolant from the radial-polynomial space matching all functionals.
+
+    ``data`` gives the values of the original span functionals (for point
+    spans: the point values); alternatively a ``target`` polynomial is
+    measured exactly and fed through the same path.  The coefficients come
+    from block back-substitution on the block upper triangular Gramian.
+    """
+    sb = basis if isinstance(basis, SchabackBasis) else schaback_basis(basis)
+    return _interpolate("schaback", sb, data, target)
+
+
+def least_interpolate(basis: GradedBasis | LeastBasis, data=None, target=None) -> InterpolantReport:
+    """Interpolant from the least space matching all functionals."""
+    lb = basis if isinstance(basis, LeastBasis) else least_basis(basis)
+    return _interpolate("least", lb, data, target)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +310,7 @@ def span_dimension_below(polys: Sequence[Polynomial], k: int) -> int:
     high = [alpha for alpha in monomials if sum(alpha) >= k]
     if not high:
         return full
-    high_rank = linalg.rank([[p.coefficient(alpha) for alpha in high] for p in polys])
+    high_rank = linalg.rank(_coefficient_rows(polys, high))
     return full - high_rank
 
 

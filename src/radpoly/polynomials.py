@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DimensionMismatchError
+from .rational_linalg import identity
 
 Exponent = tuple[int, ...]
 Rational = Union[int, str, Fraction]
@@ -336,9 +337,7 @@ class Polynomial:
 
     def translate(self, shift: Sequence[Rational]) -> "Polynomial":
         """x |-> p(x + shift)."""
-        d = self._dimension
-        identity = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-        return self.compose_affine(identity, shift)
+        return self.compose_affine(identity(self._dimension), shift)
 
     # -- display --------------------------------------------------------
 

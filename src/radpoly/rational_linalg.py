@@ -3,6 +3,11 @@
 Matrices are lists of lists of ``Fraction``.  Pivoting always takes the
 first nonzero candidate: with exact arithmetic there is no stability reason
 to prefer large pivots, and determinism matters more.
+
+Every elimination here is a view of one forward elimination, ``_echelon``:
+``solve`` back-substitutes from the echelon form of ``[A | b]``,
+``determinant`` and ``rank`` read it off, and ``rref`` reduces upward from
+it.
 """
 
 from __future__ import annotations
@@ -33,6 +38,39 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
+def _echelon(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int], int]:
+    """Row echelon form by forward elimination, on a copy.
+
+    Each pivot is the first nonzero entry at or below the current row; pivot
+    rows are not normalized and only the entries below a pivot are cleared.
+    Returns the reduced rows (any zero rows last), the pivot columns and the
+    number of row swaps.
+    """
+    a = [list(row) for row in matrix]
+    n_rows, n_cols = len(a), len(a[0]) if a else 0
+    pivots: list[int] = []
+    swaps = 0
+    for col in range(n_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        pivot = next((i for i in range(r, n_rows) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            swaps += 1
+        head = a[r]
+        for i in range(r + 1, n_rows):
+            factor = a[i][col] / head[col]
+            if factor:
+                row = a[i]
+                for c in range(col, n_cols):
+                    row[c] -= factor * head[c]
+        pivots.append(col)
+    return a, pivots, swaps
+
+
 def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector:
     """Solve a square system exactly by Gaussian elimination.
 
@@ -41,81 +79,39 @@ def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vect
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("solve needs a square matrix and a matching vector")
-    a = [list(row) for row in matrix]
-    b = list(rhs)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError(f"no pivot in column {col}")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            if factor:
-                b[r] -= factor * b[col]
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
+    a, pivots, _ = _echelon([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if pivots[:n] != list(range(n)):
+        missing = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
+        raise SingularMatrixError(f"no pivot in column {missing}")
     x: Vector = [Fraction(0)] * n
     for r in range(n - 1, -1, -1):
-        acc = b[r]
+        row = a[r]
+        acc = row[n]
         for c in range(r + 1, n):
-            acc -= a[r][c] * x[c]
-        x[r] = acc / a[r][r]
+            acc -= row[c] * x[c]
+        x[r] = acc / row[r]
     return x
 
 
 def invert(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
-    n = len(matrix)
-    cols = []
-    for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
-        cols.append(solve(matrix, e))
-    return transpose(cols)
+    return transpose([solve(matrix, e) for e in identity(len(matrix))])
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
-    a = [list(row) for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            if factor:
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
+    a, pivots, swaps = _echelon(matrix)
+    if len(pivots) < n:
+        return Fraction(0)
+    det = Fraction((-1) ** swaps)
+    for i in range(n):
+        det *= a[i][i]
     return det
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    if not matrix:
-        return 0
-    a = [list(row) for row in matrix]
-    n_rows, n_cols = len(a), len(a[0])
-    r = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        for i in range(r + 1, n_rows):
-            factor = a[i][col] / a[r][col]
-            if factor:
-                for c in range(col, n_cols):
-                    a[i][c] -= factor * a[r][c]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    return len(_echelon(matrix)[1])
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
@@ -124,28 +120,17 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     The result is a canonical representative of the row space, so two
     matrices have equal row spaces iff their rref outputs are equal.
     """
-    if not matrix:
-        return [], []
-    a = [list(row) for row in matrix]
-    n_rows, n_cols = len(a), len(a[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
+    a, pivots, _ = _echelon(matrix)
+    del a[len(pivots):]
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r]
         scale = a[r][col]
         a[r] = [v / scale for v in a[r]]
-        for i in range(n_rows):
-            if i != r and a[i][col]:
-                factor = a[i][col]
+        for i in range(r):
+            factor = a[i][col]
+            if factor:
                 a[i] = [v - factor * w for v, w in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    return a[:r], pivots
+    return a, pivots
 
 
 def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:

@@ -1,6 +1,7 @@
 """Both interpolants: structure, projector laws, comparison, invariances."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,10 +22,14 @@ from radpoly import (
     schaback_interpolate,
     span_dimension_below,
 )
-from radpoly.rational_linalg import determinant, transpose
+from radpoly.rational_linalg import determinant, mat_vec, solve, transpose
 
 GRID = [(0, 0), (1, 0), (0, 1), (1, 1)]
 SKEW = [(0, 0), (1, 0), (0, 1), (1, 2)]
+METHODS = [
+    ("schaback", schaback_basis, schaback_interpolate),
+    ("least", least_basis, least_interpolate),
+]
 
 
 def graded_on(points, **kwargs):
@@ -54,14 +59,14 @@ class TestSchabackBasis:
 
     def test_block_triangular_gramian(self):
         graded = graded_on(SKEW)
-        sb = schaback_basis(graded)
-        for i in range(4):
-            for j in range(4):
-                if graded.kappas[i] > graded.kappas[j]:
-                    assert sb.gramian[i][j] == 0
-        for block in graded.blocks():
-            diag = [[sb.gramian[i][j] for j in block] for i in block]
-            assert determinant(diag) != 0
+        for basis in (schaback_basis(graded), least_basis(graded)):
+            for i in range(4):
+                for j in range(4):
+                    if graded.kappas[i] > graded.kappas[j]:
+                        assert basis.gramian[i][j] == 0
+            for block in graded.blocks():
+                diag = [[basis.gramian[i][j] for j in block] for i in block]
+                assert determinant(diag) != 0
 
 
 class TestSchabackInterpolation:
@@ -89,9 +94,11 @@ class TestSchabackInterpolation:
     def test_block_solve_matches_dense_solve(self):
         graded = graded_on([(0, 0), (2, 1), (1, 1), (-1, 3), (0, 5)])
         target = Polynomial(2, {(3, 0): 1, (0, 2): -2})
-        block = schaback_interpolate(graded, target=target)
-        dense = schaback_interpolate(graded, target=target, solver="dense")
-        assert block.coefficients == dense.coefficients
+        for _, make_basis, interpolate in METHODS:
+            basis = make_basis(graded)
+            block = interpolate(basis, target=target)
+            dense = solve(basis.gramian, mat_vec(graded.transform, block.data))
+            assert block.coefficients == tuple(dense)
 
     def test_needs_exactly_one_input(self):
         graded = graded_on([(0,), (1,)])
@@ -102,18 +109,33 @@ class TestSchabackInterpolation:
         with pytest.raises(ValueError):
             schaback_interpolate(graded, data=[0, 1, 2])
 
-    def test_singular_least_gramian_is_reported(self):
-        from radpoly import LeastBasis
-
+    @pytest.mark.parametrize("method, make_basis, interpolate", METHODS, ids=["schaback", "least"])
+    def test_singular_gramian_is_reported(self, method, make_basis, interpolate):
         graded = graded_on([(0,), (1,)])
-        healthy = least_basis(graded)
-        broken = LeastBasis(
-            source=graded,
-            g=healthy.g,
-            gramian=((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),
-        )
-        with pytest.raises(SingularGramianError):
-            least_interpolate(broken, data=[0, 1])
+        zero = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
+        broken = replace(make_basis(graded), gramian=zero)
+        with pytest.raises(SingularGramianError, match=f"{method} Gramian"):
+            interpolate(broken, data=[0, 1])
+
+    @pytest.mark.parametrize("method, make_basis, interpolate", METHODS, ids=["schaback", "least"])
+    def test_corrupted_gramian_names_the_failing_residual(self, method, make_basis, interpolate):
+        healthy = make_basis(graded_on([(0,), (1,), (3,)]))
+        gramian = [list(row) for row in healthy.gramian]
+        gramian[1][2] += 1  # still nonsingular: the diagonal is untouched
+        broken = replace(healthy, gramian=tuple(map(tuple, gramian)))
+        with pytest.raises(AssertionError, match=rf"^{method}_interpolate: residual mu_1\(f\)"):
+            interpolate(broken, data=[0, 0, 1])
+
+    @pytest.mark.parametrize("make_basis, image, message", [
+        (schaback_basis, "radial_image", r"^schaback_basis: radial image w_0 has degree 1"),
+        (least_basis, "least_part", r"^least_basis: least part g_0 is not homogeneous"),
+    ], ids=["schaback", "least"])
+    def test_basis_invariant_failures_name_the_index(self, monkeypatch, make_basis, image, message):
+        import radpoly.interpolation as interpolation
+
+        monkeypatch.setattr(interpolation, image, lambda *args: Polynomial.variable(1, 0))
+        with pytest.raises(AssertionError, match=message):
+            make_basis(graded_on([(0,), (1,)]))
 
 
 class TestLeastInterpolation:

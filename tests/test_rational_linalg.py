@@ -1,0 +1,178 @@
+"""Exact linear algebra: every view checked against an independent oracle."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from radpoly import SingularMatrixError
+from radpoly.rational_linalg import (
+    determinant,
+    identity,
+    invert,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    rank,
+    rref,
+    solve,
+    solve_block_upper,
+)
+
+
+def to_matrix(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+def square(max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ).map(to_matrix)
+
+
+def rectangular(max_rows, max_cols):
+    return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols)).flatmap(
+        lambda shape: st.lists(
+            st.lists(st.integers(-3, 3), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0],
+        )
+    ).map(to_matrix)
+
+
+def leibniz(matrix):
+    """Determinant as the signed sum over permutations."""
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
+
+
+def random_invertible(rng, n):
+    """Product of unit lower and unit upper triangular integer matrices."""
+    lower = identity(n)
+    upper = identity(n)
+    for i in range(n):
+        for j in range(i):
+            lower[i][j] = Fraction(rng.randint(-2, 2))
+            upper[j][i] = Fraction(rng.randint(-2, 2))
+    return mat_mul(lower, upper)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square(4))
+def test_determinant_matches_the_permutation_sum(a):
+    assert determinant(a) == leibniz(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square(5), st.lists(st.integers(-9, 9), min_size=5, max_size=5))
+def test_solve_is_exact_or_reports_singularity(a, values):
+    b = [Fraction(v) for v in values[:len(a)]]
+    if determinant(a) == 0:
+        with pytest.raises(SingularMatrixError):
+            solve(a, b)
+    else:
+        assert mat_vec(a, solve(a, b)) == b
+
+
+def test_solve_rejects_a_zero_column_and_a_repeated_row():
+    with pytest.raises(SingularMatrixError):
+        solve(to_matrix([[0, 1], [0, 2]]), to_matrix([[1, 2]])[0])
+    with pytest.raises(SingularMatrixError):
+        solve(to_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), to_matrix([[1, 2, 3]])[0])
+
+
+def test_solve_rejects_shape_mismatch():
+    with pytest.raises(ValueError):
+        solve(to_matrix([[1, 2]]), [Fraction(1)])
+    with pytest.raises(ValueError):
+        solve(to_matrix([[1, 0], [0, 1]]), [Fraction(1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(square(4))
+def test_invert_is_a_left_inverse(a):
+    if determinant(a) == 0:
+        with pytest.raises(SingularMatrixError):
+            invert(a)
+    else:
+        assert mat_mul(invert(a), a) == identity(len(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rectangular(5, 5))
+def test_rank_counts_the_rref_rows(a):
+    reduced, pivots = rref(a)
+    assert rank(a) == len(reduced) == len(pivots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rectangular(5, 5), st.randoms(use_true_random=False))
+def test_rref_is_canonical(a, rng):
+    reduced, pivots = rref(a)
+    assert rref(reduced) == (reduced, pivots)
+    for r, p in enumerate(pivots):
+        assert [row[p] for row in reduced] == [int(i == r) for i in range(len(reduced))]
+    mixed = mat_mul(random_invertible(rng, len(a)), a)
+    assert rref(mixed) == (reduced, pivots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rectangular(4, 6))
+def test_nullspace_vectors_are_annihilated(a):
+    kernel = nullspace(a)
+    assert len(kernel) == len(a[0]) - rank(a)
+    for v in kernel:
+        assert all(x == 0 for x in mat_vec(a, v))
+    if kernel:
+        assert rank(kernel) == len(kernel)
+
+
+def test_empty_inputs():
+    assert rank([]) == 0
+    assert rref([]) == ([], [])
+    assert nullspace([]) == []
+    assert solve([], []) == []
+    assert determinant([]) == 1
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_block_upper_solve_agrees_with_solve(seed):
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(list(range(start, start + size)))
+        start += size
+    n = start
+    block_of = {i: bi for bi, block in enumerate(blocks) for i in block}
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for block in blocks:
+        diag = random_invertible(rng, len(block))
+        rng.shuffle(diag)
+        for r, i in enumerate(block):
+            for c, j in enumerate(block):
+                a[i][j] = diag[r][c]
+    for i in range(n):
+        for j in range(n):
+            if block_of[j] > block_of[i]:
+                a[i][j] = Fraction(rng.randint(-5, 5))
+    b = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
+    x = solve_block_upper(a, b, blocks)
+    assert x == solve(a, b)
+    assert mat_vec(a, x) == b
+
+
+def test_block_upper_solve_reports_a_singular_diagonal_block():
+    a = to_matrix([[1, 5], [0, 0]])
+    with pytest.raises(SingularMatrixError):
+        solve_block_upper(a, [Fraction(1), Fraction(1)], [[0], [1]])
