@@ -1,14 +1,16 @@
 """Linear functionals on polynomials, with exactly computable moments.
 
-Two concrete representations share one informal interface (``dimension``,
-``moment``, ``degree_cap``, ``is_zero``, and application by calling):
+A functional is its moments lambda(x^alpha).  Applying it is one sum,
+lambda(p) = sum over the terms of p of p_alpha * lambda(x^alpha), shared
+by both representations:
 
 * ``PointFunctional`` -- a weighted combination of point evaluations,
-  p |-> sum_i c_i p(x_i), applicable to polynomials of any degree.
-* ``MomentFunctional`` -- a finite table of moments lambda(x^alpha) for
-  |alpha| up to a declared degree cap.  Applying it past the cap raises,
-  never silently truncates: silent truncation would corrupt the
-  exact-identity checks built on top of these objects.
+  p |-> sum_i c_i p(x_i), applicable to polynomials of any degree.  Each
+  moment is computed once, when first needed, and kept with the functional.
+* ``MomentFunctional`` -- a finite table of moments for |alpha| up to a
+  declared degree cap.  Applying it past the cap raises, never silently
+  truncates: silent truncation would corrupt the exact-identity checks
+  built on top of these objects.
 
 The workhorse identity separates the even radial power into products of
 one-sided terms.  With p_{a,beta}(x) = ||x||^(2a) x^beta,
@@ -47,11 +49,32 @@ from .polynomials import (
     multi_factorial,
 )
 
+_ZERO = Fraction(0)
+
+
+def _apply(functional: "Functional", p: Polynomial) -> Fraction:
+    """lambda(p) = sum over the terms of p of p_alpha * lambda(x^alpha)."""
+    if p.dimension != functional.dimension:
+        raise DimensionMismatchError("functional and polynomial dimensions differ")
+    cap = functional.degree_cap
+    if cap is not None and p.degree > cap:
+        raise DegreeCapError(
+            f"polynomial of degree {p.degree} applied to a functional capped at {cap}"
+        )
+    moment = functional._moment
+    total = _ZERO
+    for alpha, coeff in p.terms():
+        value = moment(alpha)
+        if value:
+            total += coeff * value
+    return total
+
 
 class PointFunctional:
     """Weighted combination of evaluations at pairwise distinct points."""
 
-    __slots__ = ("_dimension", "_points", "_weights")
+    # _table: the moments computed so far; equality, hash and repr ignore it.
+    __slots__ = ("_dimension", "_points", "_weights", "_table")
 
     def __init__(self, points: Iterable[Sequence[Rational]], weights: Iterable[Rational],
                  *, dimension: int | None = None):
@@ -79,6 +102,7 @@ class PointFunctional:
         self._dimension = d
         self._points = tuple(p for p, _ in kept)
         self._weights = tuple(w for _, w in kept)
+        self._table: dict[Exponent, Fraction] = {}
 
     @property
     def dimension(self) -> int:
@@ -105,28 +129,23 @@ class PointFunctional:
         key = tuple(alpha)
         if len(key) != self._dimension:
             raise DimensionMismatchError("moment index has wrong length")
-        total = Fraction(0)
-        for x, w in zip(self._points, self._weights):
-            value = w
-            for c, e in zip(x, key):
-                if e:
-                    value *= c**e
-            total += value
+        return self._moment(key)
+
+    def _moment(self, key: Exponent) -> Fraction:
+        """sum_i c_i x_i^key for a checked key, computed once per functional."""
+        total = self._table.get(key)
+        if total is None:
+            total = _ZERO
+            for x, w in zip(self._points, self._weights):
+                value = w
+                for c, e in zip(x, key):
+                    if e:
+                        value *= c**e
+                total += value
+            self._table[key] = total
         return total
 
-    def __call__(self, p: Polynomial) -> Fraction:
-        if p.dimension != self._dimension:
-            raise DimensionMismatchError("functional and polynomial dimensions differ")
-        return sum((w * p(x) for x, w in zip(self._points, self._weights)), Fraction(0))
-
-    def to_moment_functional(self, degree_cap: int) -> "MomentFunctional":
-        """Truncated moment table of this combination, up to the cap."""
-        moments = {}
-        for alpha in monomial_sequence(self._dimension, degree_cap):
-            value = self.moment(alpha)
-            if value:
-                moments[alpha] = value
-        return MomentFunctional(self._dimension, degree_cap, moments)
+    __call__ = _apply
 
     def _as_dict(self) -> dict[tuple[Fraction, ...], Fraction]:
         return dict(zip(self._points, self._weights))
@@ -207,22 +226,13 @@ class MomentFunctional:
             raise DegreeCapError(
                 f"moment of degree {sum(key)} requested, cap is {self._degree_cap}"
             )
-        return self._moments.get(key, Fraction(0))
+        return self._moment(key)
 
-    def __call__(self, p: Polynomial) -> Fraction:
-        if p.dimension != self._dimension:
-            raise DimensionMismatchError("functional and polynomial dimensions differ")
-        if p.degree > self._degree_cap:
-            raise DegreeCapError(
-                f"polynomial of degree {p.degree} applied to a functional capped at "
-                f"{self._degree_cap}"
-            )
-        total = Fraction(0)
-        for alpha, coeff in p.terms():
-            value = self._moments.get(alpha)
-            if value is not None:
-                total += coeff * value
-        return total
+    def _moment(self, key: Exponent) -> Fraction:
+        """Table lookup for a checked key."""
+        return self._moments.get(key, _ZERO)
+
+    __call__ = _apply
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MomentFunctional):
@@ -324,17 +334,17 @@ def combine(functionals: Sequence[Functional], coefficients: Sequence[Rational])
             for x, w in zip(f.points, f.weights):
                 acc[x] = acc.get(x, Fraction(0)) + c * w
         return PointFunctional(list(acc.keys()), list(acc.values()), dimension=d)
-    cap = min(f.degree_cap for f in fs if isinstance(f, MomentFunctional))
+    cap = min(f.degree_cap for f in fs if f.degree_cap is not None)
+    monomials = monomial_sequence(d, cap)
     moments: dict[Exponent, Fraction] = {}
     for f, c in zip(fs, cs):
         if c == 0:
             continue
-        if isinstance(f, PointFunctional):
-            source = f.to_moment_functional(cap).moments()
-        else:
-            source = [(a, v) for a, v in f.moments() if sum(a) <= cap]
-        for alpha, value in source:
-            moments[alpha] = moments.get(alpha, Fraction(0)) + c * value
+        moment = f._moment
+        for alpha in monomials:
+            value = moment(alpha)
+            if value:
+                moments[alpha] = moments.get(alpha, _ZERO) + c * value
     return MomentFunctional(d, cap, moments)
 
 
@@ -414,26 +424,16 @@ def _require_moment_cap(functional: Functional, needed: int, operation: str) -> 
 def tensor_apply_radial(lam: Functional, mu: Functional, k: int) -> Fraction:
     """(lambda (x) mu) applied to ||x-y||^(2k), lambda in x and mu in y.
 
-    For point combinations this equals the double sum
+    The kernel is symmetric, so this is mu applied to the radial image of
+    lambda.  For point combinations it equals the double sum
     sum_i sum_j c_i c'_j ||x_i - x'_j||^(2k).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if lam.dimension != mu.dimension:
         raise DimensionMismatchError("functionals of different dimension")
-    d = lam.dimension
-    _require_moment_cap(lam, 2 * k, "tensor application")
     _require_moment_cap(mu, 2 * k, "tensor application")
-    total = Fraction(0)
-    for term in radial_power_expansion(k, d):
-        left = lam(radial_monomial(d, term.a, term.beta))
-        if left == 0:
-            continue
-        right = mu(radial_monomial(d, term.c, term.beta))
-        if right == 0:
-            continue
-        total += term.coeff * left * right
-    return total
+    return mu(radial_image(lam, k))
 
 
 def inner_product(lam: Functional, mu: Functional, k: int) -> Fraction:

@@ -178,12 +178,6 @@ class Polynomial:
         """Term list in graded monomial order."""
         return sorted(self._terms.items(), key=lambda item: graded_key(item[0]))
 
-    def homogeneous_component(self, degree: int) -> "Polynomial":
-        return Polynomial(
-            self._dimension,
-            {a: c for a, c in self._terms.items() if sum(a) == degree},
-        )
-
     def is_homogeneous(self, degree: int | None = None) -> bool:
         if self.is_zero:
             return True

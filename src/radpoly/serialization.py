@@ -49,6 +49,24 @@ def parse_rational(obj: Any) -> Fraction:
     raise ValueError(f"rationals must be integers or 'p/q' strings, got {obj!r}")
 
 
+def _is_int(obj: Any) -> bool:
+    """JSON integers only: ``true`` and ``false`` are not 1 and 0 here."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
+def _field(obj: Any, key: str, what: str) -> Any:
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{what} must be an object with the field {key!r}")
+    return obj[key]
+
+
+def _list_field(obj: Any, key: str, what: str) -> list:
+    value = _field(obj, key, what)
+    if not isinstance(value, list):
+        raise ValueError(f"{what}: {key!r} must be a list, got {value!r}")
+    return value
+
+
 def _parse_point(obj: Any) -> tuple[Fraction, ...]:
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"a point must be a nonempty list of rationals, got {obj!r}")
@@ -56,7 +74,7 @@ def _parse_point(obj: Any) -> tuple[Fraction, ...]:
 
 
 def _parse_alpha(obj: Any) -> tuple[int, ...]:
-    if not isinstance(obj, list) or not all(isinstance(e, int) and not isinstance(e, bool) for e in obj):
+    if not isinstance(obj, list) or not all(_is_int(e) for e in obj):
         raise ValueError(f"an exponent vector must be a list of integers, got {obj!r}")
     return tuple(obj)
 
@@ -76,16 +94,13 @@ def polynomial_to_obj(p: Polynomial) -> dict:
 
 
 def polynomial_from_obj(obj: Any) -> Polynomial:
-    if not isinstance(obj, dict) or "dimension" not in obj or "terms" not in obj:
-        raise ValueError("a polynomial needs 'dimension' and 'terms'")
-    dimension = obj["dimension"]
-    if not isinstance(dimension, int) or dimension < 1:
+    dimension = _field(obj, "dimension", "a polynomial")
+    if not _is_int(dimension) or dimension < 1:
         raise ValueError(f"bad polynomial dimension {dimension!r}")
     terms = []
-    for record in obj["terms"]:
-        if not isinstance(record, dict):
-            raise ValueError("each term must be an object with 'alpha' and 'coeff'")
-        terms.append((_parse_alpha(record["alpha"]), parse_rational(record["coeff"])))
+    for record in _list_field(obj, "terms", "a polynomial"):
+        terms.append((_parse_alpha(_field(record, "alpha", "a term")),
+                      parse_rational(_field(record, "coeff", "a term"))))
     return Polynomial(dimension, terms)
 
 
@@ -112,27 +127,27 @@ def functional_to_obj(f: Functional) -> dict:
 
 
 def functional_from_obj(obj: Any) -> Functional:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError("a functional needs a 'type' field")
-    kind = obj["type"]
+    kind = _field(obj, "type", "a functional")
+    what = f"a {kind!r} functional"
     if kind == "points":
-        points = [_parse_point(p) for p in obj["points"]]
-        weights = [parse_rational(w) for w in obj["weights"]]
+        points = [_parse_point(p) for p in _list_field(obj, "points", what)]
+        weights = [parse_rational(w) for w in _list_field(obj, "weights", what)]
         return PointFunctional(points, weights)
     if kind == "moments":
-        d = obj["d"]
-        cap = obj["cap"]
-        if not isinstance(d, int) or not isinstance(cap, int):
+        d = _field(obj, "d", what)
+        cap = _field(obj, "cap", what)
+        if not _is_int(d) or not _is_int(cap):
             raise ValueError("'d' and 'cap' must be integers")
         moments = []
-        for record in obj.get("moments", []):
-            moments.append((_parse_alpha(record["alpha"]), parse_rational(record["value"])))
+        for record in _list_field(obj, "moments", what) if "moments" in obj else []:
+            moments.append((_parse_alpha(_field(record, "alpha", "a moment")),
+                            parse_rational(_field(record, "value", "a moment"))))
         return MomentFunctional(d, cap, moments)
     if kind == "derivative":
-        alpha = _parse_alpha(obj["alpha"])
-        at = _parse_point(obj["at"])
-        cap = obj["cap"]
-        if not isinstance(cap, int):
+        alpha = _parse_alpha(_field(obj, "alpha", what))
+        at = _parse_point(_field(obj, "at", what))
+        cap = _field(obj, "cap", what)
+        if not _is_int(cap):
             raise ValueError("'cap' must be an integer")
         return from_derivative(alpha, at, cap)
     raise ValueError(f"unknown functional type {kind!r}")
@@ -158,19 +173,21 @@ def problem_from_obj(obj: Any) -> ProblemFile:
     if not isinstance(obj, dict):
         raise ValueError("a problem file must be a JSON object")
     dimension = obj.get("dimension")
-    if not isinstance(dimension, int) or dimension < 1:
+    if not _is_int(dimension) or dimension < 1:
         raise ValueError("'dimension' must be a positive integer")
 
     points = None
     if "points" in obj and "functionals" in obj:
         raise ValueError("give either 'points' or 'functionals', not both")
     if "points" in obj:
-        points = tuple(_parse_point(p) for p in obj["points"])
+        points = tuple(_parse_point(p) for p in _list_field(obj, "points", "a problem file"))
         if any(len(p) != dimension for p in points):
             raise ValueError("points do not match the declared dimension")
         functionals = tuple(point_evaluation(p) for p in points)
     elif "functionals" in obj:
-        functionals = tuple(functional_from_obj(f) for f in obj["functionals"])
+        functionals = tuple(
+            functional_from_obj(f) for f in _list_field(obj, "functionals", "a problem file")
+        )
         if any(f.dimension != dimension for f in functionals):
             raise ValueError("functionals do not match the declared dimension")
     else:
@@ -180,7 +197,7 @@ def problem_from_obj(obj: Any) -> ProblemFile:
 
     values = None
     if "values" in obj:
-        values = tuple(parse_rational(v) for v in obj["values"])
+        values = tuple(parse_rational(v) for v in _list_field(obj, "values", "a problem file"))
         if len(values) != len(functionals):
             raise ValueError(
                 f"{len(values)} values for {len(functionals)} functionals"
@@ -194,7 +211,7 @@ def problem_from_obj(obj: Any) -> ProblemFile:
         raise ValueError("give either 'values' or 'target', not both")
 
     degree_cap = obj.get("degree_cap")
-    if degree_cap is not None and (not isinstance(degree_cap, int) or degree_cap < 0):
+    if degree_cap is not None and (not _is_int(degree_cap) or degree_cap < 0):
         raise ValueError("'degree_cap' must be a nonnegative integer")
 
     return ProblemFile(

@@ -95,6 +95,41 @@ class TestExitStatusContract:
         assert one == two
 
 
+class TestMalformedProblems:
+    POINTS = [[0, 0], [1, 0], [0, 1]]
+    DOCUMENTS = {
+        "points_functional_without_points": {
+            "dimension": 2, "functionals": [{"type": "points"}], "values": [1]},
+        "values_not_a_list": {"dimension": 2, "points": POINTS, "values": 5},
+        "points_not_a_list": {"dimension": 2, "points": 5, "values": [1]},
+        "target_term_without_alpha": {
+            "dimension": 2, "points": POINTS,
+            "target": {"dimension": 2, "terms": [{"coeff": 1}]}},
+        "moment_without_value": {
+            "dimension": 1, "degree_cap": 0, "values": [1],
+            "functionals": [{"type": "moments", "d": 1, "cap": 2, "moments": [{"alpha": [0]}]}]},
+        "degree_cap_true": {
+            "dimension": 2, "points": POINTS, "values": [1, 2, 3], "degree_cap": True},
+        "dimension_true": {"dimension": True, "points": [[0], [1]], "values": [1, 2]},
+        "moments_d_true": {
+            "dimension": 1, "degree_cap": 0, "values": [1],
+            "functionals": [{"type": "moments", "d": True, "cap": 2,
+                             "moments": [{"alpha": [0], "value": 1}]}]},
+        "derivative_cap_true": {
+            "dimension": 1, "degree_cap": 0, "values": [1],
+            "functionals": [{"type": "derivative", "alpha": [0], "at": [0], "cap": True}]},
+    }
+
+    @pytest.mark.parametrize("name", DOCUMENTS)
+    def test_exit_one_with_one_line(self, tmp_path, capsys, name):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(self.DOCUMENTS[name]))
+        assert main(["interp", "--input", str(problem), "--method", "both",
+                     "--output", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("radpoly: ") and err.count("\n") == 1
+
+
 class TestEval:
     def test_round_trip_reproduces_data(self, tmp_path):
         report = tmp_path / "report.json"

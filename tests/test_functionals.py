@@ -36,7 +36,37 @@ def two_set_distance_power(k, d):
     return total**k
 
 
+@st.composite
+def _point_functional_and_polynomial(draw):
+    d = draw(st.integers(1, 3))
+    coordinate = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    points = draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=5, unique=True))
+    weights = draw(st.lists(st.integers(-6, 6), min_size=len(points), max_size=len(points)))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * d),
+                                 st.fractions(min_value=-9, max_value=9, max_denominator=4),
+                                 max_size=8))
+    return PointFunctional(points, weights, dimension=d), Polynomial(d, terms)
+
+
 class TestApply:
+    @given(_point_functional_and_polynomial())
+    @settings(deadline=None, max_examples=60)
+    def test_point_application_is_the_weighted_sum_of_values(self, case):
+        lam, p = case
+        values = sum((w * p(x) for x, w in zip(lam.points, lam.weights)), Fraction(0))
+        assert lam(p) == values
+        assert lam(p) == values  # second time from the stored moments
+
+    def test_stored_moments_leave_equality_hash_and_repr_alone(self):
+        def build():
+            return PointFunctional([(1, 2), (0, -1), (3, 3)], [2, -1, 5])
+        lam, fresh = build(), build()
+        p = Polynomial(2, {(2, 1): 3, (0, 1): -1, (0, 0): 4})
+        before = (hash(lam), repr(lam))
+        assert lam(p) == lam(p)
+        assert lam == fresh
+        assert (hash(lam), repr(lam)) == before == (hash(fresh), repr(fresh))
+
     def test_corner_functional_on_product(self):
         lam = PointFunctional([(1, 1), (1, 0), (0, 1), (0, 0)], [1, -1, -1, 1])
         assert lam(Polynomial.monomial(2, (1, 1))) == 1
@@ -191,10 +221,13 @@ class TestTensorApply:
                 )
                 assert tensor_apply_radial(lam, mu, k) == direct
 
-    def test_moment_cap_must_cover_2k(self):
-        lam = MomentFunctional(1, 3, {(2,): 1})
+    @pytest.mark.parametrize("short_slot", ["lambda", "mu"])
+    def test_moment_cap_must_cover_2k(self, short_slot):
+        short = MomentFunctional(1, 3, {(2,): 1})
+        point = point_evaluation((1,))
+        lam, mu = (short, point) if short_slot == "lambda" else (point, short)
         with pytest.raises(DegreeCapError):
-            tensor_apply_radial(lam, lam, 2)
+            tensor_apply_radial(lam, mu, 2)
 
 
 class TestInnerProduct:
