@@ -195,7 +195,10 @@ def _extract_polynomial(obj, method: str | None) -> Polynomial:
     if isinstance(obj, dict) and "schaback" in obj and "least" in obj:
         if method is None:
             raise ValueError("this report holds both methods; pick one with --method")
-        return polynomial_from_obj(obj[method]["interpolant"])
+        side = obj[method]
+        if not isinstance(side, dict) or "interpolant" not in side:
+            raise ValueError(f"the {method!r} part of the report has no 'interpolant'")
+        return polynomial_from_obj(side["interpolant"])
     if isinstance(obj, dict) and "interpolant" in obj:
         return polynomial_from_obj(obj["interpolant"])
     return polynomial_from_obj(obj)

@@ -19,9 +19,12 @@ one-sided terms.  With p_{a,beta}(x) = ||x||^(2a) x^beta,
         (-2)^|beta| * k! / (a! beta! c!) * p_{a,beta}(x) * p_{c,beta}(y),
 
 where ||.|| is the Euclidean norm.  Tensor application of two functionals
-to ||x-y||^(2k), the degree-k bilinear form built from it, radial images
-x |-> lambda ||x - .||^(2l), and lowest-degree parts of the moment series
-are all computed exactly through this expansion.
+to ||x-y||^(2k), the degree-k bilinear form built from it, and radial
+images x |-> lambda ||x - .||^(2l) are all computed exactly through this
+expansion.  Radial images and lowest-degree parts of the moment series
+need nothing but a moment lookup: ``image_from_moments`` and
+``least_part_from_moments`` take one, so the same bodies serve a functional
+(its ``_moment``) and a row of a graded basis's integer moment table.
 
 The order of a functional is the smallest total degree carrying a nonzero
 moment (equivalently, the largest k with lambda vanishing on all polynomials
@@ -34,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import DegreeCapError, DimensionMismatchError
 from .polynomials import (
@@ -63,7 +66,7 @@ def _apply(functional: "Functional", p: Polynomial) -> Fraction:
         )
     moment = functional._moment
     total = _ZERO
-    for alpha, coeff in p.terms():
+    for alpha, coeff in p._terms.items():
         value = moment(alpha)
         if value:
             total += coeff * value
@@ -413,8 +416,8 @@ def expansion_polynomial(k: int, d: int) -> Polynomial:
     return Polynomial(2 * d, acc)
 
 
-def _require_moment_cap(functional: Functional, needed: int, operation: str) -> None:
-    cap = functional.degree_cap
+def _require_moment_cap(cap: int | None, needed: int, operation: str) -> None:
+    """Raise unless moments up to degree ``needed`` exist under ``cap``."""
     if cap is not None and cap < needed:
         raise DegreeCapError(
             f"{operation} needs moments up to degree {needed}, functional cap is {cap}"
@@ -432,7 +435,7 @@ def tensor_apply_radial(lam: Functional, mu: Functional, k: int) -> Fraction:
         raise ValueError("k must be >= 0")
     if lam.dimension != mu.dimension:
         raise DimensionMismatchError("functionals of different dimension")
-    _require_moment_cap(mu, 2 * k, "tensor application")
+    _require_moment_cap(mu.degree_cap, 2 * k, "tensor application")
     return mu(radial_image(lam, k))
 
 
@@ -445,6 +448,54 @@ def inner_product(lam: Functional, mu: Functional, k: int) -> Fraction:
     return (-1) ** k * tensor_apply_radial(lam, mu, k)
 
 
+@lru_cache(maxsize=None)
+def _integer_expansion(ell: int, d: int) -> tuple[tuple[int, tuple, tuple], ...]:
+    """The terms of ``radial_power_expansion(ell, d)`` with integer coefficients.
+
+    Each entry is (coeff, terms of p_{c,beta}, terms of p_{a,beta}), every
+    term an (alpha, integer coefficient) pair.
+    """
+    def integer_terms(a: int, beta: Exponent) -> tuple[tuple[Exponent, int], ...]:
+        return tuple((alpha, int(c)) for alpha, c in radial_monomial(d, a, beta).terms())
+
+    return tuple(
+        (int(term.coeff), integer_terms(term.c, term.beta), integer_terms(term.a, term.beta))
+        for term in radial_power_expansion(ell, d)
+    )
+
+
+def image_from_moments(moment: Callable[[Exponent], int | Fraction], denominator: int, d: int,
+                       ell: int) -> Polynomial:
+    """The radial image x |-> lambda ||x - .||^(2 ell) of a functional given by its moments.
+
+    lambda(x^alpha) = moment(alpha) / denominator; every moment up to degree
+    2 ell may be looked up.  With integer moments all arithmetic before the
+    final division is in integers.
+    """
+    acc: dict[Exponent, int] = {}
+    for coeff, y_terms, x_terms in _integer_expansion(ell, d):
+        value = 0
+        for alpha, c in y_terms:
+            value += c * moment(alpha)
+        if value:
+            value *= coeff
+            for alpha, c in x_terms:
+                acc[alpha] = acc.get(alpha, 0) + value * c
+    return Polynomial(d, {alpha: Fraction(v, denominator) for alpha, v in acc.items()})
+
+
+def least_part_from_moments(moment: Callable[[Exponent], int | Fraction], denominator: int, d: int,
+                            kappa: int) -> Polynomial:
+    """sum over |alpha| = kappa of lambda(x^alpha) x^alpha / alpha!.
+
+    lambda(x^alpha) = moment(alpha) / denominator, as for ``image_from_moments``.
+    """
+    return Polynomial(d, {
+        alpha: Fraction(moment(alpha), denominator * multi_factorial(alpha))
+        for alpha in monomials_of_degree(d, kappa)
+    })
+
+
 def radial_image(lam: Functional, ell: int) -> Polynomial:
     """The polynomial x |-> lambda ||x - .||^(2 ell), lambda applied in y.
 
@@ -454,21 +505,8 @@ def radial_image(lam: Functional, ell: int) -> Polynomial:
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    d = lam.dimension
-    _require_moment_cap(lam, 2 * ell, "radial image")
-    acc: dict[Exponent, Fraction] = {}
-    for term in radial_power_expansion(ell, d):
-        value = lam(radial_monomial(d, term.c, term.beta))
-        if value == 0:
-            continue
-        scale = term.coeff * value
-        for alpha, coeff in radial_monomial(d, term.a, term.beta).terms():
-            current = acc.get(alpha, Fraction(0)) + scale * coeff
-            if current == 0:
-                acc.pop(alpha, None)
-            else:
-                acc[alpha] = current
-    return Polynomial(d, acc)
+    _require_moment_cap(lam.degree_cap, 2 * ell, "radial image")
+    return image_from_moments(lam._moment, 1, lam.dimension, ell)
 
 
 def least_part(lam: Functional, search_cap: int | None = None) -> Polynomial:
@@ -483,10 +521,4 @@ def least_part(lam: Functional, search_cap: int | None = None) -> Polynomial:
         return Polynomial.zero(lam.dimension)
     if kappa is None:
         raise DegreeCapError("order not determined within the search cap")
-    d = lam.dimension
-    terms = {}
-    for alpha in monomials_of_degree(d, kappa):
-        value = lam.moment(alpha)
-        if value:
-            terms[alpha] = value / multi_factorial(alpha)
-    return Polynomial(d, terms)
+    return least_part_from_moments(lam._moment, 1, lam.dimension, kappa)

@@ -1,9 +1,14 @@
 """Graded bases of finite-dimensional spaces of linear functionals.
 
-Gauss elimination with row interchanges, applied to the formally
-n-by-infinite moment matrix (mu_i(x^alpha)) whose columns are generated
-lazily in graded monomial order, turns an independent family mu_1..mu_n
-into a basis lambda_1..lambda_n with:
+Everything is computed from one integer moment table per span: the columns
+V_alpha = (mu_1(x^alpha), ..., mu_n(x^alpha)) of the moment matrix, built
+once per monomial in graded order and extended one degree at a time.  Each
+column is kept as integers over one positive scale for its degree, so
+rational points and rational moments need no fractions inside the table.
+
+Gauss elimination with row interchanges on that table (de Boor and Ron's
+elimination by segments) turns an independent family mu_1..mu_n into a
+basis lambda_i = sum_j T[i][j] mu_j with:
 
 * nondecreasing orders kappa_1 <= ... <= kappa_n,
 * for each i a pivot monomial beta_i with |beta_i| = kappa_i such that
@@ -12,47 +17,168 @@ into a basis lambda_1..lambda_n with:
 * for each k, the tail {lambda_i : kappa_i >= k} a basis of the subspace of
   span(mu) annihilating all polynomials of degree < k.
 
-Pivot rows are chosen as the first remaining row with a nonzero entry, and
-pivots are normalized to 1: exact arithmetic needs no magnitude pivoting,
-and a deterministic, reproducible outcome is worth more.
+The elimination is fraction-free (in the manner of Bareiss): the rows of T
+are integer vectors, cross-multiplied on each update and divided by their
+gcd, so each is a nonzero multiple of the rational row.  Pivot rows are
+chosen as the first remaining row with a nonzero entry; exact arithmetic
+needs no magnitude pivoting, and a deterministic, reproducible outcome is
+worth more.  Column scales change no pivot choice and no elimination ratio,
+only the pivot value, which is divided back out: ``transform`` holds each
+row normalized so that lambda_i(x^beta_i) = 1.
+
+The rows of L = T V, the moments of the lambda_i, are kept as integer
+numerators over one denominator per row; the radial images, the least parts
+and both interpolation Gramians are computed from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from .errors import DegreeCapError, DimensionMismatchError, RankDeficientError
-from .functionals import Functional, MomentFunctional, combine
+from .functionals import Functional, PointFunctional, combine
 from .polynomials import Exponent, monomials_of_degree
-from .rational_linalg import identity
+from .rational_linalg import integer_vector
+
+
+class MomentTable:
+    """Integer moment columns of a span, built one degree at a time.
+
+    mu_i(x^alpha) = columns[alpha][i] / scales[|alpha|].  The weights of the
+    point functionals are written over one common denominator r and their
+    coordinates over one common denominator q, so in degree k a point
+    functional contributes an integer over r q^k, computed from per-point,
+    per-coordinate integer power tables; a moment functional contributes its
+    stored moment.  The scale of a degree is the lcm of those denominators.
+    ``cap`` is the smallest stored moment cap of the span (None for point
+    combinations); callers never extend the table past it.
+    """
+
+    def __init__(self, span: Sequence[Functional]):
+        self.span = tuple(span)
+        self.dimension = self.span[0].dimension
+        caps = [f.degree_cap for f in self.span if f.degree_cap is not None]
+        self.cap = min(caps) if caps else None
+        combinations = [f for f in self.span if isinstance(f, PointFunctional)]
+        self._r = r = lcm(*(w.denominator for f in combinations for w in f.weights))
+        self._q = q = lcm(*(c.denominator for f in combinations for x in f.points for c in x))
+        # Per point functional, per point: the integer weight r w and one power
+        # table [1, X, X^2, ...] per coordinate X = q x; None for a moment functional.
+        self._points = [
+            [(w.numerator * (r // w.denominator),
+              [[1, c.numerator * (q // c.denominator)] for c in x])
+             for x, w in zip(f.points, f.weights)]
+            if isinstance(f, PointFunctional) else None
+            for f in self.span
+        ]
+        self._powers = [table for f in self._points if f for _, tables in f for table in tables]
+        self.columns: dict[Exponent, list[int]] = {}
+        self.monomials: list[list[Exponent]] = []
+        self.scales: list[int] = []
+
+    def extend(self, degree: int) -> None:
+        """Build every column of degree <= ``degree`` not built yet."""
+        for k in range(len(self.scales), degree + 1):
+            for table in self._powers:
+                while len(table) <= k:
+                    table.append(table[-1] * table[1])
+            alphas = list(monomials_of_degree(self.dimension, k))
+            raw = [[self._entry(i, alpha, k) for i in range(len(self.span))] for alpha in alphas]
+            scale = lcm(*(den for column in raw for _, den in column))
+            for alpha, column in zip(alphas, raw):
+                self.columns[alpha] = [num * (scale // den) for num, den in column]
+            self.monomials.append(alphas)
+            self.scales.append(scale)
+
+    def _entry(self, i: int, alpha: Exponent, k: int) -> tuple[int, int]:
+        """mu_i(x^alpha) as (numerator, denominator), for |alpha| = k."""
+        points = self._points[i]
+        if points is None:
+            value = self.span[i]._moment(alpha)
+            return value.numerator, value.denominator
+        total = 0
+        for weight, powers in points:
+            for table, e in zip(powers, alpha):
+                weight *= table[e]
+            total += weight
+        return total, self._r * self._q**k
+
+
+class MomentRow(NamedTuple):
+    """lambda(x^alpha) = numerators[alpha] / denominator for every tabled alpha."""
+
+    numerators: dict[Exponent, int]
+    denominator: int
 
 
 @dataclass(frozen=True)
 class GradedBasis:
-    """Outcome of the elimination: basis, orders, pivots, and the transform.
+    """Outcome of the elimination: orders, pivots, the transform, and the table.
 
     ``transform`` is the row-wise matrix T with lambda_i = sum_j T[i][j] mu_j.
-    No invariants are enforced here; ``build_graded_basis`` guarantees them
-    and ``verify_graded`` rechecks them on demand (so corrupted instances can
-    be constructed in tests as negative controls).
+    ``moments`` is the span's integer moment table; the basis functionals
+    ``lambdas`` and their moment rows ``rows`` are derived from it and from
+    ``transform`` on first read.  No invariants are enforced here;
+    ``build_graded_basis`` guarantees them and ``verify_graded`` rechecks
+    them on demand (so corrupted instances can be constructed in tests as
+    negative controls).
     """
 
     span: tuple[Functional, ...]
-    lambdas: tuple[Functional, ...]
     kappas: tuple[int, ...]
     pivots: tuple[Exponent, ...]
     transform: tuple[tuple[Fraction, ...], ...]
     degree_cap: int
+    moments: MomentTable = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.lambdas)
+        return len(self.kappas)
 
     @property
     def dimension(self) -> int:
         return self.span[0].dimension
+
+    @cached_property
+    def lambdas(self) -> tuple[Functional, ...]:
+        """lambda_i = sum_j T[i][j] mu_j as functionals of their own."""
+        return tuple(combine(self.span, row) for row in self.transform)
+
+    @cached_property
+    def rows(self) -> tuple[MomentRow, ...]:
+        """The rows of L = T V, up to degree 2 kappa_max or the moment cap.
+
+        The radial image of lambda_i needs its moments up to degree
+        2 kappa_i; the Gramians need them up to kappa_max.
+        """
+        table = self.moments
+        top = 2 * max(self.kappas)
+        if table.cap is not None:
+            top = min(top, table.cap)
+        table.extend(top)
+        scale = lcm(*table.scales[: top + 1])
+        columns = [
+            (alpha, table.columns[alpha], scale // table.scales[k])
+            for k in range(top + 1)
+            for alpha in table.monomials[k]
+        ]
+        rows = []
+        for row in self.transform:
+            ints, denominator = integer_vector(row)
+            numerators = {
+                alpha: sum(map(mul, ints, column)) * lift for alpha, column, lift in columns
+            }
+            common = gcd(denominator * scale, *numerators.values())
+            rows.append(MomentRow(
+                {alpha: v // common for alpha, v in numerators.items()},
+                denominator * scale // common,
+            ))
+        return tuple(rows)
 
     def blocks(self) -> list[list[int]]:
         """Indices grouped by order; contiguous since kappa is nondecreasing."""
@@ -88,65 +214,57 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
     if any(f.dimension != d for f in span):
         raise DimensionMismatchError("functionals of mixed dimension")
 
-    moment_caps = [f.degree_cap for f in span if isinstance(f, MomentFunctional)]
+    table = MomentTable(span)
     if degree_cap is None:
-        if moment_caps:
+        if table.cap is not None:
             raise ValueError("spans with moment functionals need an explicit degree cap")
         degree_cap = max(n - 1, 0)
     if degree_cap < 0:
         raise ValueError("degree cap must be >= 0")
-    if moment_caps and degree_cap > min(moment_caps):
-        raise DegreeCapError(
-            f"degree cap {degree_cap} exceeds a stored moment cap {min(moment_caps)}"
-        )
+    if table.cap is not None and degree_cap > table.cap:
+        raise DegreeCapError(f"degree cap {degree_cap} exceeds a stored moment cap {table.cap}")
 
-    transform = identity(n)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    transform: list[tuple[Fraction, ...]] = []
     pivots: list[Exponent] = []
     kappas: list[int] = []
-    rank = 0
     for k in range(degree_cap + 1):
+        table.extend(k)
+        scale = table.scales[k]
         for alpha in monomials_of_degree(d, k, ascending_ties=ascending_ties):
-            column = [f.moment(alpha) for f in span]
-            values = {}
-            pivot_row = None
-            for i in range(rank, n):
-                v = sum(
-                    (transform[i][j] * column[j] for j in range(n) if transform[i][j]),
-                    Fraction(0),
-                )
-                values[i] = v
-                if v != 0 and pivot_row is None:
-                    pivot_row = i
-            if pivot_row is None:
+            rank = len(pivots)
+            column = table.columns[alpha]
+            values = [sum(map(mul, row, column)) for row in rows[rank:]]
+            pivot = next((i for i, v in enumerate(values) if v), None)
+            if pivot is None:
                 continue
-            if pivot_row != rank:
-                transform[rank], transform[pivot_row] = transform[pivot_row], transform[rank]
-                values[rank], values[pivot_row] = values[pivot_row], values[rank]
-            pivot_value = values[rank]
-            transform[rank] = [t / pivot_value for t in transform[rank]]
-            for i in range(rank + 1, n):
+            rows[rank], rows[rank + pivot] = rows[rank + pivot], rows[rank]
+            values[0], values[pivot] = values[pivot], values[0]
+            head, pivot_value = rows[rank], values[0]
+            for i in range(1, len(values)):
                 if values[i]:
-                    transform[i] = [
-                        t - values[i] * p for t, p in zip(transform[i], transform[rank])
-                    ]
+                    row = [pivot_value * t - values[i] * h for t, h in zip(rows[rank + i], head)]
+                    common = gcd(*row)
+                    rows[rank + i] = [t // common for t in row]
+            # head is a multiple c of the rational row and pivot_value is
+            # c * scale * lambda(x^alpha), so this row has lambda(x^alpha) = 1
+            transform.append(tuple(Fraction(t * scale, pivot_value) for t in head))
             pivots.append(alpha)
             kappas.append(k)
-            rank += 1
-            if rank == n:
+            if len(pivots) == n:
                 break
-        if rank == n:
+        if len(pivots) == n:
             break
-    if rank < n:
-        raise RankDeficientError(achieved_rank=rank, size=n, degree_cap=degree_cap)
+    if len(pivots) < n:
+        raise RankDeficientError(achieved_rank=len(pivots), size=n, degree_cap=degree_cap)
 
-    lambdas = tuple(combine(span, row) for row in transform)
     return GradedBasis(
         span=span,
-        lambdas=lambdas,
         kappas=tuple(kappas),
         pivots=tuple(pivots),
-        transform=tuple(tuple(row) for row in transform),
+        transform=tuple(transform),
         degree_cap=degree_cap,
+        moments=table,
     )
 
 

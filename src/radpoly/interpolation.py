@@ -18,11 +18,15 @@ kappa_1 <= ... <= kappa_n) of the span M of the input functionals.
   homogeneous parts g_j of the lambda_j moment series.  That span depends
   only on M, not on the graded basis chosen.
 
-Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular
-with invertible diagonal blocks: lambda_i annihilates degrees below
-kappa_i, while w_j has degree kappa_j and g_j is homogeneous of degree
-kappa_j.  Both coefficient solves are therefore the same block
-back-substitution.
+Everything is read off the rows of L = T V, the moments of the lambda_i
+kept by the graded basis as integer numerators over one denominator per
+row: w_j from the moments of lambda_j up to degree 2 kappa_j, g_j from
+their degree-kappa_j slice, and each Gramian entry as the integer sum
+sum_alpha p_j[alpha] L_i[alpha].  Both Gramians (lambda_i w_j) and
+(lambda_i g_j) are block upper triangular with invertible diagonal blocks:
+lambda_i annihilates degrees below kappa_i, while w_j has degree kappa_j
+and g_j is homogeneous of degree kappa_j.  Both coefficient solves are
+therefore the same block back-substitution.
 
 Either interpolant matches every functional in M exactly and never raises
 the degree of its argument.
@@ -39,11 +43,12 @@ from .errors import DimensionMismatchError, SingularGramianError, SingularMatrix
 from .functionals import (
     Functional,
     PointFunctional,
-    least_part,
+    _require_moment_cap,
+    image_from_moments,
+    least_part_from_moments,
     point_evaluation,
-    radial_image,
 )
-from .graded import GradedBasis, build_graded_basis
+from .graded import GradedBasis, MomentRow, build_graded_basis
 from .polynomials import (
     Exponent,
     Polynomial,
@@ -151,6 +156,22 @@ def _support_points(span: Sequence[Functional]) -> list[tuple[Fraction, ...]] | 
     return points
 
 
+def _gramian(rows: Sequence[MomentRow], polys: Sequence[Polynomial]):
+    """(lambda_i p_j) = sum_alpha p_j[alpha] L_i[alpha], one integer sum per entry."""
+    forms = []
+    for p in polys:
+        alphas, coefficients = zip(*p.terms())
+        numerators, denominator = linalg.integer_vector(coefficients)
+        forms.append((list(zip(alphas, numerators)), denominator))
+    return tuple(
+        tuple(
+            Fraction(sum(c * row[alpha] for alpha, c in numerators), denominator * row_denominator)
+            for numerators, denominator in forms
+        )
+        for row, row_denominator in rows
+    )
+
+
 def schaback_basis(graded: GradedBasis) -> SchabackBasis:
     """Radial images w_j = lambda_j ||x - .||^(2 kappa_j) and their Gramian.
 
@@ -158,9 +179,12 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
     the affine hull of the support (a no-op when the support spans R^d); the
     Gramian is unaffected because the functionals live on that hull.
     """
+    for kappa in graded.kappas:
+        _require_moment_cap(graded.moments.cap, 2 * kappa, "radial image")
+    d = graded.dimension
     images = [
-        radial_image(lam, kappa)
-        for lam, kappa in zip(graded.lambdas, graded.kappas)
+        image_from_moments(row.numerators.__getitem__, row.denominator, d, kappa)
+        for row, kappa in zip(graded.rows, graded.kappas)
     ]
     support = _support_points(graded.span)
     if support is not None:
@@ -172,20 +196,22 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
             raise AssertionError(
                 f"schaback_basis: radial image w_{j} has degree {w.degree}, not its order {kappa}"
             )
-    gramian = tuple(tuple(lam(w) for w in images) for lam in graded.lambdas)
-    return SchabackBasis(source=graded, w=tuple(images), gramian=gramian)
+    return SchabackBasis(source=graded, w=tuple(images), gramian=_gramian(graded.rows, images))
 
 
 def least_basis(graded: GradedBasis) -> LeastBasis:
     """Lowest-degree homogeneous parts g_j and the Gramian (lambda_i g_j)."""
-    parts = [least_part(lam) for lam in graded.lambdas]
+    d = graded.dimension
+    parts = [
+        least_part_from_moments(row.numerators.__getitem__, row.denominator, d, kappa)
+        for row, kappa in zip(graded.rows, graded.kappas)
+    ]
     for j, (g, kappa) in enumerate(zip(parts, graded.kappas)):
         if g.degree != kappa or not g.is_homogeneous(kappa):
             raise AssertionError(
                 f"least_basis: least part g_{j} is not homogeneous of degree {kappa}"
             )
-    gramian = tuple(tuple(lam(g) for g in parts) for lam in graded.lambdas)
-    return LeastBasis(source=graded, g=tuple(parts), gramian=gramian)
+    return LeastBasis(source=graded, g=tuple(parts), gramian=_gramian(graded.rows, parts))
 
 
 def range_basis(basis: SchabackBasis | LeastBasis) -> tuple[Polynomial, ...]:

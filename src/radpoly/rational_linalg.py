@@ -13,6 +13,7 @@ it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import SingularMatrixError
@@ -23,6 +24,12 @@ Vector = list[Fraction]
 
 def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def integer_vector(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over their least common denominator."""
+    denominator = lcm(*(v.denominator for v in values))
+    return [v.numerator * (denominator // v.denominator) for v in values], denominator
 
 
 def transpose(matrix: Sequence[Sequence[Fraction]]) -> Matrix:

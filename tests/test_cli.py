@@ -2,9 +2,11 @@
 
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radpoly.cli import main
 
@@ -128,6 +130,87 @@ class TestMalformedProblems:
                      "--output", str(tmp_path / "out.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("radpoly: ") and err.count("\n") == 1
+
+
+class TestMalformedReports:
+    DOCUMENTS = {
+        "side_not_an_object": ({"schaback": 5, "least": {}}, "schaback"),
+        "side_without_interpolant": ({"schaback": {}, "least": {}}, "least"),
+    }
+
+    @pytest.mark.parametrize("name", DOCUMENTS)
+    def test_eval_exits_one_with_one_line(self, tmp_path, capsys, name):
+        document, method = self.DOCUMENTS[name]
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(document))
+        assert main(["eval", "--input", str(report), "--at", "0", "--method", method,
+                     "--output", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("radpoly: ") and err.count("\n") == 1
+
+
+@st.composite
+def problem_documents(draw):
+    """Problem files with the edge cases mixed in, one in five also holding junk.
+
+    Mixed point and moment spans, moment caps that may lie below 2 kappa,
+    zero weights and duplicate points; junk is a wrong type or a bad value
+    where a rational, a dimension, a point or a functional belongs.
+    """
+    broken = draw(st.integers(0, 4)) == 0
+    junk = ["x", 1.5, True, None] if broken else []
+    scalar = st.sampled_from([0, 1, -1, 2, 3, "1/2", "-2/3"] + junk)
+    d = draw(st.sampled_from([1, 2] + ([0, True, "2"] if broken else [])))
+    size = d if d in (1, 2) and d is not True else 1
+    point = st.lists(st.sampled_from([0, 1, -1, 2, "1/2", "-2/3"]), min_size=size, max_size=size)
+    if broken:
+        point = point | st.lists(scalar, max_size=3)
+    exponent = st.lists(st.integers(0, 2), min_size=size, max_size=size)
+
+    def functional():
+        kind = draw(st.sampled_from(["points", "moments", "derivative"] + junk))
+        if kind == "points":
+            points = draw(st.lists(point, min_size=1, max_size=3))
+            weights = [draw(st.sampled_from([0, 1, -2, "1/3"])) for _ in points]
+            return {"type": "points", "points": points, "weights": weights}
+        if kind == "moments":
+            return {"type": "moments", "d": d, "cap": draw(st.integers(0, 4)),
+                    "moments": [{"alpha": draw(exponent), "value": draw(scalar)}
+                                for _ in range(draw(st.integers(0, 4)))]}
+        if kind == "derivative":
+            return {"type": "derivative", "alpha": draw(exponent), "at": draw(point),
+                    "cap": draw(st.integers(0, 6))}
+        return kind
+
+    doc = {"dimension": d}
+    if draw(st.booleans()):
+        doc["points"] = draw(st.lists(point, min_size=1, max_size=5))
+        if draw(st.booleans()):
+            doc["points"].append(doc["points"][0])
+        n = len(doc["points"])
+    else:
+        doc["functionals"] = [functional() for _ in range(draw(st.integers(1, 4)))]
+        n = len(doc["functionals"])
+    data = draw(st.sampled_from(["values", "values", "target", "none"]))
+    if data == "values":
+        doc["values"] = [draw(scalar) for _ in range(n if not broken else draw(st.integers(0, 3)))]
+    elif data == "target":
+        doc["target"] = {"dimension": d, "terms": [{"alpha": draw(exponent), "coeff": draw(scalar)}]}
+    if draw(st.integers(0, 3)):
+        doc["degree_cap"] = draw(st.sampled_from([0, 1, 2, 3, 4] + ([-1] + junk if broken else [])))
+    return doc
+
+
+@given(problem_documents(), st.sampled_from([
+    ["interp", "--method", "both"], ["interp", "--method", "least"], ["basis"], ["compare"],
+]))
+@settings(deadline=None, max_examples=150)
+def test_any_document_ends_in_a_documented_exit_status(document, command):
+    with tempfile.TemporaryDirectory() as directory:
+        problem = Path(directory) / "problem.json"
+        problem.write_text(json.dumps(document))
+        code = main([*command, "--input", str(problem), "--output", str(Path(directory) / "out.json")])
+    assert code in (0, 1, 2, 3)
 
 
 class TestEval:

@@ -1,9 +1,11 @@
 """Graded basis construction by exact elimination, and its invariants."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radpoly import (
     DegreeCapError,
@@ -11,12 +13,13 @@ from radpoly import (
     PointFunctional,
     RankDeficientError,
     build_graded_basis,
+    combine,
     from_derivative,
+    monomials_of_degree,
     order,
     point_evaluation,
     verify_graded,
 )
-from radpoly.graded import GradedBasis
 from radpoly.rational_linalg import determinant
 
 
@@ -59,16 +62,10 @@ class TestVerifyGraded:
 
     def test_corrupted_basis_fails(self):
         graded = build_graded_basis(evaluations([(0, 0), (1, 0), (0, 1), (1, 1)]))
-        swapped = list(graded.lambdas)
+        swapped = list(graded.transform)
         swapped[3], swapped[1] = swapped[1], swapped[3]
-        corrupt = GradedBasis(
-            span=graded.span,
-            lambdas=tuple(swapped),
-            kappas=graded.kappas,
-            pivots=graded.pivots,
-            transform=graded.transform,
-            degree_cap=graded.degree_cap,
-        )
+        corrupt = replace(graded, transform=tuple(swapped))
+        assert corrupt.lambdas[1] == graded.lambdas[3]
         assert not verify_graded(corrupt, 2)
 
     def test_holds_for_every_k_up_to_max(self):
@@ -181,3 +178,103 @@ class TestRandomizedInvariants:
                 points.add(tuple(Fraction(rng.randint(-5, 5)) for _ in range(d)))
             graded = build_graded_basis(evaluations(list(points)))
             assert graded.size == n
+
+
+RATIONALS = st.sampled_from([Fraction(v) for v in ("0", "1", "-1", "2", "1/2", "-2/3", "3/2", "-5/4")])
+
+
+@st.composite
+def spans(draw):
+    """(span, degree_cap, ascending_ties) over the span kinds the moment table must handle.
+
+    Rational point sets, weighted point combinations, derivative functionals
+    at rational sites (mixed with point evaluations, and with moment caps
+    that may lie below 2 kappa), and collinear and coplanar point sets.
+    """
+    kind = draw(st.sampled_from(["points", "weighted", "derivatives", "collinear", "coplanar"]))
+    degree_cap = None
+    if kind == "points":
+        d = draw(st.integers(1, 3))
+        points = draw(st.lists(st.tuples(*[RATIONALS] * d), min_size=1, max_size=6, unique=True))
+        span = [point_evaluation(p) for p in points]
+    elif kind == "weighted":
+        d = draw(st.integers(1, 2))
+        span = []
+        for _ in range(draw(st.integers(1, 4))):
+            points = draw(st.lists(st.tuples(*[RATIONALS] * d), min_size=1, max_size=3, unique=True))
+            weights = draw(st.lists(RATIONALS, min_size=len(points), max_size=len(points)))
+            span.append(PointFunctional(points, weights, dimension=d))
+    elif kind == "derivatives":
+        d = draw(st.integers(1, 2))
+        cap = draw(st.sampled_from([4, 6]))
+        span = []
+        for _ in range(draw(st.integers(1, 5))):
+            site = draw(st.tuples(*[RATIONALS] * d))
+            if draw(st.booleans()):
+                span.append(point_evaluation(site))
+            else:
+                alpha = draw(st.tuples(*[st.integers(0, 2)] * d).filter(lambda a: sum(a) <= 2))
+                span.append(from_derivative(alpha, site, cap))
+        degree_cap = 3
+    elif kind == "collinear":
+        d = draw(st.integers(2, 3))
+        base = draw(st.tuples(*[RATIONALS] * d))
+        direction = draw(st.tuples(*[RATIONALS] * d).filter(any))
+        steps = draw(st.lists(RATIONALS, min_size=2, max_size=5, unique=True))
+        span = [point_evaluation([b + t * v for b, v in zip(base, direction)]) for t in steps]
+    else:
+        a, b, c = draw(st.tuples(RATIONALS, RATIONALS, RATIONALS))
+        feet = draw(st.lists(st.tuples(RATIONALS, RATIONALS), min_size=3, max_size=6, unique=True))
+        span = [point_evaluation((x, y, a * x + b * y + c)) for x, y in feet]
+    return span, degree_cap, draw(st.booleans())
+
+
+def fraction_elimination(span, degree_cap, ascending_ties):
+    """The graded elimination done directly in Fractions on f.moment(alpha).
+
+    Returns the pivot rows of T normalized to a unit pivot, the orders and
+    the pivots; fewer than len(span) rows means rank deficiency at the cap.
+    """
+    n, d = len(span), span[0].dimension
+    transform = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    kappas, pivots = [], []
+    for k in range((n - 1 if degree_cap is None else degree_cap) + 1):
+        for alpha in monomials_of_degree(d, k, ascending_ties=ascending_ties):
+            rank = len(pivots)
+            if rank == n:
+                break
+            column = [f.moment(alpha) for f in span]
+            values = [sum(t * c for t, c in zip(row, column)) for row in transform[rank:]]
+            pivot = next((i for i, v in enumerate(values) if v), None)
+            if pivot is None:
+                continue
+            transform[rank], transform[rank + pivot] = transform[rank + pivot], transform[rank]
+            values[0], values[pivot] = values[pivot], values[0]
+            transform[rank] = [t / values[0] for t in transform[rank]]
+            for i in range(1, len(values)):
+                transform[rank + i] = [
+                    t - values[i] * p for t, p in zip(transform[rank + i], transform[rank])
+                ]
+            kappas.append(k)
+            pivots.append(alpha)
+    return transform[:len(pivots)], kappas, pivots
+
+
+@given(spans())
+@settings(deadline=None, max_examples=80)
+def test_integer_elimination_matches_the_fraction_elimination(case):
+    span, degree_cap, ascending_ties = case
+    transform, kappas, pivots = fraction_elimination(span, degree_cap, ascending_ties)
+    if len(pivots) < len(span):
+        with pytest.raises(RankDeficientError) as info:
+            build_graded_basis(span, degree_cap, ascending_ties=ascending_ties)
+        assert info.value.achieved_rank == len(pivots)
+        return
+    graded = build_graded_basis(span, degree_cap, ascending_ties=ascending_ties)
+    assert graded.transform == tuple(tuple(row) for row in transform)
+    assert graded.kappas == tuple(kappas)
+    assert graded.pivots == tuple(pivots)
+    assert graded.lambdas == tuple(combine(span, row) for row in transform)
+    assert graded.lambdas is graded.lambdas  # built once, then cached
+    for lam, (numerators, denominator) in zip(graded.lambdas, graded.rows):
+        assert all(lam.moment(alpha) == Fraction(v, denominator) for alpha, v in numerators.items())

@@ -5,24 +5,31 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from radpoly import (
+    DegreeCapError,
+    PointFunctional,
     Polynomial,
+    RankDeficientError,
     SingularGramianError,
     build_graded_basis,
     compare_interpolants,
     flat_projector,
     four_point_radial_moment,
     least_basis,
+    least_part,
     least_interpolate,
     point_evaluation,
     polynomial_span_equal,
+    radial_image,
     range_basis,
     schaback_basis,
     schaback_interpolate,
     span_dimension_below,
 )
 from radpoly.rational_linalg import determinant, mat_vec, solve, transpose
+from test_graded import spans
 
 GRID = [(0, 0), (1, 0), (0, 1), (1, 1)]
 SKEW = [(0, 0), (1, 0), (0, 1), (1, 2)]
@@ -127,8 +134,8 @@ class TestSchabackInterpolation:
             interpolate(broken, data=[0, 0, 1])
 
     @pytest.mark.parametrize("make_basis, image, message", [
-        (schaback_basis, "radial_image", r"^schaback_basis: radial image w_0 has degree 1"),
-        (least_basis, "least_part", r"^least_basis: least part g_0 is not homogeneous"),
+        (schaback_basis, "image_from_moments", r"^schaback_basis: radial image w_0 has degree 1"),
+        (least_basis, "least_part_from_moments", r"^least_basis: least part g_0 is not homogeneous"),
     ], ids=["schaback", "least"])
     def test_basis_invariant_failures_name_the_index(self, monkeypatch, make_basis, image, message):
         import radpoly.interpolation as interpolation
@@ -351,3 +358,31 @@ class TestGeneralLinearBehaviour:
         assert matrix != transpose([list(r) for r in matrix]) or any(
             sum(Fraction(v) ** 2 for v in row) != 1 for row in matrix
         )
+
+
+@given(spans())
+@settings(deadline=None, max_examples=60)
+def test_table_built_bases_match_the_functional_path(case):
+    """w_j, g_j and both Gramians from the rows of L equal those from the lambda_j."""
+    span, degree_cap, ascending_ties = case
+    try:
+        graded = build_graded_basis(span, degree_cap, ascending_ties=ascending_ties)
+    except RankDeficientError:
+        return
+    lambdas = graded.lambdas
+    try:
+        images = [radial_image(lam, kappa) for lam, kappa in zip(lambdas, graded.kappas)]
+    except DegreeCapError:
+        with pytest.raises(DegreeCapError):
+            schaback_basis(graded)
+    else:
+        if all(isinstance(f, PointFunctional) for f in span):
+            projection = flat_projector([x for f in span for x in f.points])
+            images = [w.compose_affine(projection.linear, projection.shift) for w in images]
+        sb = schaback_basis(graded)
+        assert sb.w == tuple(images)
+        assert sb.gramian == tuple(tuple(lam(w) for w in images) for lam in lambdas)
+    parts = [least_part(lam) for lam in lambdas]
+    lb = least_basis(graded)
+    assert lb.g == tuple(parts)
+    assert lb.gramian == tuple(tuple(lam(g) for g in parts) for lam in lambdas)
