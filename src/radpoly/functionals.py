@@ -4,13 +4,17 @@ A functional is its moments lambda(x^alpha).  Applying it is one sum,
 lambda(p) = sum over the terms of p of p_alpha * lambda(x^alpha), shared
 by both representations:
 
-* ``PointFunctional`` -- a weighted combination of point evaluations,
-  p |-> sum_i c_i p(x_i), applicable to polynomials of any degree.  Each
-  moment is computed once, when first needed, and kept with the functional.
-* ``MomentFunctional`` -- a finite table of moments for |alpha| up to a
-  declared degree cap.  Applying it past the cap raises, never silently
-  truncates: silent truncation would corrupt the exact-identity checks
-  built on top of these objects.
+* ``PointFunctional`` -- a weighted combination of atoms c (D^alpha p)(x),
+  alpha = 0 being a point evaluation.  Point evaluations apply to
+  polynomials of any degree; ``from_derivative`` keeps its degree cap.
+* ``MomentFunctional`` -- a table of literal moments up to a degree cap.
+  Applying either past its cap raises, never silently truncates: silent
+  truncation would corrupt the exact-identity checks built on top of these
+  objects.
+
+Both answer ``_integer_moments``, the moments of one degree as integers over
+one denominator.  Every atom moment comes from one integer kernel, and a
+point combination keeps each moment it has computed as a fraction.
 
 The workhorse identity separates the even radial power into products of
 one-sided terms.  With p_{a,beta}(x) = ||x||^(2a) x^beta,
@@ -73,11 +77,63 @@ def _apply(functional: "Functional", p: Polynomial) -> Fraction:
     return total
 
 
-class PointFunctional:
-    """Weighted combination of evaluations at pairwise distinct points."""
+def _atom_kernel(points, weights, orders) -> Callable:
+    """Integer moments of sum_i c_i (D^alpha_i p)(x_i) of one degree k, over r q^k.
 
-    # _table: the moments computed so far; equality, hash and repr ignore it.
-    __slots__ = ("_dimension", "_points", "_weights", "_table")
+    With r and q the lcms of the weights' and the coordinates' denominators,
+    r q^|gamma| c (D^alpha x^gamma)(x) = r c gamma!/(gamma-alpha)! (q x)^(gamma-alpha) q^|alpha|,
+    or 0 unless gamma >= alpha.  Each atom keeps its integer weight r c and,
+    per coordinate with derivative order a, the table g |-> g!/(g-a)! q^a (q x)^(g-a).
+    Returns moments(degree, gammas) -> (numerators, r q^degree).
+    """
+    r = math.lcm(*(w.denominator for w in weights))
+    q = math.lcm(*(c.denominator for x in points for c in x))
+    growth: list[tuple[list[int], int, int]] = []  # (table, q x, a) for every table
+    atoms: list[tuple[int, list[list[int]]]] = []
+    for x, w, alpha in zip(points, weights, orders):
+        tables = [[0] * a + [math.factorial(a) * q**a] for a in alpha]
+        for table, c, a in zip(tables, x, alpha):
+            growth.append((table, c.numerator * (q // c.denominator), a))
+        atoms.append((w.numerator * (r // w.denominator), tables))
+
+    def moments(degree: int, gammas: Sequence[Exponent]) -> tuple[list[int], int]:
+        for table, base, a in growth:
+            for g in range(len(table), degree + 1):
+                table.append(table[-1] * base * g // (g - a))  # an exact division
+        numerators = []
+        for gamma in gammas:
+            total = 0
+            for weight, tables in atoms:
+                for table, e in zip(tables, gamma):
+                    weight *= table[e]
+                total += weight
+            numerators.append(total)
+        return numerators, r * q**degree
+
+    return moments
+
+
+def _checked_moment(functional: "Functional", alpha: Iterable[int]) -> Fraction:
+    key = tuple(alpha)
+    if len(key) != functional.dimension:
+        raise DimensionMismatchError("moment index has wrong length")
+    cap = functional.degree_cap
+    if cap is not None and sum(key) > cap:
+        raise DegreeCapError(f"moment of degree {sum(key)} requested, cap is {cap}")
+    return functional._moment(key)
+
+
+class PointFunctional:
+    """Weighted combination of atoms c (D^alpha p)(x); alpha = 0 evaluates at x.
+
+    The constructor takes point evaluations at pairwise distinct points,
+    which apply to polynomials of any degree.
+    """
+
+    # _orders: each atom's derivative order; _kernel and _table: integer tables and
+    # computed moments, built on demand and ignored by equality, hash and repr.
+    __slots__ = ("_dimension", "_points", "_weights", "_orders", "_degree_cap", "_kernel",
+                 "_table")
 
     def __init__(self, points: Iterable[Sequence[Rational]], weights: Iterable[Rational],
                  *, dimension: int | None = None):
@@ -105,6 +161,9 @@ class PointFunctional:
         self._dimension = d
         self._points = tuple(p for p, _ in kept)
         self._weights = tuple(w for _, w in kept)
+        self._orders = ((0,) * d,) * len(kept)
+        self._degree_cap: int | None = None
+        self._kernel = None
         self._table: dict[Exponent, Fraction] = {}
 
     @property
@@ -124,46 +183,47 @@ class PointFunctional:
         return not self._weights
 
     @property
-    def degree_cap(self) -> None:
-        """Point combinations apply to polynomials of any degree."""
-        return None
+    def degree_cap(self) -> int | None:
+        """None for point evaluations, which apply to polynomials of any degree."""
+        return self._degree_cap
 
-    def moment(self, alpha: Iterable[int]) -> Fraction:
-        key = tuple(alpha)
-        if len(key) != self._dimension:
-            raise DimensionMismatchError("moment index has wrong length")
-        return self._moment(key)
+    moment = _checked_moment
 
     def _moment(self, key: Exponent) -> Fraction:
-        """sum_i c_i x_i^key for a checked key, computed once per functional."""
+        """lambda(x^key) for a checked key, computed once per functional."""
         total = self._table.get(key)
         if total is None:
-            total = _ZERO
-            for x, w in zip(self._points, self._weights):
-                value = w
-                for c, e in zip(x, key):
-                    if e:
-                        value *= c**e
-                total += value
-            self._table[key] = total
+            (numerator,), denominator = self._integer_moments(sum(key), (key,))
+            total = self._table[key] = Fraction(numerator, denominator)
         return total
+
+    def _integer_moments(self, degree: int, gammas: Sequence[Exponent]) -> tuple[list[int], int]:
+        """The moments of ``gammas``, all of total ``degree``, over one denominator."""
+        if self._kernel is None:
+            self._kernel = _atom_kernel(self._points, self._weights, self._orders)
+        return self._kernel(degree, gammas)
 
     __call__ = _apply
 
-    def _as_dict(self) -> dict[tuple[Fraction, ...], Fraction]:
-        return dict(zip(self._points, self._weights))
+    def _key(self) -> tuple:
+        atoms = frozenset(zip(zip(self._points, self._orders), self._weights))
+        return self._dimension, self._degree_cap, atoms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointFunctional):
             return NotImplemented
-        return self._dimension == other._dimension and self._as_dict() == other._as_dict()
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self._dimension, frozenset(self._as_dict().items())))
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        parts = " ".join(f"{w}@{tuple(map(str, x))}" for x, w in zip(self._points, self._weights))
-        return f"PointFunctional({parts or '0'})"
+        parts = " ".join(
+            f"{w}{f'*D{alpha}' if any(alpha) else ''}@{tuple(map(str, x))}"
+            for x, w, alpha in zip(self._points, self._weights, self._orders)
+        )
+        cap = "" if self._degree_cap is None else f", cap={self._degree_cap}"
+        return f"PointFunctional({parts or '0'}{cap})"
 
 
 class MomentFunctional:
@@ -221,19 +281,17 @@ class MomentFunctional:
         """Nonzero moments in graded order."""
         return sorted(self._moments.items(), key=lambda item: graded_key(item[0]))
 
-    def moment(self, alpha: Iterable[int]) -> Fraction:
-        key = tuple(alpha)
-        if len(key) != self._dimension:
-            raise DimensionMismatchError("moment index has wrong length")
-        if sum(key) > self._degree_cap:
-            raise DegreeCapError(
-                f"moment of degree {sum(key)} requested, cap is {self._degree_cap}"
-            )
-        return self._moment(key)
+    moment = _checked_moment
 
     def _moment(self, key: Exponent) -> Fraction:
         """Table lookup for a checked key."""
         return self._moments.get(key, _ZERO)
+
+    def _integer_moments(self, degree: int, gammas: Sequence[Exponent]) -> tuple[list[int], int]:
+        """The stored moments of ``gammas`` over their lcm denominator."""
+        values = [self._moments.get(gamma, _ZERO) for gamma in gammas]
+        denominator = math.lcm(*(v.denominator for v in values))
+        return [v.numerator * (denominator // v.denominator) for v in values], denominator
 
     __call__ = _apply
 
@@ -263,8 +321,8 @@ def point_evaluation(point: Sequence[Rational]) -> PointFunctional:
 
 
 def from_derivative(alpha: Iterable[int], at: Sequence[Rational],
-                    degree_cap: int) -> MomentFunctional:
-    """Moment table of p |-> (D^alpha p)(x0), stored up to ``degree_cap``."""
+                    degree_cap: int) -> PointFunctional:
+    """The one-atom combination p |-> (D^alpha p)(x0), applicable up to ``degree_cap``."""
     key = tuple(int(e) for e in alpha)
     x0 = as_point(at)
     if len(key) != len(x0):
@@ -273,20 +331,10 @@ def from_derivative(alpha: Iterable[int], at: Sequence[Rational],
         raise ValueError("derivative orders must be nonnegative")
     if degree_cap < sum(key):
         raise ValueError("degree cap must be at least the derivative's total order")
-    d = len(key)
-    moments = {}
-    for gamma in monomial_sequence(d, degree_cap):
-        value = Fraction(1)
-        for g, a, c in zip(gamma, key, x0):
-            if g < a:
-                value = Fraction(0)
-                break
-            value *= Fraction(math.factorial(g), math.factorial(g - a))
-            if g > a:
-                value *= c ** (g - a)
-        if value:
-            moments[gamma] = value
-    return MomentFunctional(d, degree_cap, moments)
+    functional = PointFunctional([x0], [1])
+    functional._orders = (key,)
+    functional._degree_cap = degree_cap
+    return functional
 
 
 def order(functional: Functional, search_cap: int | None = None) -> int | None:
@@ -301,15 +349,12 @@ def order(functional: Functional, search_cap: int | None = None) -> int | None:
     """
     if functional.is_zero:
         return -1
-    if isinstance(functional, MomentFunctional):
-        cap = functional.degree_cap if search_cap is None else search_cap
-        if cap > functional.degree_cap:
-            raise DegreeCapError(
-                f"search cap {cap} exceeds the stored moment cap {functional.degree_cap}"
-            )
-    else:
-        cap = len(functional.points) - 1 if search_cap is None else search_cap
-    for k in range(cap + 1):
+    stored = functional.degree_cap
+    if search_cap is None:
+        search_cap = len(functional.points) - 1 if stored is None else stored
+    elif stored is not None and search_cap > stored:
+        raise DegreeCapError(f"search cap {search_cap} exceeds the stored moment cap {stored}")
+    for k in range(search_cap + 1):
         for alpha in monomials_of_degree(functional.dimension, k):
             if functional.moment(alpha) != 0:
                 return k
@@ -319,8 +364,8 @@ def order(functional: Functional, search_cap: int | None = None) -> int | None:
 def combine(functionals: Sequence[Functional], coefficients: Sequence[Rational]) -> Functional:
     """Exact linear combination sum_i c_i lambda_i.
 
-    All point combinations stay a point combination; any moment member
-    forces a moment result truncated at the smallest cap involved.
+    Point evaluations combine into a point combination; any member with a
+    degree cap forces a moment result truncated at the smallest cap involved.
     """
     fs = list(functionals)
     cs = [as_fraction(c) for c in coefficients]
@@ -329,7 +374,7 @@ def combine(functionals: Sequence[Functional], coefficients: Sequence[Rational])
     d = fs[0].dimension
     if any(f.dimension != d for f in fs):
         raise DimensionMismatchError("functionals of mixed dimension")
-    if all(isinstance(f, PointFunctional) for f in fs):
+    if all(f.degree_cap is None for f in fs):
         acc: dict[tuple[Fraction, ...], Fraction] = {}
         for f, c in zip(fs, cs):
             if c == 0:

@@ -2,9 +2,11 @@
 
 Everything is computed from one integer moment table per span: the columns
 V_alpha = (mu_1(x^alpha), ..., mu_n(x^alpha)) of the moment matrix, built
-once per monomial in graded order and extended one degree at a time.  Each
-column is kept as integers over one positive scale for its degree, so
-rational points and rational moments need no fractions inside the table.
+once per monomial in graded order and extended one degree at a time.  The
+table only tabulates: each functional hands over its moments of one degree
+as integers over one denominator, however it computes them, and each column
+is kept as integers over one positive scale for its degree, so rational
+points and rational moments need no fractions inside the table.
 
 Gauss elimination with row interchanges on that table (de Boor and Ron's
 elimination by segments) turns an independent family mu_1..mu_n into a
@@ -41,7 +43,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DegreeCapError, DimensionMismatchError, RankDeficientError
-from .functionals import Functional, PointFunctional, combine
+from .functionals import Functional, combine
 from .polynomials import Exponent, monomials_of_degree
 from .rational_linalg import integer_vector
 
@@ -49,14 +51,11 @@ from .rational_linalg import integer_vector
 class MomentTable:
     """Integer moment columns of a span, built one degree at a time.
 
-    mu_i(x^alpha) = columns[alpha][i] / scales[|alpha|].  The weights of the
-    point functionals are written over one common denominator r and their
-    coordinates over one common denominator q, so in degree k a point
-    functional contributes an integer over r q^k, computed from per-point,
-    per-coordinate integer power tables; a moment functional contributes its
-    stored moment.  The scale of a degree is the lcm of those denominators.
-    ``cap`` is the smallest stored moment cap of the span (None for point
-    combinations); callers never extend the table past it.
+    mu_i(x^alpha) = columns[alpha][i] / scales[|alpha|].  Each functional
+    gives its moments of one degree as integers over one denominator of its
+    own (``_integer_moments``); the scale of a degree is the lcm of those
+    denominators.  ``cap`` is the smallest moment cap of the span (None when
+    no functional has one); callers never extend the table past it.
     """
 
     def __init__(self, span: Sequence[Functional]):
@@ -64,49 +63,20 @@ class MomentTable:
         self.dimension = self.span[0].dimension
         caps = [f.degree_cap for f in self.span if f.degree_cap is not None]
         self.cap = min(caps) if caps else None
-        combinations = [f for f in self.span if isinstance(f, PointFunctional)]
-        self._r = r = lcm(*(w.denominator for f in combinations for w in f.weights))
-        self._q = q = lcm(*(c.denominator for f in combinations for x in f.points for c in x))
-        # Per point functional, per point: the integer weight r w and one power
-        # table [1, X, X^2, ...] per coordinate X = q x; None for a moment functional.
-        self._points = [
-            [(w.numerator * (r // w.denominator),
-              [[1, c.numerator * (q // c.denominator)] for c in x])
-             for x, w in zip(f.points, f.weights)]
-            if isinstance(f, PointFunctional) else None
-            for f in self.span
-        ]
-        self._powers = [table for f in self._points if f for _, tables in f for table in tables]
-        self.columns: dict[Exponent, list[int]] = {}
+        self.columns: dict[Exponent, tuple[int, ...]] = {}
         self.monomials: list[list[Exponent]] = []
         self.scales: list[int] = []
 
     def extend(self, degree: int) -> None:
         """Build every column of degree <= ``degree`` not built yet."""
         for k in range(len(self.scales), degree + 1):
-            for table in self._powers:
-                while len(table) <= k:
-                    table.append(table[-1] * table[1])
             alphas = list(monomials_of_degree(self.dimension, k))
-            raw = [[self._entry(i, alpha, k) for i in range(len(self.span))] for alpha in alphas]
-            scale = lcm(*(den for column in raw for _, den in column))
-            for alpha, column in zip(alphas, raw):
-                self.columns[alpha] = [num * (scale // den) for num, den in column]
+            parts = [f._integer_moments(k, alphas) for f in self.span]
+            scale = lcm(*(den for _, den in parts))
+            lifted = [[num * (scale // den) for num in nums] for nums, den in parts]
+            self.columns.update(zip(alphas, zip(*lifted)))
             self.monomials.append(alphas)
             self.scales.append(scale)
-
-    def _entry(self, i: int, alpha: Exponent, k: int) -> tuple[int, int]:
-        """mu_i(x^alpha) as (numerator, denominator), for |alpha| = k."""
-        points = self._points[i]
-        if points is None:
-            value = self.span[i]._moment(alpha)
-            return value.numerator, value.denominator
-        total = 0
-        for weight, powers in points:
-            for table, e in zip(powers, alpha):
-                weight *= table[e]
-            total += weight
-        return total, self._r * self._q**k
 
 
 class MomentRow(NamedTuple):

@@ -70,7 +70,6 @@ class AffineProjection:
 
     linear: tuple[tuple[Fraction, ...], ...]
     shift: tuple[Fraction, ...]
-    base: tuple[Fraction, ...]
 
     @property
     def dimension(self) -> int:
@@ -116,7 +115,6 @@ def flat_projector(points: Sequence[Sequence[Rational]]) -> AffineProjection:
     return AffineProjection(
         linear=tuple(tuple(row) for row in q),
         shift=tuple(shift),
-        base=base,
     )
 
 
@@ -143,11 +141,11 @@ class LeastBasis:
 
 
 def _support_points(span: Sequence[Functional]) -> list[tuple[Fraction, ...]] | None:
-    """Union of support points when every functional is a point combination."""
+    """Union of support points when every functional is a combination of point evaluations."""
     points: list[tuple[Fraction, ...]] = []
     seen = set()
     for f in span:
-        if not isinstance(f, PointFunctional):
+        if f.degree_cap is not None:
             return None
         for x in f.points:
             if x not in seen:

@@ -24,7 +24,7 @@ from .functionals import (
 )
 from .graded import GradedBasis
 from .interpolation import ComparisonReport, InterpolantReport
-from .polynomials import Polynomial, as_fraction
+from .polynomials import Polynomial, as_fraction, monomial_sequence
 
 
 def format_rational(value: Fraction) -> int | str:
@@ -109,7 +109,7 @@ def polynomial_from_obj(obj: Any) -> Polynomial:
 
 
 def functional_to_obj(f: Functional) -> dict:
-    if isinstance(f, PointFunctional):
+    if f.degree_cap is None:
         return {
             "type": "points",
             "points": [[format_rational(c) for c in x] for x in f.points],
@@ -121,7 +121,8 @@ def functional_to_obj(f: Functional) -> dict:
         "cap": f.degree_cap,
         "moments": [
             {"alpha": list(alpha), "value": format_rational(value)}
-            for alpha, value in f.moments()
+            for alpha in monomial_sequence(f.dimension, f.degree_cap)
+            if (value := f.moment(alpha))
         ],
     }
 

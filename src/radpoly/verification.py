@@ -85,10 +85,13 @@ class VerificationReport:
 
 
 class _Recorder:
+    """Counts the checks of one suite run, keeps its failures and times it."""
+
     def __init__(self, suite: str):
         self.suite = suite
         self.cases = 0
         self.failures: list[VerificationFailure] = []
+        self.start = time.perf_counter()
 
     def check(self, condition: bool, case: str, functional: str = "",
               k: int | None = None, ell: int | None = None, discrepancy: str = "") -> None:
@@ -99,7 +102,8 @@ class _Recorder:
             )
 
     def report(self, seed: int, trials: int) -> VerificationReport:
-        return VerificationReport(self.suite, seed, trials, self.cases, self.failures)
+        wall_time_ms = int((time.perf_counter() - self.start) * 1000)
+        return VerificationReport(self.suite, seed, trials, self.cases, self.failures, wall_time_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +170,7 @@ def _check_order_characterization(rec: _Recorder, lam: Functional, kappa: int,
     for k in (1, 2, 3):
         if kappa < k:
             continue
-        if isinstance(lam, PointFunctional) or lam.degree_cap >= 2 * k:
+        if lam.degree_cap is None or lam.degree_cap >= 2 * k:
             q = tensor_apply_radial(lam, lam, k)
             if corrupt:
                 q = q + 1
@@ -184,7 +188,7 @@ def _check_order_characterization(rec: _Recorder, lam: Functional, kappa: int,
                 discrepancy=f"Q = {q}, order = {kappa}",
             )
     for k in (0, 1, 2):
-        if isinstance(lam, PointFunctional) or lam.degree_cap >= 2 * (k + 1):
+        if lam.degree_cap is None or lam.degree_cap >= 2 * (k + 1):
             all_vanish = all(tensor_apply_radial(lam, lam, r) == 0 for r in range(k + 1))
             rec.check(
                 all_vanish == (kappa >= k + 1),
@@ -197,7 +201,6 @@ def _check_order_characterization(rec: _Recorder, lam: Functional, kappa: int,
 def run_micchelli(seed: int, trials: int, corrupt: bool = False) -> VerificationReport:
     rng = random.Random(seed)
     rec = _Recorder("micchelli")
-    start = time.perf_counter()
     for _ in range(trials):
         d = rng.randint(1, 3)
 
@@ -235,9 +238,7 @@ def run_micchelli(seed: int, trials: int, corrupt: bool = False) -> Verification
             discrepancy=f"order {order(deriv)} vs {total_order}",
         )
         _check_order_characterization(rec, deriv, total_order, corrupt)
-    report = rec.report(seed, trials)
-    report.wall_time_ms = int((time.perf_counter() - start) * 1000)
-    return report
+    return rec.report(seed, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +258,7 @@ def _check_image_degrees(rec: _Recorder, lam: Functional, kappa: int, max_ell: i
     further (the gridded four-point annihilator at ell=1 is an example).
     """
     for ell in range(max_ell + 1):
-        if not isinstance(lam, PointFunctional) and lam.degree_cap < 2 * ell:
+        if lam.degree_cap is not None and lam.degree_cap < 2 * ell:
             continue
         degree = radial_image(lam, ell).degree
         if corrupt:
@@ -288,7 +289,6 @@ def _check_image_degrees(rec: _Recorder, lam: Functional, kappa: int, max_ell: i
 def run_schaback_lemma(seed: int, trials: int, corrupt: bool = False) -> VerificationReport:
     rng = random.Random(seed)
     rec = _Recorder("schaback-lemma")
-    start = time.perf_counter()
     for _ in range(trials):
         d = rng.randint(1, 3)
         graded = _random_graded_basis(rng, d, max_points=7)
@@ -298,23 +298,16 @@ def run_schaback_lemma(seed: int, trials: int, corrupt: bool = False) -> Verific
         cap = 2 * (total_order + 2)
         deriv = _random_derivative_functional(rng, d, total_order, cap=cap)
         _check_image_degrees(rec, deriv, total_order, max_ell=total_order + 2, corrupt=corrupt)
-    report = rec.report(seed, trials)
-    report.wall_time_ms = int((time.perf_counter() - start) * 1000)
-    return report
+    return rec.report(seed, trials)
 
 
 # ---------------------------------------------------------------------------
 # Suite: projector structure and laws
 
 
-def _max_kappa(graded: GradedBasis) -> int:
-    return graded.kappas[-1]
-
-
 def run_projector(seed: int, trials: int, corrupt: bool = False) -> VerificationReport:
     rng = random.Random(seed)
     rec = _Recorder("projector")
-    start = time.perf_counter()
     for _ in range(trials):
         d = rng.randint(1, 3)
         graded = _random_graded_basis(rng, d)
@@ -383,7 +376,7 @@ def run_projector(seed: int, trials: int, corrupt: bool = False) -> Verification
             discrepancy="solver disagreement",
         )
 
-        for k in range(_max_kappa(graded) + 3):
+        for k in range(graded.kappas[-1] + 3):
             tail = sum(1 for kappa in graded.kappas if kappa >= k)
             for name, polys in (("schaback", sb.w), ("least", lb.g)):
                 low = span_dimension_below(polys, k)
@@ -393,9 +386,7 @@ def run_projector(seed: int, trials: int, corrupt: bool = False) -> Verification
                     k=k,
                     discrepancy=f"dim(range ∩ deg<{k}) = {low}, tail = {tail}, n = {n}",
                 )
-    report = rec.report(seed, trials)
-    report.wall_time_ms = int((time.perf_counter() - start) * 1000)
-    return report
+    return rec.report(seed, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +458,6 @@ def schaback_general_linear_counterexample():
 def run_invariance(seed: int, trials: int, corrupt: bool = False) -> VerificationReport:
     rng = random.Random(seed)
     rec = _Recorder("invariance")
-    start = time.perf_counter()
     for _ in range(trials):
         d = rng.randint(2, 3)
         points = _random_points(rng, d, rng.randint(3, 6))
@@ -557,9 +547,7 @@ def run_invariance(seed: int, trials: int, corrupt: bool = False) -> Verificatio
                 f"{method}: interpolant is constant perpendicular to a planar hull",
                 discrepancy=f"at {off_plane}",
             )
-    report = rec.report(seed, trials)
-    report.wall_time_ms = int((time.perf_counter() - start) * 1000)
-    return report
+    return rec.report(seed, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +565,12 @@ _RUNNERS = {
 def run_suite(name: str, seed: int, trials: int, corrupt: bool = False) -> VerificationReport:
     """Run one named suite, or all of them under the same seed and trials."""
     if name == "all":
-        start = time.perf_counter()
-        merged = VerificationReport("all", seed, trials, 0)
+        rec = _Recorder("all")
         for sub in SUITE_NAMES:
             report = _RUNNERS[sub](seed, trials, corrupt)
-            merged.cases += report.cases
-            merged.failures.extend(report.failures)
-        merged.wall_time_ms = int((time.perf_counter() - start) * 1000)
-        return merged
+            rec.cases += report.cases
+            rec.failures.extend(report.failures)
+        return rec.report(seed, trials)
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}")
     return _RUNNERS[name](seed, trials, corrupt)

@@ -31,6 +31,9 @@ class TestGoldenFiles:
         (("expand", "--k", "2", "--d", "1"), "expand_k2_d1.json"),
         (("compare", "--input", str(GOLDEN / "grid.problem.json")), "compare_grid.json"),
         (("compare", "--input", str(GOLDEN / "skew.problem.json")), "compare_skew.json"),
+        (("basis", "--input", str(GOLDEN / "hermite.problem.json")), "basis_hermite.json"),
+        (("interp", "--input", str(GOLDEN / "hermite.problem.json"), "--method", "both"),
+         "interp_hermite_both.json"),
     ]
 
     @pytest.mark.parametrize("argv,expected", CASES)

@@ -1,5 +1,6 @@
 """Functionals, the separated radial expansion, and everything built on it."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,12 +18,14 @@ from radpoly import (
     from_derivative,
     inner_product,
     least_part,
+    monomial_sequence,
     order,
     point_evaluation,
     radial_image,
     radial_power_expansion,
     tensor_apply_radial,
 )
+from radpoly.serialization import functional_from_obj, functional_to_obj
 
 SECOND_DIFFERENCE = PointFunctional([[0], [1], [2]], [1, -2, 1])
 
@@ -423,3 +426,83 @@ class TestQuadraticFormCharacterization:
                         tensor_apply_radial(lam, lam, r) == 0 for r in range(k + 1)
                     )
                     assert vanish == (kappa >= k + 1)
+
+
+def _derivative_moment(alpha, x0, gamma):
+    """Oracle: (D^alpha x^gamma)(x0) = gamma!/(gamma-alpha)! x0^(gamma-alpha) if gamma >= alpha."""
+    value = Fraction(1)
+    for g, a, c in zip(gamma, alpha, x0):
+        if g < a:
+            return Fraction(0)
+        value *= Fraction(math.factorial(g), math.factorial(g - a)) * c ** (g - a)
+    return value
+
+
+@st.composite
+def _atom_combinations(draw):
+    """Derivative functionals and weighted point evaluations at rational sites.
+
+    Returns (cap, members, coefficients, atoms) with atoms[i] the list of
+    (weight, alpha, site) making up members[i]; coefficients may be zero.
+    """
+    d = draw(st.integers(1, 3))
+    cap = draw(st.integers(1, 5))
+    coordinate = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    weight = st.just(Fraction(0)) | st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    sites = draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=3, unique=True))
+    alphas = st.tuples(*[st.integers(0, 2)] * d).filter(lambda a: sum(a) <= cap)
+    members, atoms = [], []
+    for site in sites:
+        for alpha in draw(st.lists(alphas, min_size=1, max_size=3, unique=True)):
+            members.append(from_derivative(alpha, site, cap))
+            atoms.append([(1, alpha, site)])
+    if draw(st.booleans()):
+        weights = draw(st.lists(weight, min_size=len(sites), max_size=len(sites)))
+        members.append(PointFunctional(sites, weights))
+        atoms.append([(w, (0,) * d, x) for x, w in zip(sites, weights)])
+    coefficients = draw(st.lists(weight, min_size=len(members), max_size=len(members)))
+    return cap, members, coefficients, atoms
+
+
+def _oracle_moment(atoms, gamma):
+    return sum((w * _derivative_moment(alpha, x, gamma) for w, alpha, x in atoms), Fraction(0))
+
+
+@given(_atom_combinations())
+@settings(deadline=None, max_examples=80)
+def test_atom_moments_match_the_derivative_formula(case):
+    """from_derivative, combine and a serialization round trip against the Fraction formula."""
+    cap, members, coefficients, atoms = case
+    d = members[0].dimension
+    lam = combine(members, coefficients)
+    assert lam.degree_cap == cap
+    combined = [(c * w, alpha, x) for c, part in zip(coefficients, atoms) for w, alpha, x in part]
+    for f, part in [*zip(members, atoms), (lam, combined)]:
+        for gamma in monomial_sequence(d, cap):
+            assert f.moment(gamma) == _oracle_moment(part, gamma)
+        if f.degree_cap is not None:
+            again = functional_from_obj(functional_to_obj(f))
+            assert again.degree_cap == cap
+            assert all(again.moment(g) == f.moment(g) for g in monomial_sequence(d, cap))
+    with pytest.raises(DegreeCapError):
+        members[0].moment((cap + 1,) + (0,) * (d - 1))
+    if all(lam.moment(gamma) == 0 for gamma in monomial_sequence(d, cap)):
+        assert lam.is_zero
+        assert order(lam) == -1
+
+
+@given(st.integers(1, 3), st.data())
+@settings(deadline=None, max_examples=40)
+def test_capped_combination_with_vanishing_moments_is_zero(d, data):
+    """h D_i p(x) - p(x + h e_i) + p(x) vanishes on degree <= 1, its cap."""
+    coordinate = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    x = data.draw(st.tuples(*[coordinate] * d))
+    h = data.draw(coordinate.filter(bool))
+    i = data.draw(st.integers(0, d - 1))
+    unit = tuple(int(j == i) for j in range(d))
+    moved = tuple(c + h * e for c, e in zip(x, unit))
+    lam = combine([from_derivative(unit, x, 1), point_evaluation(moved), point_evaluation(x)],
+                  [h, -1, 1])
+    assert lam.degree_cap == 1
+    assert lam.is_zero
+    assert order(lam) == -1
