@@ -437,7 +437,9 @@ def radial_power_expansion(k: int, d: int) -> tuple[RadialExpansionTerm, ...]:
 @lru_cache(maxsize=None)
 def radial_monomial(d: int, a: int, beta: Exponent) -> Polynomial:
     """p_{a,beta} = ||x||^(2a) x^beta, homogeneous of degree 2a + |beta|."""
-    return Polynomial.squared_norm(d) ** a * Polynomial.monomial(d, beta)
+    if a:
+        return radial_monomial(d, a - 1, beta) * Polynomial.squared_norm(d)
+    return Polynomial.monomial(d, beta)
 
 
 def expansion_polynomial(k: int, d: int) -> Polynomial:
@@ -509,16 +511,33 @@ def _integer_expansion(ell: int, d: int) -> tuple[tuple[int, tuple, tuple], ...]
     )
 
 
-def image_from_moments(moment: Callable[[Exponent], int | Fraction], denominator: int, d: int,
-                       ell: int) -> Polynomial:
-    """The radial image x |-> lambda ||x - .||^(2 ell) of a functional given by its moments.
+@lru_cache(maxsize=256)
+def _weighted_expansion(ell: int, weights: tuple[int, ...]) -> tuple[tuple[int, tuple, tuple], ...]:
+    """``_integer_expansion(ell, r)`` for the norm sum_k D_k t_k^2, D the weights.
 
-    lambda(x^alpha) = moment(alpha) / denominator; every moment up to degree
-    2 ell may be looked up.  With integer moments all arithmetic before the
-    final division is in integers.
+    The term t^alpha s^alpha' of a summand gains D^((alpha + alpha')/2), which
+    is D^ceil(alpha/2) D^floor(alpha'/2) since alpha and alpha' have the
+    parity of beta.
+    """
+    def scaled(terms: tuple, up: int) -> tuple[tuple[Exponent, int], ...]:
+        return tuple((alpha, c * math.prod(w ** ((e + up) // 2) for w, e in zip(weights, alpha)))
+                     for alpha, c in terms)
+
+    return tuple((coeff, scaled(y_terms, 0), scaled(x_terms, 1))
+                 for coeff, y_terms, x_terms in _integer_expansion(ell, len(weights)))
+
+
+def image_from_moments(moment: Callable[[Exponent], int | Fraction], denominator: int,
+                       weights: tuple[int, ...], ell: int) -> Polynomial:
+    """The radial image t |-> lambda ||t - .||_D^(2 ell) of a functional given by its moments.
+
+    lambda(t^alpha) = moment(alpha) / denominator; every moment up to degree
+    2 ell may be looked up.  ||t||_D^2 = sum_k D_k t_k^2 (unit weights: the
+    Euclidean image).  With integer moments all arithmetic before the final
+    division is in integers.
     """
     acc: dict[Exponent, int] = {}
-    for coeff, y_terms, x_terms in _integer_expansion(ell, d):
+    for coeff, y_terms, x_terms in _weighted_expansion(ell, weights):
         value = 0
         for alpha, c in y_terms:
             value += c * moment(alpha)
@@ -526,7 +545,7 @@ def image_from_moments(moment: Callable[[Exponent], int | Fraction], denominator
             value *= coeff
             for alpha, c in x_terms:
                 acc[alpha] = acc.get(alpha, 0) + value * c
-    return Polynomial(d, {alpha: Fraction(v, denominator) for alpha, v in acc.items()})
+    return Polynomial(len(weights), {alpha: Fraction(v, denominator) for alpha, v in acc.items()})
 
 
 def least_part_from_moments(moment: Callable[[Exponent], int | Fraction], denominator: int, d: int,
@@ -551,7 +570,7 @@ def radial_image(lam: Functional, ell: int) -> Polynomial:
     if ell < 0:
         raise ValueError("ell must be >= 0")
     _require_moment_cap(lam.degree_cap, 2 * ell, "radial image")
-    return image_from_moments(lam._moment, 1, lam.dimension, ell)
+    return image_from_moments(lam._moment, 1, (1,) * lam.dimension, ell)
 
 
 def least_part(lam: Functional, search_cap: int | None = None) -> Polynomial:

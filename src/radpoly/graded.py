@@ -86,6 +86,31 @@ class MomentRow(NamedTuple):
     denominator: int
 
 
+def moment_rows(transform: Sequence[Sequence[Fraction]], table: MomentTable,
+                top: int) -> tuple[MomentRow, ...]:
+    """The moments of lambda_i = sum_j T[i][j] mu_j up to degree ``top``, mu_j
+    the table's span: the rows of T V, each over one denominator."""
+    table.extend(top)
+    scale = lcm(*table.scales[: top + 1])
+    columns = [
+        (alpha, table.columns[alpha], scale // table.scales[k])
+        for k in range(top + 1)
+        for alpha in table.monomials[k]
+    ]
+    rows = []
+    for row in transform:
+        ints, denominator = integer_vector(row)
+        numerators = {
+            alpha: sum(map(mul, ints, column)) * lift for alpha, column, lift in columns
+        }
+        common = gcd(denominator * scale, *numerators.values())
+        rows.append(MomentRow(
+            {alpha: v // common for alpha, v in numerators.items()},
+            denominator * scale // common,
+        ))
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class GradedBasis:
     """Outcome of the elimination: orders, pivots, the transform, and the table.
@@ -93,7 +118,7 @@ class GradedBasis:
     ``transform`` is the row-wise matrix T with lambda_i = sum_j T[i][j] mu_j.
     ``moments`` is the span's integer moment table; the basis functionals
     ``lambdas`` and their moment rows ``rows`` are derived from it and from
-    ``transform`` on first read.  No invariants are enforced here;
+    ``transform`` when first asked for.  No invariants are enforced here;
     ``build_graded_basis`` guarantees them and ``verify_graded`` rechecks
     them on demand (so corrupted instances can be constructed in tests as
     negative controls).
@@ -119,36 +144,17 @@ class GradedBasis:
         """lambda_i = sum_j T[i][j] mu_j as functionals of their own."""
         return tuple(combine(self.span, row) for row in self.transform)
 
-    @cached_property
-    def rows(self) -> tuple[MomentRow, ...]:
-        """The rows of L = T V, up to degree 2 kappa_max or the moment cap.
+    def rows(self, top: int) -> tuple[MomentRow, ...]:
+        """The rows of L = T V, at least up to degree ``top``.
 
-        The radial image of lambda_i needs its moments up to degree
-        2 kappa_i; the Gramians need them up to kappa_max.
+        Computed once for the largest ``top`` asked: radial images in x read
+        moments up to 2 kappa_max, least parts and Gramians up to kappa_max.
         """
-        table = self.moments
-        top = 2 * max(self.kappas)
-        if table.cap is not None:
-            top = min(top, table.cap)
-        table.extend(top)
-        scale = lcm(*table.scales[: top + 1])
-        columns = [
-            (alpha, table.columns[alpha], scale // table.scales[k])
-            for k in range(top + 1)
-            for alpha in table.monomials[k]
-        ]
-        rows = []
-        for row in self.transform:
-            ints, denominator = integer_vector(row)
-            numerators = {
-                alpha: sum(map(mul, ints, column)) * lift for alpha, column, lift in columns
-            }
-            common = gcd(denominator * scale, *numerators.values())
-            rows.append(MomentRow(
-                {alpha: v // common for alpha, v in numerators.items()},
-                denominator * scale // common,
-            ))
-        return tuple(rows)
+        done, rows = self.__dict__.get("_rows", (-1, ()))
+        if done < top:
+            rows = moment_rows(self.transform, self.moments, top)
+            self.__dict__["_rows"] = (top, rows)
+        return rows
 
     def blocks(self) -> list[list[int]]:
         """Indices grouped by order; contiguous since kappa is nondecreasing."""

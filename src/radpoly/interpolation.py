@@ -4,29 +4,29 @@ Both constructions start from a graded basis lambda_1..lambda_n (orders
 kappa_1 <= ... <= kappa_n) of the span M of the input functionals.
 
 * The Schaback construction interpolates from the span of the radial images
-  w_j : x |-> lambda_j ||x - .||^(2 kappa_j).  When every input functional
-  is a combination of point evaluations, the w_j are composed with the
-  orthogonal projection onto the affine hull of the support points.  For
-  points that affinely span the whole space this changes nothing; for
-  degenerate point sets it is what makes the interpolant constant
-  perpendicular to the hull and equal to the least interpolant on
-  one-dimensional hulls.  (The raw images provably lack those properties:
-  three collinear points with quadratic data already give a
-  counterexample.)
+  w_j : x |-> lambda_j ||Px - .||^(2 kappa_j), P the orthogonal projection
+  onto the affine hull of the support when every input functional is a
+  combination of point evaluations (else P = I).  That makes the
+  interpolant constant perpendicular to the hull and equal to the least
+  interpolant on one-dimensional hulls, which the raw images are not (three
+  collinear points with quadratic data are a counterexample).  The images
+  live in hull coordinates: with orthogonal integer directions u_k,
+  D_k = u_k . u_k and t_k(x) = u_k . (x - x0) / D_k, every y on the hull has
+  ||Px - y||^2 = sum_k D_k (t_k(x) - t_k(y))^2, so w_j = W_j(t(x)) with W_j
+  the D-weighted radial image in r = dim(hull) variables.
 
 * The least construction interpolates from the span of the lowest-degree
   homogeneous parts g_j of the lambda_j moment series.  That span depends
   only on M, not on the graded basis chosen.
 
 Everything is read off the rows of L = T V, the moments of the lambda_i
-kept by the graded basis as integer numerators over one denominator per
-row: w_j from the moments of lambda_j up to degree 2 kappa_j, g_j from
-their degree-kappa_j slice, and each Gramian entry as the integer sum
-sum_alpha p_j[alpha] L_i[alpha].  Both Gramians (lambda_i w_j) and
-(lambda_i g_j) are block upper triangular with invertible diagonal blocks:
-lambda_i annihilates degrees below kappa_i, while w_j has degree kappa_j
-and g_j is homogeneous of degree kappa_j.  Both coefficient solves are
-therefore the same block back-substitution.
+as integer numerators over one denominator per row (for W_j, of the span
+mapped to hull coordinates): W_j from degrees up to 2 kappa_j, g_j from
+degree kappa_j, and each Gramian entry as sum_alpha p_j[alpha] L_i[alpha].
+Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular
+with invertible diagonal blocks: lambda_i annihilates degrees below kappa_i,
+while w_j has degree kappa_j and g_j is homogeneous of degree kappa_j.  Both
+coefficient solves are therefore the same block back-substitution.
 
 Either interpolant matches every functional in M exactly and never raises
 the degree of its argument.
@@ -34,9 +34,11 @@ the degree of its argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from operator import add, mul
+from typing import NamedTuple, Sequence
 
 from . import rational_linalg as linalg
 from .errors import DimensionMismatchError, SingularGramianError, SingularMatrixError
@@ -48,7 +50,7 @@ from .functionals import (
     least_part_from_moments,
     point_evaluation,
 )
-from .graded import GradedBasis, MomentRow, build_graded_basis
+from .graded import GradedBasis, MomentRow, MomentTable, build_graded_basis, moment_rows
 from .polynomials import (
     Exponent,
     Polynomial,
@@ -75,13 +77,6 @@ class AffineProjection:
     def dimension(self) -> int:
         return len(self.shift)
 
-    @property
-    def is_identity(self) -> bool:
-        d = self.dimension
-        return all(v == 0 for v in self.shift) and all(
-            self.linear[i][j] == (1 if i == j else 0) for i in range(d) for j in range(d)
-        )
-
     def __call__(self, point: Sequence[Rational]) -> tuple[Fraction, ...]:
         x = as_point(point)
         if len(x) != self.dimension:
@@ -90,12 +85,42 @@ class AffineProjection:
         return tuple(v + s for v, s in zip(image, self.shift))
 
 
+class Hull(NamedTuple):
+    """The affine hull x0 + span{u_1..u_r} of a point set, in coordinates t.
+
+    The u_k are orthogonal integer vectors, D_k = u_k . u_k, and
+    t_k(x) = u_k . (x - x0) / D_k.  With P the orthoprojector onto the hull,
+    ||Px - y||^2 = sum_k D_k (t_k(x) - t_k(y))^2 for every y on the hull.
+    """
+
+    base: tuple[Fraction, ...]
+    directions: tuple[tuple[int, ...], ...]
+    weights: tuple[int, ...]
+
+    def __call__(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        offset = [a - b for a, b in zip(x, self.base)]
+        return tuple(sum(map(mul, u, offset)) / w for u, w in zip(self.directions, self.weights))
+
+
+def _hull(points: Sequence[tuple[Fraction, ...]]) -> Hull:
+    """Hull coordinates: rational Gram-Schmidt on the rref rows of the x_i - x0."""
+    base = points[0]
+    rows, _ = linalg.rref([[a - b for a, b in zip(p, base)] for p in points[1:]])
+    directions: list[tuple[int, ...]] = []
+    for row in rows:
+        for u in directions:
+            c = sum(map(mul, row, u)) / sum(map(mul, u, u))
+            row = [a - c * b for a, b in zip(row, u)]
+        ints, _ = linalg.integer_vector(row)
+        directions.append(tuple(v // math.gcd(*ints) for v in ints))
+    return Hull(base, tuple(directions), tuple(sum(map(mul, u, u)) for u in directions))
+
+
 def flat_projector(points: Sequence[Sequence[Rational]]) -> AffineProjection:
     """Exact orthoprojector onto the affine hull of the given points.
 
-    With base point x0 and Q the Gram-based projector onto
-    span{x_i - x0}, the map is x |-> x0 + Q (x - x0); Q is symmetric and
-    idempotent.
+    In hull coordinates the map is x |-> x0 + Q (x - x0) with
+    Q = sum_k u_k u_k^T / D_k, which is symmetric and idempotent.
     """
     pts = [as_point(p) for p in points]
     if not pts:
@@ -103,15 +128,11 @@ def flat_projector(points: Sequence[Sequence[Rational]]) -> AffineProjection:
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise DimensionMismatchError("points of mixed dimension")
-    base = pts[0]
-    directions, _ = linalg.rref([[a - b for a, b in zip(p, base)] for p in pts[1:]])
-    if not directions:
-        q = [[Fraction(0)] * d for _ in range(d)]
-    else:
-        v_cols = linalg.transpose(directions)  # d x r
-        gram = linalg.mat_mul(directions, v_cols)  # r x r, invertible
-        q = linalg.mat_mul(linalg.mat_mul(v_cols, linalg.invert(gram)), directions)
-    shift = [b - s for b, s in zip(base, linalg.mat_vec(q, list(base)))]
+    hull = _hull(pts)
+    pairs = list(zip(hull.directions, hull.weights))
+    q = [[sum((Fraction(u[i] * u[j], w) for u, w in pairs), Fraction(0)) for j in range(d)]
+         for i in range(d)]
+    shift = [b - s for b, s in zip(hull.base, linalg.mat_vec(q, list(hull.base)))]
     return AffineProjection(
         linear=tuple(tuple(row) for row in q),
         shift=tuple(shift),
@@ -140,18 +161,53 @@ class LeastBasis:
     gramian: tuple[tuple[Fraction, ...], ...]
 
 
-def _support_points(span: Sequence[Functional]) -> list[tuple[Fraction, ...]] | None:
-    """Union of support points when every functional is a combination of point evaluations."""
-    points: list[tuple[Fraction, ...]] = []
-    seen = set()
-    for f in span:
-        if f.degree_cap is not None:
-            return None
-        for x in f.points:
-            if x not in seen:
-                seen.add(x)
-                points.append(x)
-    return points
+def _span_hull(span: Sequence[Functional]) -> Hull | None:
+    """Hull coordinates of the support; None (t = x, D = 1) when a functional
+    has a cap, the support is one point (constant images) or its hull is R^d."""
+    if any(f.degree_cap is not None for f in span):
+        return None
+    points = list(dict.fromkeys(x for f in span for x in f.points))
+    hull = _hull(points) if len(points) > 1 else None
+    return None if hull is None or len(hull.weights) == len(points[0]) else hull
+
+
+def _from_hull_coordinates(hull: Hull, images: Sequence[Polynomial], d: int) -> list[Polynomial]:
+    """w_j(x) = W_j(t(x)) for every image, from one integer table of powers.
+
+    t_k = l_k / m_k with l_k(x) = e_k u_k . (x - x0) an integer affine form and
+    m_k = e_k D_k, e_k the denominator of u_k . x0.  The table holds
+    M l^gamma(x) / m^gamma, M = prod_k m_k^top, for |gamma| <= top = max deg W_j.
+    """
+    forms, scales = [], []
+    for u, weight in zip(hull.directions, hull.weights):
+        offset = sum(map(mul, u, hull.base), Fraction(0))
+        form = {tuple(int(i == k) for i in range(d)): offset.denominator * c
+                for k, c in enumerate(u) if c}
+        if offset:
+            form[(0,) * d] = -offset.numerator
+        forms.append(form)
+        scales.append(offset.denominator * weight)
+    top = max(0, *(w.degree for w in images))
+    scale = math.prod(m**top for m in scales)
+    powers = {(0,) * len(forms): {(0,) * d: scale}}
+    for gamma in monomial_sequence(len(forms), top)[1:]:
+        k = next(i for i, g in enumerate(gamma) if g)
+        product: dict[Exponent, int] = {}
+        for alpha, c in powers[gamma[:k] + (gamma[k] - 1,) + gamma[k + 1:]].items():
+            for beta, f in forms[k].items():
+                key = tuple(map(add, alpha, beta))
+                product[key] = product.get(key, 0) + c * f
+        powers[gamma] = {alpha: v // scales[k] for alpha, v in product.items()}
+    out = []
+    for image in images:
+        terms = image.terms()
+        numerators, common = linalg.integer_vector([c for _, c in terms])
+        acc: dict[Exponent, int] = {}
+        for (gamma, _), c in zip(terms, numerators):
+            for alpha, v in powers[gamma].items():
+                acc[alpha] = acc.get(alpha, 0) + c * v
+        out.append(Polynomial(d, {a: Fraction(v, common * scale) for a, v in acc.items()}))
+    return out
 
 
 def _gramian(rows: Sequence[MomentRow], polys: Sequence[Polynomial]):
@@ -171,45 +227,51 @@ def _gramian(rows: Sequence[MomentRow], polys: Sequence[Polynomial]):
 
 
 def schaback_basis(graded: GradedBasis) -> SchabackBasis:
-    """Radial images w_j = lambda_j ||x - .||^(2 kappa_j) and their Gramian.
+    """Radial images w_j = lambda_j ||Px - .||^(2 kappa_j) and their Gramian.
 
-    For all-point spans the images are composed with the orthoprojector onto
-    the affine hull of the support (a no-op when the support spans R^d); the
-    Gramian is unaffected because the functionals live on that hull.
+    P projects onto the affine hull of an all-point span's support (else P = I).
+    w_j = W_j(t(x)), W_j the D-weighted image in hull coordinates read off T
+    times the moment table of the span mapped to t(x_i); the Gramian
+    (lambda_i w_j) = (lambda_i W_j) is taken there too.
     """
     for kappa in graded.kappas:
         _require_moment_cap(graded.moments.cap, 2 * kappa, "radial image")
     d = graded.dimension
+    hull = _span_hull(graded.span)
+    if hull is None:
+        rows, weights = graded.rows(2 * max(graded.kappas)), (1,) * d
+    else:
+        weights = hull.weights
+        mapped = [PointFunctional(map(hull, f.points), f.weights, dimension=len(weights))
+                  for f in graded.span]
+        rows = moment_rows(graded.transform, MomentTable(mapped), 2 * max(graded.kappas))
     images = [
-        image_from_moments(row.numerators.__getitem__, row.denominator, d, kappa)
-        for row, kappa in zip(graded.rows, graded.kappas)
+        image_from_moments(row.numerators.__getitem__, row.denominator, weights, kappa)
+        for row, kappa in zip(rows, graded.kappas)
     ]
-    support = _support_points(graded.span)
-    if support is not None:
-        projection = flat_projector(support)
-        if not projection.is_identity:
-            images = [w.compose_affine(projection.linear, projection.shift) for w in images]
-    for j, (w, kappa) in enumerate(zip(images, graded.kappas)):
-        if w.degree != kappa:
+    w = images if hull is None else _from_hull_coordinates(hull, images, d)
+    for j, (p, kappa) in enumerate(zip(w, graded.kappas)):
+        if p.degree != kappa:
             raise AssertionError(
-                f"schaback_basis: radial image w_{j} has degree {w.degree}, not its order {kappa}"
+                f"schaback_basis: radial image w_{j} has degree {p.degree}, not its order {kappa}"
             )
-    return SchabackBasis(source=graded, w=tuple(images), gramian=_gramian(graded.rows, images))
+    return SchabackBasis(source=graded, w=tuple(w), gramian=_gramian(rows, images))
 
 
 def least_basis(graded: GradedBasis) -> LeastBasis:
     """Lowest-degree homogeneous parts g_j and the Gramian (lambda_i g_j)."""
     d = graded.dimension
+    rows = graded.rows(max(graded.kappas))
     parts = [
         least_part_from_moments(row.numerators.__getitem__, row.denominator, d, kappa)
-        for row, kappa in zip(graded.rows, graded.kappas)
+        for row, kappa in zip(rows, graded.kappas)
     ]
     for j, (g, kappa) in enumerate(zip(parts, graded.kappas)):
         if g.degree != kappa or not g.is_homogeneous(kappa):
             raise AssertionError(
                 f"least_basis: least part g_{j} is not homogeneous of degree {kappa}"
             )
-    return LeastBasis(source=graded, g=tuple(parts), gramian=_gramian(graded.rows, parts))
+    return LeastBasis(source=graded, g=tuple(parts), gramian=_gramian(rows, parts))
 
 
 def range_basis(basis: SchabackBasis | LeastBasis) -> tuple[Polynomial, ...]:

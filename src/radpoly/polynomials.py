@@ -296,23 +296,10 @@ class Polynomial:
         if len(offset) != d:
             raise DimensionMismatchError("shift must have length d")
 
-        substitutions = []
-        for i in range(d):
-            terms: dict[Exponent, Fraction] = {}
-            for j in range(d):
-                if rows[i][j]:
-                    alpha = [0] * d
-                    alpha[j] = 1
-                    terms[tuple(alpha)] = rows[i][j]
-            if offset[i]:
-                terms[(0,) * d] = offset[i]
-            substitutions.append(Polynomial(d, terms))
-
-        max_exp = [0] * d
-        for alpha in self._terms:
-            for i, e in enumerate(alpha):
-                if e > max_exp[i]:
-                    max_exp[i] = e
+        units = [tuple(int(k == j) for k in range(d)) for j in range(d)]
+        substitutions = [Polynomial(d, [*zip(units, row), ((0,) * d, b)])
+                         for row, b in zip(rows, offset)]
+        max_exp = [max((alpha[i] for alpha in self._terms), default=0) for i in range(d)]
         powers: list[list[Polynomial]] = []
         for i in range(d):
             cache = [Polynomial.constant(d, 1)]

@@ -110,11 +110,12 @@ def polynomial_from_obj(obj: Any) -> Polynomial:
 
 def functional_to_obj(f: Functional) -> dict:
     if f.degree_cap is None:
-        return {
+        obj = {
             "type": "points",
             "points": [[format_rational(c) for c in x] for x in f.points],
             "weights": [format_rational(w) for w in f.weights],
         }
+        return obj if f.points else {**obj, "d": f.dimension}
     return {
         "type": "moments",
         "d": f.dimension,
@@ -133,7 +134,10 @@ def functional_from_obj(obj: Any) -> Functional:
     if kind == "points":
         points = [_parse_point(p) for p in _list_field(obj, "points", what)]
         weights = [parse_rational(w) for w in _list_field(obj, "weights", what)]
-        return PointFunctional(points, weights)
+        d = obj.get("d")
+        if d is not None and (not _is_int(d) or any(len(p) != d for p in points)):
+            raise ValueError("'d' must be an integer equal to the points' length")
+        return PointFunctional(points, weights, dimension=d)
     if kind == "moments":
         d = _field(obj, "d", what)
         cap = _field(obj, "cap", what)

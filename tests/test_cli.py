@@ -34,6 +34,10 @@ class TestGoldenFiles:
         (("basis", "--input", str(GOLDEN / "hermite.problem.json")), "basis_hermite.json"),
         (("interp", "--input", str(GOLDEN / "hermite.problem.json"), "--method", "both"),
          "interp_hermite_both.json"),
+        (("interp", "--input", str(GOLDEN / "collinear2d.problem.json"), "--method", "both"),
+         "interp_collinear_both.json"),
+        (("interp", "--input", str(GOLDEN / "coplanar3d.problem.json"), "--method", "both"),
+         "interp_coplanar_both.json"),
     ]
 
     @pytest.mark.parametrize("argv,expected", CASES)

@@ -189,9 +189,11 @@ def spans(draw):
 
     Rational point sets, weighted point combinations, derivative functionals
     at rational sites (mixed with point evaluations, and with moment caps
-    that may lie below 2 kappa), and collinear and coplanar point sets.
+    that may lie below 2 kappa), collinear and coplanar point sets, weighted
+    combinations on a collinear support, and single-point supports.
     """
-    kind = draw(st.sampled_from(["points", "weighted", "derivatives", "collinear", "coplanar"]))
+    kind = draw(st.sampled_from(["points", "weighted", "derivatives", "collinear", "coplanar",
+                                 "collinear weighted", "single point"]))
     degree_cap = None
     if kind == "points":
         d = draw(st.integers(1, 3))
@@ -216,12 +218,23 @@ def spans(draw):
                 alpha = draw(st.tuples(*[st.integers(0, 2)] * d).filter(lambda a: sum(a) <= 2))
                 span.append(from_derivative(alpha, site, cap))
         degree_cap = 3
-    elif kind == "collinear":
+    elif kind.startswith("collinear"):
         d = draw(st.integers(2, 3))
         base = draw(st.tuples(*[RATIONALS] * d))
         direction = draw(st.tuples(*[RATIONALS] * d).filter(any))
         steps = draw(st.lists(RATIONALS, min_size=2, max_size=5, unique=True))
-        span = [point_evaluation([b + t * v for b, v in zip(base, direction)]) for t in steps]
+        line = [[b + t * v for b, v in zip(base, direction)] for t in steps]
+        if kind == "collinear":
+            span = [point_evaluation(x) for x in line]
+        else:
+            span = []
+            for _ in range(draw(st.integers(1, 4))):
+                weights = draw(st.lists(RATIONALS, min_size=len(line), max_size=len(line)))
+                span.append(PointFunctional(line, weights, dimension=d))
+    elif kind == "single point":
+        d = draw(st.integers(2, 3))
+        site = draw(st.tuples(*[RATIONALS] * d))
+        span = [PointFunctional([site], [draw(RATIONALS.filter(bool))])]
     else:
         a, b, c = draw(st.tuples(RATIONALS, RATIONALS, RATIONALS))
         feet = draw(st.lists(st.tuples(RATIONALS, RATIONALS), min_size=3, max_size=6, unique=True))
@@ -276,5 +289,9 @@ def test_integer_elimination_matches_the_fraction_elimination(case):
     assert graded.pivots == tuple(pivots)
     assert graded.lambdas == tuple(combine(span, row) for row in transform)
     assert graded.lambdas is graded.lambdas  # built once, then cached
-    for lam, (numerators, denominator) in zip(graded.lambdas, graded.rows):
+    top = 2 * max(graded.kappas)
+    if graded.moments.cap is not None:
+        top = min(top, graded.moments.cap)
+    for lam, (numerators, denominator) in zip(graded.lambdas, graded.rows(top)):
         assert all(lam.moment(alpha) == Fraction(v, denominator) for alpha, v in numerators.items())
+    assert graded.rows(max(graded.kappas)) is graded.rows(top)  # computed once for the top degree

@@ -27,7 +27,7 @@ from radpoly import (
     schaback_interpolate,
     span_dimension_below,
 )
-from radpoly.rational_linalg import determinant, mat_vec, solve, transpose
+from radpoly.rational_linalg import determinant, invert, mat_mul, mat_vec, rref, solve, transpose
 from test_graded import spans
 
 GRID = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -44,6 +44,32 @@ def graded_on(points, **kwargs):
 
 def monomial(d, alpha):
     return Polynomial.monomial(d, alpha)
+
+
+def gram_projector(points):
+    """(Q, shift) of x |-> x0 + V^T (V V^T)^-1 V (x - x0), V the rref rows of the x_i - x0.
+
+    The Gram-inverse construction, kept here as an oracle independent of the
+    orthogonal hull coordinates the library uses.
+    """
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    d, base = len(pts[0]), pts[0]
+    directions, _ = rref([[a - b for a, b in zip(p, base)] for p in pts[1:]])
+    if not directions:
+        q = [[Fraction(0)] * d for _ in range(d)]
+    else:
+        v_cols = transpose(directions)
+        q = mat_mul(mat_mul(v_cols, invert(mat_mul(directions, v_cols))), directions)
+    return q, [b - s for b, s in zip(base, mat_vec(q, list(base)))]
+
+
+def composed_images(graded):
+    """The raw radial images in x, composed with the Gram projector for all-point spans."""
+    images = [radial_image(lam, kappa) for lam, kappa in zip(graded.lambdas, graded.kappas)]
+    if any(f.degree_cap is not None for f in graded.span):
+        return images
+    q, shift = gram_projector([x for f in graded.span for x in f.points])
+    return [w.compose_affine(q, shift) for w in images]
 
 
 class TestSchabackBasis:
@@ -235,7 +261,8 @@ class TestRangeBasis:
 class TestFlatProjector:
     def test_spanning_points_give_identity(self):
         proj = flat_projector([(0, 0), (1, 0), (0, 1)])
-        assert proj.is_identity
+        assert proj.linear == ((1, 0), (0, 1))
+        assert proj.shift == (0, 0)
 
     def test_diagonal_line(self):
         proj = flat_projector([(0, 0), (1, 1)])
@@ -250,6 +277,17 @@ class TestFlatProjector:
             (0, 1, 0),
             (0, 0, 0),
         )
+
+    def test_matches_the_gram_inverse_projector(self):
+        rng = random.Random(5)
+        for _ in range(10):
+            d = rng.randint(1, 3)
+            pts = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d))
+                   for _ in range(rng.randint(1, d + 1))]
+            proj = flat_projector(pts)
+            q, shift = gram_projector(pts)
+            assert [list(row) for row in proj.linear] == q
+            assert list(proj.shift) == shift
 
     def test_idempotent_and_symmetric(self):
         rng = random.Random(13)
@@ -370,14 +408,11 @@ def test_table_built_bases_match_the_functional_path(case):
         return
     lambdas = graded.lambdas
     try:
-        images = [radial_image(lam, kappa) for lam, kappa in zip(lambdas, graded.kappas)]
+        images = composed_images(graded)
     except DegreeCapError:
         with pytest.raises(DegreeCapError):
             schaback_basis(graded)
     else:
-        if all(f.degree_cap is None for f in span):
-            projection = flat_projector([x for f in span for x in f.points])
-            images = [w.compose_affine(projection.linear, projection.shift) for w in images]
         sb = schaback_basis(graded)
         assert sb.w == tuple(images)
         assert sb.gramian == tuple(tuple(lam(w) for w in images) for lam in lambdas)
@@ -385,3 +420,17 @@ def test_table_built_bases_match_the_functional_path(case):
     lb = least_basis(graded)
     assert lb.g == tuple(parts)
     assert lb.gramian == tuple(tuple(lam(g) for g in parts) for lam in lambdas)
+
+
+def test_collinear_rational_basis_matches_the_composed_images():
+    """d=2, n=12 on a line with rational coordinates, against the Gram projector path."""
+    base, direction = (Fraction(1, 3), Fraction(-2, 5)), (Fraction(3, 2), Fraction(1, 4))
+    steps = [Fraction(t, 2) for t in (-7, -5, -4, -1, 0, 1, 2, 3, 6, 8, 9, 11)]
+    graded = graded_on([[b + t * v for b, v in zip(base, direction)] for t in steps])
+    assert graded.kappas == tuple(range(12))
+    images = composed_images(graded)
+    sb = schaback_basis(graded)
+    assert sb.w == tuple(images)
+    assert sb.gramian == tuple(tuple(lam(w) for w in images) for lam in graded.lambdas)
+    report = least_interpolate(graded, data=[t * t - 1 for t in steps])
+    assert schaback_interpolate(sb, data=report.data).interpolant == report.interpolant

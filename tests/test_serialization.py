@@ -68,6 +68,21 @@ class TestFunctionalRoundTrip:
         lam = PointFunctional([(0, 1), (2, -3)], [Fraction(1, 2), -2])
         assert functional_from_obj(functional_to_obj(lam)) == lam
 
+    def test_zero_point_combination_carries_its_dimension(self):
+        lam = PointFunctional([(0, 0), (1, 0)], [0, 0])
+        obj = functional_to_obj(lam)
+        assert obj == {"type": "points", "points": [], "weights": [], "d": 2}
+        assert functional_from_obj(obj) == lam
+        assert "d" not in functional_to_obj(point_evaluation((1, 2)))
+
+    @pytest.mark.parametrize("d", [True, "2", 3, 0])
+    def test_bad_point_dimension_rejected(self, d):
+        with pytest.raises(ValueError):
+            functional_from_obj({"type": "points", "points": [[0, 1]], "weights": [1], "d": d})
+        if d != 3:
+            with pytest.raises(ValueError):
+                functional_from_obj({"type": "points", "points": [], "weights": [], "d": d})
+
     def test_moment_functional(self):
         lam = MomentFunctional(2, 3, {(1, 1): Fraction(2, 5), (0, 0): 1})
         assert functional_from_obj(functional_to_obj(lam)) == lam
