@@ -496,19 +496,21 @@ def inner_product(lam: Functional, mu: Functional, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _radial_terms(d: int, a: int, beta: Exponent) -> tuple[tuple[Exponent, int], ...]:
+    """p_{a,beta} = sum over |gamma| = a of a!/gamma! x^(2 gamma + beta), in graded order."""
+    return tuple((tuple(2 * g + e for g, e in zip(gamma, beta)), math.factorial(a) // multi_factorial(gamma))
+                 for gamma in monomials_of_degree(d, a))
+
+
+@lru_cache(maxsize=None)
 def _integer_expansion(ell: int, d: int) -> tuple[tuple[int, tuple, tuple], ...]:
-    """The terms of ``radial_power_expansion(ell, d)`` with integer coefficients.
-
-    Each entry is (coeff, terms of p_{c,beta}, terms of p_{a,beta}), every
-    term an (alpha, integer coefficient) pair.
-    """
-    def integer_terms(a: int, beta: Exponent) -> tuple[tuple[Exponent, int], ...]:
-        return tuple((alpha, int(c)) for alpha, c in radial_monomial(d, a, beta).terms())
-
-    return tuple(
-        (int(term.coeff), integer_terms(term.c, term.beta), integer_terms(term.a, term.beta))
-        for term in radial_power_expansion(ell, d)
-    )
+    """The terms of ``radial_power_expansion(ell, d)``, built in integers, as
+    (coeff, terms of p_{c,beta}, terms of p_{a,beta}), each term (alpha, integer)."""
+    f = math.factorial
+    return tuple(((-2) ** b * f(ell) // (f(a) * multi_factorial(beta) * f(ell - a - b)),
+                  _radial_terms(d, ell - a - b, beta), _radial_terms(d, a, beta))
+                 for a in range(ell, -1, -1) for b in range(ell - a, -1, -1)
+                 for beta in monomials_of_degree(d, b))
 
 
 @lru_cache(maxsize=256)

@@ -86,10 +86,10 @@ class MomentRow(NamedTuple):
     denominator: int
 
 
-def moment_rows(transform: Sequence[Sequence[Fraction]], table: MomentTable,
+def moment_rows(transform: Sequence[tuple[Sequence[int], int]], table: MomentTable,
                 top: int) -> tuple[MomentRow, ...]:
     """The moments of lambda_i = sum_j T[i][j] mu_j up to degree ``top``, mu_j
-    the table's span: the rows of T V, each over one denominator."""
+    the table's span, T in integer rows: the rows of T V, each over one denominator."""
     table.extend(top)
     scale = lcm(*table.scales[: top + 1])
     columns = [
@@ -98,8 +98,7 @@ def moment_rows(transform: Sequence[Sequence[Fraction]], table: MomentTable,
         for alpha in table.monomials[k]
     ]
     rows = []
-    for row in transform:
-        ints, denominator = integer_vector(row)
+    for ints, denominator in transform:
         numerators = {
             alpha: sum(map(mul, ints, column)) * lift for alpha, column, lift in columns
         }
@@ -144,6 +143,11 @@ class GradedBasis:
         """lambda_i = sum_j T[i][j] mu_j as functionals of their own."""
         return tuple(combine(self.span, row) for row in self.transform)
 
+    @cached_property
+    def integer_transform(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The rows of ``transform`` as integer numerators over one denominator each."""
+        return tuple((tuple(ints), den) for ints, den in map(integer_vector, self.transform))
+
     def rows(self, top: int) -> tuple[MomentRow, ...]:
         """The rows of L = T V, at least up to degree ``top``.
 
@@ -152,7 +156,7 @@ class GradedBasis:
         """
         done, rows = self.__dict__.get("_rows", (-1, ()))
         if done < top:
-            rows = moment_rows(self.transform, self.moments, top)
+            rows = moment_rows(self.integer_transform, self.moments, top)
             self.__dict__["_rows"] = (top, rows)
         return rows
 

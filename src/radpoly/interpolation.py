@@ -26,7 +26,8 @@ degree kappa_j, and each Gramian entry as sum_alpha p_j[alpha] L_i[alpha].
 Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular
 with invertible diagonal blocks: lambda_i annihilates degrees below kappa_i,
 while w_j has degree kappa_j and g_j is homogeneous of degree kappa_j.  Both
-coefficient solves are therefore the same block back-substitution.
+coefficient solves are therefore the same block back-substitution, on factors
+each basis caches; the certificate mu_i(f) - b_i = V f - b reads only V.
 
 Either interpolant matches every functional in M exactly and never raises
 the degree of its argument.
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
@@ -143,8 +145,30 @@ def flat_projector(points: Sequence[Sequence[Rational]]) -> AffineProjection:
 # Bases
 
 
+class _Solves:
+    """Tables every solve reuses, cached outside the fields (``==`` ignores them)."""
+
+    @cached_property
+    def factors(self) -> linalg.BlockUpperFactors:
+        """The Gramian factored one diagonal block at a time."""
+        return linalg.factor_block_upper(self.gramian, self.source.blocks())
+
+    @cached_property
+    def columns(self) -> tuple[tuple[list[int], list, int], ...]:
+        """Per block (indices j, terms, D): each term (alpha, the D p_j[alpha])."""
+        polys, out = range_basis(self), []
+        for block in self.source.blocks():
+            support = list(dict.fromkeys(alpha for j in block for alpha, _ in polys[j].terms()))
+            numerators, denominator = linalg.integer_vector(
+                [polys[j].coefficient(alpha) for alpha in support for j in block])
+            m = len(block)
+            out.append((block, [(alpha, numerators[k * m:k * m + m]) for k, alpha in enumerate(support)],
+                        denominator))
+        return tuple(out)
+
+
 @dataclass(frozen=True)
-class SchabackBasis:
+class SchabackBasis(_Solves):
     """Radial-polynomial basis w_j with its block-triangular Gramian."""
 
     source: GradedBasis
@@ -153,7 +177,7 @@ class SchabackBasis:
 
 
 @dataclass(frozen=True)
-class LeastBasis:
+class LeastBasis(_Solves):
     """Homogeneous least-part basis g_j with its block-triangular Gramian."""
 
     source: GradedBasis
@@ -244,7 +268,7 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
         weights = hull.weights
         mapped = [PointFunctional(map(hull, f.points), f.weights, dimension=len(weights))
                   for f in graded.span]
-        rows = moment_rows(graded.transform, MomentTable(mapped), 2 * max(graded.kappas))
+        rows = moment_rows(graded.integer_transform, MomentTable(mapped), 2 * max(graded.kappas))
     images = [
         image_from_moments(row.numerators.__getitem__, row.denominator, weights, kappa)
         for row, kappa in zip(rows, graded.kappas)
@@ -313,23 +337,37 @@ def _data_vector(graded: GradedBasis, data, target) -> list[Fraction]:
     return values
 
 
+def _span_values(graded: GradedBasis, f: Polynomial) -> list[Fraction]:
+    """mu_i(f) for every span functional, as V times the coefficients of f."""
+    table = graded.moments
+    _require_moment_cap(table.cap, f.degree, "residual check")
+    table.extend(f.degree)
+    terms = f.terms() or [((0,) * graded.dimension, Fraction(0))]
+    weights, common = linalg.integer_vector([c / table.scales[sum(alpha)] for alpha, c in terms])
+    return [Fraction(sum(map(mul, weights, row)), common)
+            for row in zip(*(table.columns[alpha] for alpha, _ in terms))]
+
+
 def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -> InterpolantReport:
-    """Solve the block upper triangular Gramian and check the residuals."""
+    """Solve through the basis's cached factors and certify the residuals V f - b."""
     graded = basis.source
     b = _data_vector(graded, data, target)
-    lam_values = [
-        sum((t * v for t, v in zip(row, b) if t), Fraction(0))
-        for row in graded.transform
-    ]
+    values, common = linalg.integer_vector(b)
+    lam_values = [Fraction(sum(map(mul, row, values)), denominator * common)
+                  for row, denominator in graded.integer_transform]
     try:
-        coeffs = linalg.solve_block_upper(basis.gramian, lam_values, graded.blocks())
+        coeffs = basis.factors.solve(lam_values)
     except SingularMatrixError as exc:
         raise SingularGramianError(f"{method} Gramian is singular") from exc
-    interpolant = Polynomial.zero(graded.dimension)
-    for a, p in zip(coeffs, range_basis(basis)):
-        if a:
-            interpolant = interpolant + a * p
-    residuals = tuple(mu(interpolant) - value for mu, value in zip(graded.span, b))
+    terms: dict[Exponent, Fraction] = {}
+    for indices, columns, denominator in basis.columns:  # one integer product per block
+        weights, scale = linalg.integer_vector([coeffs[j] for j in indices])
+        for alpha, numerators in columns if any(weights) else ():
+            value = sum(map(mul, weights, numerators))
+            if value:
+                terms[alpha] = terms.get(alpha, 0) + Fraction(value, scale * denominator)
+    interpolant = Polynomial(graded.dimension, terms)
+    residuals = tuple(v - value for v, value in zip(_span_values(graded, interpolant), b))
     j = next((j for j, r in enumerate(residuals) if r), None)
     if j is not None:
         raise AssertionError(

@@ -4,22 +4,26 @@ Matrices are lists of lists of ``Fraction``.  Pivoting always takes the
 first nonzero candidate: with exact arithmetic there is no stability reason
 to prefer large pivots, and determinism matters more.
 
-Every elimination here is a view of one forward elimination, ``_echelon``:
-``solve`` back-substitutes from the echelon form of ``[A | b]``,
-``determinant`` and ``rank`` read it off, and ``rref`` reduces upward from
-it.
+Every elimination here is a view of one forward elimination, ``_echelon``,
+which keeps its multipliers, so it is also an exact LU: ``solve`` factors
+one block and sweeps, ``factor_block_upper`` factors each diagonal block
+once for many right-hand sides, ``determinant`` and ``rank`` read the
+echelon form off, and ``rref`` reduces upward from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from .errors import SingularMatrixError
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
+
+_ZERO = Fraction(0)
 
 
 def identity(n: int) -> Matrix:
@@ -28,7 +32,7 @@ def identity(n: int) -> Matrix:
 
 def integer_vector(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """The values as integer numerators over their least common denominator."""
-    denominator = lcm(*(v.denominator for v in values))
+    denominator = lcm(*{v.denominator for v in values})
     return [v.numerator * (denominator // v.denominator) for v in values], denominator
 
 
@@ -45,16 +49,18 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
-def _echelon(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int], int]:
+def _echelon(matrix: Sequence[Sequence[Fraction]]):
     """Row echelon form by forward elimination, on a copy.
 
     Each pivot is the first nonzero entry at or below the current row; pivot
     rows are not normalized and only the entries below a pivot are cleared.
-    Returns the reduced rows (any zero rows last), the pivot columns and the
-    number of row swaps.
+    Returns the reduced rows U (any zero rows last), the pivot columns, the
+    number of row swaps, each row's input row (P) and multipliers (L).
     """
     a = [list(row) for row in matrix]
     n_rows, n_cols = len(a), len(a[0]) if a else 0
+    order = list(range(n_rows))
+    lower: list[list[tuple[int, Fraction]]] = [[] for _ in range(n_rows)]
     pivots: list[int] = []
     swaps = 0
     for col in range(n_cols):
@@ -65,7 +71,8 @@ def _echelon(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int], i
         if pivot is None:
             continue
         if pivot != r:
-            a[r], a[pivot] = a[pivot], a[r]
+            for rows in (a, order, lower):
+                rows[r], rows[pivot] = rows[pivot], rows[r]
             swaps += 1
         head = a[r]
         for i in range(r + 1, n_rows):
@@ -74,30 +81,19 @@ def _echelon(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int], i
                 row = a[i]
                 for c in range(col, n_cols):
                     row[c] -= factor * head[c]
+                lower[i].append((r, factor))
         pivots.append(col)
-    return a, pivots, swaps
+    return a, pivots, swaps, order, lower
 
 
 def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector:
-    """Solve a square system exactly by Gaussian elimination.
+    """Solve a square system exactly: factor it as one block, then sweep.
 
     Raises SingularMatrixError when no unique solution exists.
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
+    if any(len(row) != len(rhs) for row in matrix) or len(rhs) != len(matrix):
         raise ValueError("solve needs a square matrix and a matching vector")
-    a, pivots, _ = _echelon([list(row) + [b] for row, b in zip(matrix, rhs)])
-    if pivots[:n] != list(range(n)):
-        missing = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
-        raise SingularMatrixError(f"no pivot in column {missing}")
-    x: Vector = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        row = a[r]
-        acc = row[n]
-        for c in range(r + 1, n):
-            acc -= row[c] * x[c]
-        x[r] = acc / row[r]
-    return x
+    return factor_block_upper(matrix, [range(len(matrix))]).solve(rhs)
 
 
 def invert(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
@@ -108,7 +104,7 @@ def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
-    a, pivots, swaps = _echelon(matrix)
+    a, pivots, swaps, _, _ = _echelon(matrix)
     if len(pivots) < n:
         return Fraction(0)
     det = Fraction((-1) ** swaps)
@@ -127,7 +123,7 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     The result is a canonical representative of the row space, so two
     matrices have equal row spaces iff their rref outputs are equal.
     """
-    a, pivots, _ = _echelon(matrix)
+    a, pivots = _echelon(matrix)[:2]
     del a[len(pivots):]
     for r in range(len(pivots) - 1, -1, -1):
         col = pivots[r]
@@ -157,26 +153,56 @@ def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
     return basis
 
 
+class BlockUpperFactors(NamedTuple):
+    """A block upper triangular matrix factored for many right-hand sides: per
+    block its (row order, multipliers, rows of U) from ``_echelon``; per row,
+    (b, entries as integers, denominator) for each later block b it touches."""
+
+    blocks: tuple[tuple[int, ...], ...]
+    diagonal: tuple[tuple[tuple, tuple, tuple], ...]
+    above: tuple[tuple[tuple[int, tuple[int, ...], int], ...], ...]
+
+    def solve(self, rhs: Sequence[Fraction]) -> Vector:
+        """Block back-substitution by two sweeps per block; a solved block is
+        kept in integers, so reducing a row by it is one integer product."""
+        x: dict[int, Fraction] = {}
+        solved: list[tuple[list[int], int]] = [([], 1)] * len(self.blocks)
+        for bi in range(len(self.blocks) - 1, -1, -1):
+            block, (order, lower, upper) = self.blocks[bi], self.diagonal[bi]
+            reduced = [rhs[i] - sum((Fraction(sum(map(mul, nums, solved[b][0])), solved[b][1] * den)
+                                     for b, nums, den in self.above[i]), _ZERO) for i in block]
+            y: Vector = []
+            for k, multipliers in zip(order, lower):
+                y.append(reduced[k] - sum((f * y[r] for r, f in multipliers), _ZERO))
+            for r in range(len(y) - 1, -1, -1):
+                row = upper[r]
+                y[r] = (y[r] - sum((v * y[c] for c, v in enumerate(row[r + 1:], r + 1) if v), _ZERO)) / row[r]
+            x.update(zip(block, y))
+            solved[bi] = integer_vector(y)
+        return [x.get(i, _ZERO) for i in range(len(rhs))]
+
+
+def factor_block_upper(matrix: Sequence[Sequence[Fraction]],
+                       blocks: Sequence[Sequence[int]]) -> BlockUpperFactors:
+    """Factor each diagonal block once, ``blocks`` listing index groups in order;
+    SingularMatrixError when one is singular.  Entries below them are unread."""
+    blocks = tuple(map(tuple, blocks))
+    above: list[tuple] = [()] * len(matrix)
+    diagonal = []
+    for bi, block in enumerate(blocks):
+        for i in block:
+            rows = ((b, integer_vector([matrix[i][j] for j in blocks[b]]))
+                    for b in range(bi + 1, len(blocks)))
+            above[i] = tuple((b, tuple(nums), den) for b, (nums, den) in rows if any(nums))
+        a, pivots, _, order, lower = _echelon([[matrix[i][j] for j in block] for i in block])
+        missing = [block[c] for c in range(len(block)) if c not in pivots]
+        if missing:
+            raise SingularMatrixError(f"no pivot in column {missing[0]}")
+        diagonal.append((tuple(order), tuple(map(tuple, lower)), tuple(map(tuple, a))))
+    return BlockUpperFactors(blocks, tuple(diagonal), tuple(above))
+
+
 def solve_block_upper(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction],
                       blocks: Sequence[Sequence[int]]) -> Vector:
-    """Solve a block upper triangular system by block back-substitution.
-
-    ``blocks`` lists index groups in order; entries of ``matrix`` below the
-    block diagonal are assumed zero.  Each diagonal block is solved densely.
-    """
-    n = len(rhs)
-    x: list[Fraction | None] = [None] * n
-    for bi in range(len(blocks) - 1, -1, -1):
-        idx = list(blocks[bi])
-        reduced = []
-        for i in idx:
-            acc = rhs[i]
-            for bj in range(bi + 1, len(blocks)):
-                for j in blocks[bj]:
-                    if matrix[i][j]:
-                        acc -= matrix[i][j] * x[j]
-            reduced.append(acc)
-        diag = [[matrix[i][j] for j in idx] for i in idx]
-        for i, value in zip(idx, solve(diag, reduced)):
-            x[i] = value
-    return [v if v is not None else Fraction(0) for v in x]
+    """Solve a block upper triangular system by block back-substitution."""
+    return factor_block_upper(matrix, blocks).solve(rhs)

@@ -25,6 +25,7 @@ from radpoly import (
     radial_power_expansion,
     tensor_apply_radial,
 )
+from radpoly.functionals import _integer_expansion, radial_monomial
 from radpoly.serialization import functional_from_obj, functional_to_obj
 
 SECOND_DIFFERENCE = PointFunctional([[0], [1], [2]], [1, -2, 1])
@@ -188,6 +189,22 @@ class TestRadialPowerExpansion:
         for d in (1, 2, 3):
             for k in range(5):
                 assert expansion_polynomial(k, d) == two_set_distance_power(k, d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_integer_expansion_matches_the_fraction_terms(self, d):
+        """The integer table equals the expansion built from Fraction polynomial products."""
+        def integer_terms(p):
+            assert all(c.denominator == 1 for _, c in p.terms())
+            return tuple((alpha, int(c)) for alpha, c in p.terms())
+
+        for ell in range(9):
+            expected = tuple(
+                (int(t.coeff), integer_terms(radial_monomial(d, t.c, t.beta)),
+                 integer_terms(radial_monomial(d, t.a, t.beta)))
+                for t in radial_power_expansion(ell, d)
+            )
+            assert all(t.coeff.denominator == 1 for t in radial_power_expansion(ell, d))
+            assert _integer_expansion(ell, d) == expected
 
 
 class TestTensorApply:

@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from radpoly import (
     DegreeCapError,
@@ -28,7 +28,7 @@ from radpoly import (
     span_dimension_below,
 )
 from radpoly.rational_linalg import determinant, invert, mat_mul, mat_vec, rref, solve, transpose
-from test_graded import spans
+from test_graded import RATIONALS, spans
 
 GRID = [(0, 0), (1, 0), (0, 1), (1, 1)]
 SKEW = [(0, 0), (1, 0), (0, 1), (1, 2)]
@@ -157,6 +157,28 @@ class TestSchabackInterpolation:
         broken = replace(healthy, gramian=tuple(map(tuple, gramian)))
         with pytest.raises(AssertionError, match=rf"^{method}_interpolate: residual mu_1\(f\)"):
             interpolate(broken, data=[0, 0, 1])
+
+    @pytest.mark.parametrize("method, make_basis, interpolate", METHODS, ids=["schaback", "least"])
+    def test_singular_diagonal_block_raises_on_every_call(self, method, make_basis, interpolate):
+        healthy = make_basis(graded_on(GRID))  # blocks [0], [1, 2], [3]
+        gramian = [list(row) for row in healthy.gramian]
+        gramian[2][1:3] = [2 * v for v in gramian[1][1:3]]  # block [1, 2] of rank one
+        basis = type(healthy)(healthy.source, range_basis(healthy), tuple(map(tuple, gramian)))
+        for _ in range(2):
+            with pytest.raises(SingularGramianError, match=f"^{method} Gramian is singular"):
+                interpolate(basis, data=[0, 0, 0, 1])
+        assert "factors" not in vars(basis)  # a failed factorization is not cached
+
+    @pytest.mark.parametrize("method, make_basis, interpolate", METHODS, ids=["schaback", "least"])
+    def test_corrupted_factors_fail_the_residual_certificate(self, method, make_basis, interpolate):
+        basis = make_basis(graded_on([(0,), (1,), (3,)]))
+        interpolate(basis, data=[0, 0, 1])  # factors the Gramian and caches the factors
+        factors = basis.factors
+        order, lower, ((pivot,),) = factors.diagonal[-1]  # the top block is 1 x 1
+        patched = (order, lower, ((pivot + 1,),))
+        vars(basis)["factors"] = factors._replace(diagonal=factors.diagonal[:-1] + (patched,))
+        with pytest.raises(AssertionError, match=rf"^{method}_interpolate: residual mu_\d\(f\)"):
+            interpolate(basis, data=[0, 0, 1])
 
     @pytest.mark.parametrize("make_basis, image, message", [
         (schaback_basis, "image_from_moments", r"^schaback_basis: radial image w_0 has degree 1"),
@@ -434,3 +456,59 @@ def test_collinear_rational_basis_matches_the_composed_images():
     assert sb.gramian == tuple(tuple(lam(w) for w in images) for lam in graded.lambdas)
     report = least_interpolate(graded, data=[t * t - 1 for t in steps])
     assert schaback_interpolate(sb, data=report.data).interpolant == report.interpolant
+
+
+def dense_oracle(basis, b):
+    """The solve path before factoring: a dense solve of the whole Gramian on
+    T b, assembly by Polynomial.__add__, and residuals mu(f) - b."""
+    graded = basis.source
+    coefficients = solve(basis.gramian, mat_vec(graded.transform, b))
+    f = Polynomial.zero(graded.dimension)
+    for a, p in zip(coefficients, range_basis(basis)):
+        f = f + a * p
+    return tuple(coefficients), f, tuple(mu(f) - value for mu, value in zip(graded.span, b))
+
+
+@st.composite
+def solve_cases(draw):
+    """A span from ``spans()``, two data vectors and a target of degree <= 3."""
+    span, degree_cap, ascending_ties = draw(spans())
+    d, n = span[0].dimension, len(span)
+    datas = draw(st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=2, max_size=2))
+    alpha = st.tuples(*[st.integers(0, 3)] * d).filter(lambda a: sum(a) <= 3)
+    target = Polynomial(d, draw(st.lists(st.tuples(alpha, RATIONALS), max_size=4)))
+    return span, degree_cap, ascending_ties, datas, target
+
+
+@given(solve_cases())
+@settings(deadline=None, max_examples=60)
+def test_factored_solves_match_the_dense_oracle(case):
+    """Cached factors, integer assembly and the V f - b certificate against the
+    old path; solves repeated on one basis equal solves on fresh bases."""
+    span, degree_cap, ascending_ties, datas, target = case
+
+    def fresh_graded():
+        return build_graded_basis(span, degree_cap, ascending_ties=ascending_ties)
+
+    try:
+        graded = fresh_graded()
+    except RankDeficientError:
+        return
+    for _, make_basis, interpolate in METHODS:
+        try:
+            basis = make_basis(graded)
+        except DegreeCapError:  # a moment cap below 2 kappa: no radial images
+            continue
+        inputs = [({"data": data}, [Fraction(v) for v in data]) for data in datas]
+        inputs.append(({"target": target}, [mu(target) for mu in span]))
+        for kwargs, b in inputs:
+            report = interpolate(basis, **kwargs)
+            coefficients, f, residuals = dense_oracle(basis, b)
+            assert report.data == tuple(b)
+            assert report.coefficients == coefficients
+            assert report.interpolant == f
+            assert report.residuals == residuals == (0,) * len(span)
+            fresh = interpolate(make_basis(fresh_graded()), **kwargs)
+            assert fresh.coefficients == report.coefficients
+            assert fresh.interpolant == report.interpolant
+        assert basis == make_basis(fresh_graded())  # the cached factors stay out of ==

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from radpoly import SingularMatrixError
 from radpoly.rational_linalg import (
     determinant,
+    factor_block_upper,
     identity,
     invert,
     mat_mul,
@@ -98,6 +99,27 @@ def test_solve_rejects_shape_mismatch():
         solve(to_matrix([[1, 0], [0, 1]]), [Fraction(1)])
 
 
+@settings(max_examples=60, deadline=None)
+@given(square(5))
+def test_lu_factors_the_row_permuted_matrix(a):
+    """P A = L U from the elimination, with the first nonzero entry as pivot."""
+    n = len(a)
+    if determinant(a) == 0:
+        with pytest.raises(SingularMatrixError):
+            factor_block_upper(a, [range(n)])
+        return
+    (order, multipliers, upper), = factor_block_upper(a, [range(n)]).diagonal
+    lower = identity(n)
+    for i, row in enumerate(multipliers):
+        for r, f in row:
+            assert r < i and f != 0
+            lower[i][r] = f
+    assert all(upper[i][j] == 0 for i in range(n) for j in range(i))
+    assert sorted(order) == list(range(n))
+    assert order[0] == next(i for i, row in enumerate(a) if row[0])
+    assert mat_mul(lower, [list(row) for row in upper]) == [a[i] for i in order]
+
+
 @settings(max_examples=40, deadline=None)
 @given(square(4))
 def test_invert_is_a_left_inverse(a):
@@ -166,13 +188,17 @@ def test_block_upper_solve_agrees_with_solve(seed):
         for j in range(n):
             if block_of[j] > block_of[i]:
                 a[i][j] = Fraction(rng.randint(-5, 5))
-    b = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
-    x = solve_block_upper(a, b, blocks)
-    assert x == solve(a, b)
-    assert mat_vec(a, x) == b
+    factors = factor_block_upper(a, blocks)
+    for _ in range(3):  # factored once, solved for several right-hand sides
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        x = factors.solve(b)
+        assert x == solve(a, b) == solve_block_upper(a, b, blocks)
+        assert mat_vec(a, x) == b
 
 
 def test_block_upper_solve_reports_a_singular_diagonal_block():
     a = to_matrix([[1, 5], [0, 0]])
     with pytest.raises(SingularMatrixError):
         solve_block_upper(a, [Fraction(1), Fraction(1)], [[0], [1]])
+    with pytest.raises(SingularMatrixError, match="no pivot in column 1"):
+        factor_block_upper(a, [[0], [1]])
