@@ -8,17 +8,12 @@ via ``--precision``.
 Exit status: 0 success, 1 usage or parse error, 2 mathematical failure
 (rank deficiency, moment cap exceeded, dimension mismatch), 3 verification
 failures.
-
-The environment variable RADPOLY_MAX_DEGREE overrides the default degree
-cap of the graded-basis construction; an explicit "degree_cap" in the
-problem file wins over both.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -41,9 +36,6 @@ from .serialization import (
     report_to_obj,
 )
 from .verification import SUITE_NAMES, run_suite
-
-ENV_MAX_DEGREE = "RADPOLY_MAX_DEGREE"
-
 
 class _UsageError(Exception):
     pass
@@ -113,18 +105,6 @@ def _load_problem(path: str) -> ProblemFile:
     return problem_from_obj(_load_json(path))
 
 
-def _resolve_cap(problem: ProblemFile) -> int | None:
-    if problem.degree_cap is not None:
-        return problem.degree_cap
-    env = os.environ.get(ENV_MAX_DEGREE)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise _UsageError(f"{ENV_MAX_DEGREE} must be an integer, got {env!r}") from exc
-    return None
-
-
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as handle:
@@ -161,7 +141,7 @@ def _render_decimal(value: Fraction, digits: int) -> str:
 
 def _cmd_basis(args) -> int:
     problem = _load_problem(args.input)
-    graded = build_graded_basis(problem.functionals, _resolve_cap(problem))
+    graded = build_graded_basis(problem.functionals, problem.degree_cap)
     _emit(dumps(graded_basis_to_obj(graded)), args.output)
     return 0
 
@@ -170,7 +150,7 @@ def _cmd_interp(args) -> int:
     problem = _load_problem(args.input)
     if (problem.values is None) == (problem.target is None):
         raise ValueError("interpolation needs exactly one of 'values' or 'target'")
-    graded = build_graded_basis(problem.functionals, _resolve_cap(problem))
+    graded = build_graded_basis(problem.functionals, problem.degree_cap)
     kwargs = (
         {"data": list(problem.values)} if problem.values is not None
         else {"target": problem.target}
@@ -266,7 +246,7 @@ def _cmd_compare(args) -> int:
     if args.probe_degree < 0:
         raise _UsageError("probe degree must be >= 0")
     report = compare_interpolants(
-        list(problem.points), args.probe_degree, _resolve_cap(problem)
+        list(problem.points), args.probe_degree, problem.degree_cap
     )
     _emit(dumps(comparison_to_obj(report)), args.output)
     return 0

@@ -426,9 +426,9 @@ def radial_power_expansion(k: int, d: int) -> tuple[RadialExpansionTerm, ...]:
         for b in range(k - a, -1, -1):
             c = k - a - b
             for beta in monomials_of_degree(d, b):
-                coeff = Fraction(
-                    (-2) ** b * k_factorial,
-                    math.factorial(a) * multi_factorial(beta) * math.factorial(c),
+                coeff = Fraction(  # a multinomial coefficient, so an exact division
+                    (-2) ** b * k_factorial
+                    // (math.factorial(a) * multi_factorial(beta) * math.factorial(c))
                 )
                 terms.append(RadialExpansionTerm(a, beta, c, coeff))
     return tuple(terms)
@@ -495,38 +495,31 @@ def inner_product(lam: Functional, mu: Functional, k: int) -> Fraction:
     return (-1) ** k * tensor_apply_radial(lam, mu, k)
 
 
-@lru_cache(maxsize=None)
-def _radial_terms(d: int, a: int, beta: Exponent) -> tuple[tuple[Exponent, int], ...]:
-    """p_{a,beta} = sum over |gamma| = a of a!/gamma! x^(2 gamma + beta), in graded order."""
-    return tuple((tuple(2 * g + e for g, e in zip(gamma, beta)), math.factorial(a) // multi_factorial(gamma))
-                 for gamma in monomials_of_degree(d, a))
-
-
-@lru_cache(maxsize=None)
-def _integer_expansion(ell: int, d: int) -> tuple[tuple[int, tuple, tuple], ...]:
-    """The terms of ``radial_power_expansion(ell, d)``, built in integers, as
-    (coeff, terms of p_{c,beta}, terms of p_{a,beta}), each term (alpha, integer)."""
-    f = math.factorial
-    return tuple(((-2) ** b * f(ell) // (f(a) * multi_factorial(beta) * f(ell - a - b)),
-                  _radial_terms(d, ell - a - b, beta), _radial_terms(d, a, beta))
-                 for a in range(ell, -1, -1) for b in range(ell - a, -1, -1)
-                 for beta in monomials_of_degree(d, b))
+@lru_cache(maxsize=4096)
+def _radial_terms(a: int, beta: Exponent, weights: tuple[int, ...],
+                  up: int) -> tuple[tuple[Exponent, int], ...]:
+    """p_{a,beta} = sum over |gamma| = a of a!/gamma! t^(2 gamma + beta), in graded
+    order, each term t^alpha scaled by D^((alpha + up) // 2), D the weights."""
+    out = []
+    for gamma in monomials_of_degree(len(weights), a):
+        alpha = tuple(2 * g + e for g, e in zip(gamma, beta))
+        scale = math.prod(w ** ((e + up) // 2) for w, e in zip(weights, alpha))
+        out.append((alpha, math.factorial(a) // multi_factorial(gamma) * scale))
+    return tuple(out)
 
 
 @lru_cache(maxsize=256)
 def _weighted_expansion(ell: int, weights: tuple[int, ...]) -> tuple[tuple[int, tuple, tuple], ...]:
-    """``_integer_expansion(ell, r)`` for the norm sum_k D_k t_k^2, D the weights.
+    """``radial_power_expansion(ell, r)`` in integers for the norm sum_k D_k t_k^2,
+    D the weights: (coeff, terms of p_{c,beta}, terms of p_{a,beta}).
 
     The term t^alpha s^alpha' of a summand gains D^((alpha + alpha')/2), which
     is D^ceil(alpha/2) D^floor(alpha'/2) since alpha and alpha' have the
     parity of beta.
     """
-    def scaled(terms: tuple, up: int) -> tuple[tuple[Exponent, int], ...]:
-        return tuple((alpha, c * math.prod(w ** ((e + up) // 2) for w, e in zip(weights, alpha)))
-                     for alpha, c in terms)
-
-    return tuple((coeff, scaled(y_terms, 0), scaled(x_terms, 1))
-                 for coeff, y_terms, x_terms in _integer_expansion(ell, len(weights)))
+    return tuple((int(t.coeff), _radial_terms(t.c, t.beta, weights, 0),
+                  _radial_terms(t.a, t.beta, weights, 1))
+                 for t in radial_power_expansion(ell, len(weights)))
 
 
 def image_from_moments(moment: Callable[[Exponent], int | Fraction], denominator: int,

@@ -13,7 +13,8 @@ kappa_1 <= ... <= kappa_n) of the span M of the input functionals.
   live in hull coordinates: with orthogonal integer directions u_k,
   D_k = u_k . u_k and t_k(x) = u_k . (x - x0) / D_k, every y on the hull has
   ||Px - y||^2 = sum_k D_k (t_k(x) - t_k(y))^2, so w_j = W_j(t(x)) with W_j
-  the D-weighted radial image in r = dim(hull) variables.
+  the D-weighted radial image in r = dim(hull) variables, composed with the
+  affine map t by ``substitute_affine`` (``Polynomial.compose_affine``).
 
 * The least construction interpolates from the span of the lowest-degree
   homogeneous parts g_j of the lambda_j moment series.  That span depends
@@ -27,7 +28,8 @@ Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular
 with invertible diagonal blocks: lambda_i annihilates degrees below kappa_i,
 while w_j has degree kappa_j and g_j is homogeneous of degree kappa_j.  Both
 coefficient solves are therefore the same block back-substitution, on factors
-each basis caches; the certificate mu_i(f) - b_i = V f - b reads only V.
+each basis caches.  The data of a target p are V p, and the certificate
+mu_i(f) - b_i = V f - b reads only V.
 
 Either interpolant matches every functional in M exactly and never raises
 the degree of its argument.
@@ -39,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from . import rational_linalg as linalg
@@ -61,6 +63,7 @@ from .polynomials import (
     as_point,
     graded_key,
     monomial_sequence,
+    substitute_affine,
 )
 
 
@@ -195,45 +198,6 @@ def _span_hull(span: Sequence[Functional]) -> Hull | None:
     return None if hull is None or len(hull.weights) == len(points[0]) else hull
 
 
-def _from_hull_coordinates(hull: Hull, images: Sequence[Polynomial], d: int) -> list[Polynomial]:
-    """w_j(x) = W_j(t(x)) for every image, from one integer table of powers.
-
-    t_k = l_k / m_k with l_k(x) = e_k u_k . (x - x0) an integer affine form and
-    m_k = e_k D_k, e_k the denominator of u_k . x0.  The table holds
-    M l^gamma(x) / m^gamma, M = prod_k m_k^top, for |gamma| <= top = max deg W_j.
-    """
-    forms, scales = [], []
-    for u, weight in zip(hull.directions, hull.weights):
-        offset = sum(map(mul, u, hull.base), Fraction(0))
-        form = {tuple(int(i == k) for i in range(d)): offset.denominator * c
-                for k, c in enumerate(u) if c}
-        if offset:
-            form[(0,) * d] = -offset.numerator
-        forms.append(form)
-        scales.append(offset.denominator * weight)
-    top = max(0, *(w.degree for w in images))
-    scale = math.prod(m**top for m in scales)
-    powers = {(0,) * len(forms): {(0,) * d: scale}}
-    for gamma in monomial_sequence(len(forms), top)[1:]:
-        k = next(i for i, g in enumerate(gamma) if g)
-        product: dict[Exponent, int] = {}
-        for alpha, c in powers[gamma[:k] + (gamma[k] - 1,) + gamma[k + 1:]].items():
-            for beta, f in forms[k].items():
-                key = tuple(map(add, alpha, beta))
-                product[key] = product.get(key, 0) + c * f
-        powers[gamma] = {alpha: v // scales[k] for alpha, v in product.items()}
-    out = []
-    for image in images:
-        terms = image.terms()
-        numerators, common = linalg.integer_vector([c for _, c in terms])
-        acc: dict[Exponent, int] = {}
-        for (gamma, _), c in zip(terms, numerators):
-            for alpha, v in powers[gamma].items():
-                acc[alpha] = acc.get(alpha, 0) + c * v
-        out.append(Polynomial(d, {a: Fraction(v, common * scale) for a, v in acc.items()}))
-    return out
-
-
 def _gramian(rows: Sequence[MomentRow], polys: Sequence[Polynomial]):
     """(lambda_i p_j) = sum_alpha p_j[alpha] L_i[alpha], one integer sum per entry."""
     forms = []
@@ -273,7 +237,11 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
         image_from_moments(row.numerators.__getitem__, row.denominator, weights, kappa)
         for row, kappa in zip(rows, graded.kappas)
     ]
-    w = images if hull is None else _from_hull_coordinates(hull, images, d)
+    w = images
+    if hull is not None:  # w_j(x) = W_j(A x + b), A_k = u_k / D_k, b_k = -(u_k . x0) / D_k
+        pairs = list(zip(hull.directions, hull.weights))
+        w = substitute_affine(images, [[Fraction(c, dk) for c in u] for u, dk in pairs],
+                              [-sum(map(mul, u, hull.base)) / dk for u, dk in pairs])
     for j, (p, kappa) in enumerate(zip(w, graded.kappas)):
         if p.degree != kappa:
             raise AssertionError(
@@ -330,7 +298,7 @@ def _data_vector(graded: GradedBasis, data, target) -> list[Fraction]:
     if target is not None:
         if target.dimension != graded.dimension:
             raise DimensionMismatchError("target dimension differs from the span's")
-        return [mu(target) for mu in graded.span]
+        return _span_values(graded, target)
     values = [as_fraction(v) for v in data]
     if len(values) != graded.size:
         raise ValueError(f"expected {graded.size} data values, got {len(values)}")
@@ -340,7 +308,7 @@ def _data_vector(graded: GradedBasis, data, target) -> list[Fraction]:
 def _span_values(graded: GradedBasis, f: Polynomial) -> list[Fraction]:
     """mu_i(f) for every span functional, as V times the coefficients of f."""
     table = graded.moments
-    _require_moment_cap(table.cap, f.degree, "residual check")
+    _require_moment_cap(table.cap, f.degree, "evaluating the span functionals")
     table.extend(f.degree)
     terms = f.terms() or [((0,) * graded.dimension, Fraction(0))]
     weights, common = linalg.integer_vector([c / table.scales[sum(alpha)] for alpha, c in terms])

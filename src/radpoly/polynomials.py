@@ -14,16 +14,21 @@ and the larger exponent first.  For d=2 through degree 2:
 
 The tie-break itself is arbitrary, but it must stay fixed and documented:
 pivot choices in the graded-basis construction depend on the column order.
+
+``substitute_affine`` is the one affine substitution p |-> p(A x + b): it
+serves ``Polynomial.compose_affine`` and ``translate`` and composes the
+radial images of degenerate point sets with their hull coordinates.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DimensionMismatchError
-from .rational_linalg import identity
+from .rational_linalg import identity, integer_vector
 
 Exponent = tuple[int, ...]
 Rational = Union[int, str, Fraction]
@@ -287,34 +292,12 @@ class Polynomial:
 
     def compose_affine(self, matrix: Sequence[Sequence[Rational]],
                        shift: Sequence[Rational] | None = None) -> "Polynomial":
-        """Exact expansion of x |-> p(A x + b)."""
-        d = self._dimension
-        rows = [[as_fraction(v) for v in row] for row in matrix]
-        if len(rows) != d or any(len(row) != d for row in rows):
-            raise DimensionMismatchError("substitution matrix must be d-by-d")
-        offset = [Fraction(0)] * d if shift is None else list(as_point(shift))
-        if len(offset) != d:
-            raise DimensionMismatchError("shift must have length d")
+        """Exact expansion of x |-> p(A x + b), A with one row per variable of p.
 
-        units = [tuple(int(k == j) for k in range(d)) for j in range(d)]
-        substitutions = [Polynomial(d, [*zip(units, row), ((0,) * d, b)])
-                         for row, b in zip(rows, offset)]
-        max_exp = [max((alpha[i] for alpha in self._terms), default=0) for i in range(d)]
-        powers: list[list[Polynomial]] = []
-        for i in range(d):
-            cache = [Polynomial.constant(d, 1)]
-            for _ in range(max_exp[i]):
-                cache.append(cache[-1] * substitutions[i])
-            powers.append(cache)
-
-        out = Polynomial.zero(d)
-        for alpha, coeff in self._terms.items():
-            term = Polynomial.constant(d, coeff)
-            for i, e in enumerate(alpha):
-                if e:
-                    term = term * powers[i][e]
-            out = out + term
-        return out
+        The rows share one length m, the dimension of the result, so A may be
+        rectangular; b defaults to zero.  See ``substitute_affine``.
+        """
+        return substitute_affine([self], matrix, shift)[0]
 
     def translate(self, shift: Sequence[Rational]) -> "Polynomial":
         """x |-> p(x + shift)."""
@@ -349,3 +332,65 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial(d={self._dimension}: {self})"
+
+
+def substitute_affine(polys: Sequence[Polynomial], matrix: Sequence[Sequence[Rational]],
+                      shift: Sequence[Rational] | None = None) -> list[Polynomial]:
+    """x |-> p(A x + b) for every p, from one integer table of powers.
+
+    A has one row per variable of the polynomials and every row has the same
+    length m, the dimension of the results; b defaults to zero.  Row k of
+    (A, b) is l_k / m_k, l_k an integer affine form and m_k the lcm of the
+    row's denominators.  The table, shared by every p, holds M l^gamma / m^gamma
+    with M = prod_k m_k^(e_k), e_k the largest exponent of variable k; each
+    result is one integer sum over its coefficients' common denominator.
+    """
+    rows = [[as_fraction(v) for v in row] for row in matrix]
+    r, m = len(rows), len(rows[0]) if rows else 0
+    if m < 1 or any(len(row) != m for row in rows):
+        raise DimensionMismatchError("substitution matrix needs rows of one nonzero length")
+    offset = [Fraction(0)] * r if shift is None else list(as_point(shift))
+    if len(offset) != r:
+        raise DimensionMismatchError(f"shift must have length {r}, one entry per row")
+    if any(p.dimension != r for p in polys):
+        raise DimensionMismatchError(f"substitution matrix has {r} rows, not one per variable")
+
+    forms, scales = [], []
+    for row, b in zip(rows, offset):
+        scale = math.lcm(b.denominator, *(c.denominator for c in row))
+        form = {tuple(int(i == j) for i in range(m)): c.numerator * (scale // c.denominator)
+                for j, c in enumerate(row) if c}
+        if b:
+            form[(0,) * m] = b.numerator * (scale // b.denominator)
+        forms.append(form)
+        scales.append(scale)
+    tops = [max((alpha[k] for p in polys for alpha in p._terms), default=0) for k in range(r)]
+    big = math.prod(s**e for s, e in zip(scales, tops))
+    powers = {(0,) * r: {(0,) * m: big}}
+
+    def power(gamma: Exponent) -> dict[Exponent, int]:
+        """M l^gamma / m^gamma, each missing step from the power one below."""
+        chain, below = [], gamma
+        while below not in powers:
+            k = next(i for i, g in enumerate(below) if g)
+            chain.append((below, k))
+            below = below[:k] + (below[k] - 1,) + below[k + 1:]
+        for step, k in reversed(chain):
+            product: dict[Exponent, int] = {}
+            for alpha, c in powers[below].items():
+                for beta, f in forms[k].items():
+                    key = tuple(map(add, alpha, beta))
+                    product[key] = product.get(key, 0) + c * f
+            powers[step] = {alpha: v // scales[k] for alpha, v in product.items()}
+            below = step
+        return powers[gamma]
+
+    out = []
+    for p in polys:
+        numerators, common = integer_vector(list(p._terms.values()))
+        acc: dict[Exponent, int] = {}
+        for gamma, c in zip(p._terms, numerators):
+            for alpha, v in power(gamma).items():
+                acc[alpha] = acc.get(alpha, 0) + c * v
+        out.append(Polynomial(m, {alpha: Fraction(v, common * big) for alpha, v in acc.items()}))
+    return out

@@ -278,32 +278,30 @@ class TestEval:
         assert main(["eval", "--input", str(poly_file), "--at", "1"]) == 2
 
 
-class TestEnvironmentCap:
-    def test_env_overrides_default_cap(self, tmp_path, monkeypatch):
+class TestDegreeCap:
+    def test_explicit_cap_sets_the_elimination_cap(self, tmp_path):
         problem = tmp_path / "p.json"
-        problem.write_text(json.dumps({"dimension": 1, "points": [[0], [1], [2]]}))
-        monkeypatch.setenv("RADPOLY_MAX_DEGREE", "1")
-        assert main(["basis", "--input", str(problem)]) == 2  # cap too small now
-        monkeypatch.setenv("RADPOLY_MAX_DEGREE", "4")
+        doc = {"dimension": 1, "points": [[0], [1], [2]]}
+        problem.write_text(json.dumps({**doc, "degree_cap": 1}))
+        assert main(["basis", "--input", str(problem)]) == 2  # the order-2 member is past it
+        problem.write_text(json.dumps({**doc, "degree_cap": 4}))
         code, body = run(tmp_path, "basis", "--input", str(problem))
         assert code == 0
         assert json.loads(body)["degree_cap"] == 4
 
-    def test_explicit_cap_beats_env(self, tmp_path, monkeypatch):
+    def test_target_above_the_span_cap_is_two(self, tmp_path):
         problem = tmp_path / "p.json"
-        problem.write_text(json.dumps(
-            {"dimension": 1, "points": [[0], [1], [2]], "degree_cap": 2}
-        ))
-        monkeypatch.setenv("RADPOLY_MAX_DEGREE", "1")
-        code, body = run(tmp_path, "basis", "--input", str(problem))
-        assert code == 0
-        assert json.loads(body)["degree_cap"] == 2
-
-    def test_bad_env_value_is_usage_error(self, tmp_path, monkeypatch):
-        problem = tmp_path / "p.json"
-        problem.write_text(json.dumps({"dimension": 1, "points": [[0], [1]]}))
-        monkeypatch.setenv("RADPOLY_MAX_DEGREE", "three")
-        assert main(["basis", "--input", str(problem)]) == 1
+        problem.write_text(json.dumps({
+            "dimension": 1,
+            "degree_cap": 1,
+            "functionals": [
+                {"type": "derivative", "alpha": [0], "at": [0], "cap": 2},
+                {"type": "derivative", "alpha": [1], "at": [0], "cap": 2},
+            ],
+            "target": {"dimension": 1, "terms": [{"alpha": [3], "coeff": 1}]},
+        }))
+        for method in ("schaback", "least", "both"):
+            assert main(["interp", "--input", str(problem), "--method", method]) == 2
 
 
 class TestStdout:

@@ -25,7 +25,7 @@ from radpoly import (
     radial_power_expansion,
     tensor_apply_radial,
 )
-from radpoly.functionals import _integer_expansion, radial_monomial
+from radpoly.functionals import _weighted_expansion, radial_monomial
 from radpoly.serialization import functional_from_obj, functional_to_obj
 
 SECOND_DIFFERENCE = PointFunctional([[0], [1], [2]], [1, -2, 1])
@@ -192,7 +192,8 @@ class TestRadialPowerExpansion:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_integer_expansion_matches_the_fraction_terms(self, d):
-        """The integer table equals the expansion built from Fraction polynomial products."""
+        """The unit-weight integer table equals the expansion built from Fraction
+        polynomial products."""
         def integer_terms(p):
             assert all(c.denominator == 1 for _, c in p.terms())
             return tuple((alpha, int(c)) for alpha, c in p.terms())
@@ -204,7 +205,7 @@ class TestRadialPowerExpansion:
                 for t in radial_power_expansion(ell, d)
             )
             assert all(t.coeff.denominator == 1 for t in radial_power_expansion(ell, d))
-            assert _integer_expansion(ell, d) == expected
+            assert _weighted_expansion(ell, (1,) * d) == expected
 
 
 class TestTensorApply:

@@ -247,6 +247,15 @@ class TestLeastInterpolation:
         with pytest.raises(DegreeCapError):
             schaback_basis(graded)
 
+    def test_target_above_the_span_cap_raises(self):
+        from radpoly import from_derivative
+
+        graded = build_graded_basis([from_derivative((0,), (0,), 2), from_derivative((1,), (0,), 2)], 1)
+        target = Polynomial(1, {(3,): 1})
+        for interpolate in (schaback_interpolate, least_interpolate):
+            with pytest.raises(DegreeCapError, match="up to degree 3, functional cap is 2"):
+                interpolate(graded, target=target)
+
     def test_least_span_depends_only_on_the_functional_space(self):
         points = [(0, 0), (1, 2), (2, 1), (-1, 1), (3, 0)]
         one = least_basis(graded_on(points))

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from radpoly import DimensionMismatchError, Polynomial, monomial_sequence
-from radpoly.polynomials import as_fraction, graded_key, monomials_of_degree
+from radpoly.polynomials import as_fraction, graded_key, monomials_of_degree, substitute_affine
 
 
 def poly(d, terms):
@@ -127,6 +127,23 @@ class TestAffineSubstitution:
         p = poly(2, {(1, 1): 2, (0, 2): 1})
         assert p.translate((3, -1)) == p.compose_affine([[1, 0], [0, 1]], (3, -1))
 
+    def test_malformed_shapes_raise(self):
+        p = poly(2, {(1, 1): 1})
+        for matrix, shift in [
+            ([[1, 0]], None),  # one row for two variables
+            ([[1, 0], [0, 1], [1, 1]], None),  # three rows
+            ([[1, 0], [1]], None),  # ragged rows
+            ([[], []], None),  # rows of length zero
+            ([[1, 0], [0, 1]], (1,)),  # shift of the wrong length
+            ([[1, 0], [0, 1]], (1, 2, 3)),
+        ]:
+            with pytest.raises(DimensionMismatchError):
+                p.compose_affine(matrix, shift)
+        with pytest.raises(DimensionMismatchError):  # polynomials of mixed dimension
+            substitute_affine([p, poly(1, {(1,): 1})], [[1, 0], [0, 1]])
+        with pytest.raises(TypeError):
+            p.compose_affine([[1.0, 0], [0, 1]])
+
 
 # ---------------------------------------------------------------------------
 # Randomized algebra laws
@@ -188,6 +205,37 @@ def test_invertible_substitution_round_trips(triple):
             matrix[i][j] = Fraction(1 + i + j)
     inverse = _invert_unit_upper(matrix)
     assert p.compose_affine(matrix).compose_affine(inverse) == p
+
+
+@st.composite
+def _affine_cases(draw):
+    """Polynomials in r variables (the zero one included), a rational r-by-m
+    matrix, a rational shift or none, and a rational point in m variables."""
+    r, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    alpha = st.tuples(*[st.integers(0, 3)] * r)
+    polys = draw(st.lists(
+        st.dictionaries(alpha, rational, max_size=4).map(lambda terms: Polynomial(r, terms)),
+        min_size=1, max_size=3))
+    matrix = draw(st.lists(st.lists(rational, min_size=m, max_size=m), min_size=r, max_size=r))
+    shift = draw(st.none() | st.lists(rational, min_size=r, max_size=r))
+    point = draw(st.lists(rational, min_size=m, max_size=m))
+    return polys, matrix, shift, point
+
+
+@given(_affine_cases())
+@example(([poly(1, {(2,): 1})], [[Fraction(1, 3), 2]], [Fraction(1, 2)], [1, Fraction(-1, 5)]))
+@settings(deadline=None, max_examples=80)
+def test_affine_substitution_matches_evaluation(case):
+    polys, matrix, shift, point = case
+    offset = shift or [0] * len(matrix)
+    image = [sum(a * x for a, x in zip(row, point)) + b for row, b in zip(matrix, offset)]
+    composed = substitute_affine(polys, matrix, shift)
+    assert composed == [p.compose_affine(matrix, shift) for p in polys]
+    for p, q in zip(polys, composed):
+        assert q.dimension == len(point)
+        assert q(point) == p(image)
+        assert q.is_zero or not p.is_zero
 
 
 def _invert_unit_upper(matrix):
