@@ -56,7 +56,6 @@ from .polynomials import (
     monomial_sequence,
     monomials_of_degree,
     multi_factorial,
-    total_degree,
 )
 
 __version__ = "0.1.0"
@@ -106,6 +105,5 @@ __all__ = [
     "schaback_interpolate",
     "span_dimension_below",
     "tensor_apply_radial",
-    "total_degree",
     "verify_graded",
 ]

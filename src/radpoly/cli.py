@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .errors import RadpolyError
@@ -46,6 +47,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache  # built once per process; every main() call reuses it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="radpoly", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

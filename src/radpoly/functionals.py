@@ -55,6 +55,7 @@ from .polynomials import (
     monomials_of_degree,
     multi_factorial,
 )
+from .rational_linalg import integer_vector
 
 _ZERO = Fraction(0)
 
@@ -289,9 +290,7 @@ class MomentFunctional:
 
     def _integer_moments(self, degree: int, gammas: Sequence[Exponent]) -> tuple[list[int], int]:
         """The stored moments of ``gammas`` over their lcm denominator."""
-        values = [self._moments.get(gamma, _ZERO) for gamma in gammas]
-        denominator = math.lcm(*(v.denominator for v in values))
-        return [v.numerator * (denominator // v.denominator) for v in values], denominator
+        return integer_vector([self._moments.get(gamma, _ZERO) for gamma in gammas])
 
     __call__ = _apply
 
@@ -407,7 +406,7 @@ class RadialExpansionTerm:
     a: int
     beta: Exponent
     c: int
-    coeff: Fraction
+    coeff: int
 
 
 @lru_cache(maxsize=None)
@@ -426,10 +425,9 @@ def radial_power_expansion(k: int, d: int) -> tuple[RadialExpansionTerm, ...]:
         for b in range(k - a, -1, -1):
             c = k - a - b
             for beta in monomials_of_degree(d, b):
-                coeff = Fraction(  # a multinomial coefficient, so an exact division
-                    (-2) ** b * k_factorial
-                    // (math.factorial(a) * multi_factorial(beta) * math.factorial(c))
-                )
+                # a multinomial coefficient, so an exact division
+                coeff = (-2) ** b * k_factorial // (
+                    math.factorial(a) * multi_factorial(beta) * math.factorial(c))
                 terms.append(RadialExpansionTerm(a, beta, c, coeff))
     return tuple(terms)
 
@@ -517,7 +515,7 @@ def _weighted_expansion(ell: int, weights: tuple[int, ...]) -> tuple[tuple[int, 
     is D^ceil(alpha/2) D^floor(alpha'/2) since alpha and alpha' have the
     parity of beta.
     """
-    return tuple((int(t.coeff), _radial_terms(t.c, t.beta, weights, 0),
+    return tuple((t.coeff, _radial_terms(t.c, t.beta, weights, 0),
                   _radial_terms(t.a, t.beta, weights, 1))
                  for t in radial_power_expansion(ell, len(weights)))
 

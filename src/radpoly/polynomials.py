@@ -53,10 +53,6 @@ def as_point(coords: Iterable[Rational]) -> tuple[Fraction, ...]:
     return tuple(as_fraction(c) for c in coords)
 
 
-def total_degree(alpha: Exponent) -> int:
-    return sum(alpha)
-
-
 def multi_factorial(alpha: Exponent) -> int:
     """alpha! = alpha(1)! * ... * alpha(d)!"""
     out = 1
@@ -90,13 +86,13 @@ def monomials_of_degree(d: int, degree: int, *, ascending_ties: bool = False) ->
             yield (first,) + rest
 
 
-def monomial_sequence(d: int, max_degree: int, *, ascending_ties: bool = False) -> list[Exponent]:
+def monomial_sequence(d: int, max_degree: int) -> list[Exponent]:
     """All alpha with |alpha| <= max_degree in graded order."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     out: list[Exponent] = []
     for k in range(max_degree + 1):
-        out.extend(monomials_of_degree(d, k, ascending_ties=ascending_ties))
+        out.extend(monomials_of_degree(d, k))
     return out
 
 

@@ -5,6 +5,10 @@ from a ``random.Random(seed)`` (the stdlib Mersenne Twister), so a given
 (suite, seed, trials) triple always runs the same cases.  Failures carry the
 offending functional, the degree parameters, and the exact discrepancy.
 
+A trial builds the graded, Schaback and least bases of each point set it
+draws once, and evaluates each quadratic form of a functional once; every
+check reads from these.
+
 The ``corrupt`` flag deliberately breaks one comparison per suite; it exists
 only to demonstrate that the harness reports failures and exits nonzero.
 """
@@ -15,6 +19,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from . import rational_linalg as linalg
 from .functionals import (
     Functional,
@@ -27,6 +32,8 @@ from .functionals import (
 )
 from .graded import GradedBasis, build_graded_basis
 from .interpolation import (
+    LeastBasis,
+    SchabackBasis,
     flat_projector,
     least_basis,
     least_interpolate,
@@ -167,11 +174,12 @@ def _double_sum(lam: PointFunctional, mu: PointFunctional, k: int) -> Fraction:
 def _check_order_characterization(rec: _Recorder, lam: Functional, kappa: int,
                                   corrupt: bool) -> None:
     """Sign and vanishing of the diagonal quadratic form, via the order."""
+    form = cache(lambda r: tensor_apply_radial(lam, lam, r))
     for k in (1, 2, 3):
         if kappa < k:
             continue
         if lam.degree_cap is None or lam.degree_cap >= 2 * k:
-            q = tensor_apply_radial(lam, lam, k)
+            q = form(k)
             if corrupt:
                 q = q + 1
             signed = (-1) ** k * q
@@ -189,7 +197,7 @@ def _check_order_characterization(rec: _Recorder, lam: Functional, kappa: int,
             )
     for k in (0, 1, 2):
         if lam.degree_cap is None or lam.degree_cap >= 2 * (k + 1):
-            all_vanish = all(tensor_apply_radial(lam, lam, r) == 0 for r in range(k + 1))
+            all_vanish = all(form(r) == 0 for r in range(k + 1))
             rec.check(
                 all_vanish == (kappa >= k + 1),
                 "order >= k+1 iff the form vanishes for every exponent r <= k",
@@ -393,11 +401,15 @@ def run_projector(seed: int, trials: int, corrupt: bool = False) -> Verification
 # Suite: geometric invariance
 
 
-def _interpolate_on_points(points, target, method: str) -> Polynomial:
+def _bases(points) -> dict[str, SchabackBasis | LeastBasis]:
+    """Both bases on the evaluations at ``points``, keyed by method."""
     graded = build_graded_basis([point_evaluation(p) for p in points])
-    if method == "schaback":
-        return schaback_interpolate(graded, target=target).interpolant
-    return least_interpolate(graded, target=target).interpolant
+    return {"schaback": schaback_basis(graded), "least": least_basis(graded)}
+
+
+def _interpolant(basis: SchabackBasis | LeastBasis, target: Polynomial) -> Polynomial:
+    interpolate = schaback_interpolate if isinstance(basis, SchabackBasis) else least_interpolate
+    return interpolate(basis, target=target).interpolant
 
 
 def _rotation_matrix(d: int, axes: tuple[int, int]) -> list[list[Fraction]]:
@@ -420,13 +432,6 @@ def _collinear_points(rng: random.Random, d: int, n: int):
     return [tuple(b + t * v for b, v in zip(base, direction)) for t in steps]
 
 
-def _range_on_points(points, method: str):
-    graded = build_graded_basis([point_evaluation(p) for p in points])
-    if method == "schaback":
-        return schaback_basis(graded).w
-    return least_basis(graded).g
-
-
 def schaback_general_linear_counterexample():
     """Search small non-orthogonal invertible maps for an equivariance witness.
 
@@ -443,13 +448,10 @@ def schaback_general_linear_counterexample():
         [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]],
         [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]],
     ]
+    unmapped = _bases(points)["schaback"].w
     for matrix in candidates:
-        mapped = [linalg.mat_vec(matrix, p) for p in points]
-        moved = _range_on_points(mapped, "schaback")
-        composed = [
-            w.compose_affine(linalg.transpose(matrix))
-            for w in _range_on_points(points, "schaback")
-        ]
+        moved = _bases([linalg.mat_vec(matrix, p) for p in points])["schaback"].w
+        composed = [w.compose_affine(linalg.transpose(matrix)) for w in unmapped]
         if not polynomial_span_equal(moved, composed):
             return points, matrix
     return None
@@ -462,15 +464,15 @@ def run_invariance(seed: int, trials: int, corrupt: bool = False) -> Verificatio
         d = rng.randint(2, 3)
         points = _random_points(rng, d, rng.randint(3, 6))
         target = _random_polynomial(rng, d, max_degree=3)
+        original = _bases(points)
 
         shift = _random_point(rng, d)
-        for method in ("schaback", "least"):
-            moved = [tuple(x + s for x, s in zip(p, shift)) for p in points]
-            left = _interpolate_on_points(moved, target, method)
+        moved = _bases([tuple(x + s for x, s in zip(p, shift)) for p in points])
+        for method, basis in original.items():
+            left = _interpolant(moved[method], target)
             if corrupt:
                 left = left + Polynomial.constant(d, 1)
-            right = _interpolate_on_points(points, target.translate(shift), method)
-            right = right.translate([-s for s in shift])
+            right = _interpolant(basis, target.translate(shift)).translate([-s for s in shift])
             rec.check(
                 left == right,
                 f"{method}: interpolation commutes with translation",
@@ -479,11 +481,10 @@ def run_invariance(seed: int, trials: int, corrupt: bool = False) -> Verificatio
 
         axes = (0, 1) if d == 2 else tuple(sorted(rng.sample(range(3), 2)))
         rotation = _rotation_matrix(d, axes)
-        transposed = linalg.transpose(rotation)
-        for method in ("schaback", "least"):
-            mapped = [linalg.mat_vec(transposed, p) for p in points]
-            left = _interpolate_on_points(mapped, target.compose_affine(rotation), method)
-            right = _interpolate_on_points(points, target, method).compose_affine(rotation)
+        rotated = _bases([linalg.mat_vec(linalg.transpose(rotation), p) for p in points])
+        for method, basis in original.items():
+            left = _interpolant(rotated[method], target.compose_affine(rotation))
+            right = _interpolant(basis, target).compose_affine(rotation)
             rec.check(
                 left == right,
                 f"{method}: interpolation commutes with an exact rotation",
@@ -493,21 +494,15 @@ def run_invariance(seed: int, trials: int, corrupt: bool = False) -> Verificatio
         shear = linalg.identity(d)
         shear[0][1] = Fraction(rng.randint(1, 3))
         shear[0][0] = Fraction(rng.choice((1, 2)))
-        mapped = [linalg.mat_vec(shear, p) for p in points]
-        moved_range = _range_on_points(mapped, "least")
-        composed_range = [
-            g.compose_affine(linalg.transpose(shear))
-            for g in _range_on_points(points, "least")
-        ]
+        sheared = _bases([linalg.mat_vec(shear, p) for p in points])["least"]
+        composed_range = [g.compose_affine(linalg.transpose(shear)) for g in original["least"].g]
         rec.check(
-            polynomial_span_equal(moved_range, composed_range),
+            polynomial_span_equal(sheared.g, composed_range),
             "least: the range transforms by the transpose under any invertible map",
             discrepancy=f"shear {shear}",
         )
-        graded_moved = build_graded_basis([point_evaluation(p) for p in mapped])
-        reproduced = least_interpolate(graded_moved, target=composed_range[-1]).interpolant
         rec.check(
-            reproduced == composed_range[-1],
+            _interpolant(sheared, composed_range[-1]) == composed_range[-1],
             "least: transformed range elements are reproduced at the moved sites",
             discrepancy=f"shear {shear}",
         )
@@ -516,15 +511,14 @@ def run_invariance(seed: int, trials: int, corrupt: bool = False) -> Verificatio
         projection = flat_projector(line)
         off_flat = _random_point(rng, d)
         flat_target = _random_polynomial(rng, d, max_degree=3)
-        for method in ("schaback", "least"):
-            f = _interpolate_on_points(line, flat_target, method)
+        on_line = {m: _interpolant(b, flat_target) for m, b in _bases(line).items()}
+        for method, f in on_line.items():
             rec.check(
                 f(off_flat) == f(projection(off_flat)),
                 f"{method}: interpolant is constant perpendicular to the affine hull",
                 discrepancy=f"at {off_flat}: {f(off_flat)} vs {f(projection(off_flat))}",
             )
-        one = _interpolate_on_points(line, flat_target, "schaback")
-        other = _interpolate_on_points(line, flat_target, "least")
+        one, other = on_line.values()
         rec.check(
             one == other,
             "both interpolants coincide on collinear points",
@@ -540,8 +534,8 @@ def run_invariance(seed: int, trials: int, corrupt: bool = False) -> Verificatio
         plane_projection = flat_projector(plane)
         plane_target = _random_polynomial(rng, 3, max_degree=2)
         off_plane = _random_point(rng, 3)
-        for method in ("schaback", "least"):
-            f = _interpolate_on_points(plane, plane_target, method)
+        for method, basis in _bases(plane).items():
+            f = _interpolant(basis, plane_target)
             rec.check(
                 f(off_plane) == f(plane_projection(off_plane)),
                 f"{method}: interpolant is constant perpendicular to a planar hull",

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from radpoly import cli
 from radpoly.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,6 +67,26 @@ class TestExitStatusContract:
     def test_usage_error_is_one(self):
         assert main(["basis"]) == 1
         assert main(["expand", "--k", "9", "--d", "1"]) == 1
+
+    def test_usage_error_is_one_line_on_every_call(self, capsys):
+        for _ in range(2):
+            assert main(["verify", "--trials", "x"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("radpoly: ") and err.count("\n") == 1
+        assert main(["expand", "--k", "1", "--d", "1"]) == 0
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--help"], ["basis", "interp", "eval", "expand", "verify", "compare", "Exit status"]),
+        (["verify", "--help"], ["--suite", "--seed", "--trials", "--corrupt", "--output"]),
+        (["interp", "--help"], ["--input", "--method", "--output"]),
+    ])
+    def test_help_exits_zero(self, capsys, argv, expected):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert all(word in out for word in expected)
 
     def test_rank_deficiency_is_two(self, tmp_path):
         dup = tmp_path / "dup.json"

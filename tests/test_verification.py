@@ -1,7 +1,12 @@
 """The seeded suites: clean runs, determinism, and the corrupt self-test."""
 
+import json
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+from radpoly import verification
 from radpoly.verification import (
     SUITE_NAMES,
     run_suite,
@@ -57,3 +62,54 @@ def test_general_linear_witness_exists():
     assert witness is not None
     points, matrix = witness
     assert len(points) == 4
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_all_suite_report_matches_golden(seed, corrupt):
+    """The full report, failures of the corrupt run included, apart from wall time."""
+    name = f"verify_all_seed{seed}{'_corrupt' if corrupt else ''}.json"
+    report = run_suite("all", seed=seed, trials=2, corrupt=corrupt).to_obj()
+    report.pop("wall_time_ms")
+    assert report == json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+
+
+def _count_calls(monkeypatch, name):
+    """Replace ``verification.<name>`` by a wrapper counting calls by their arguments."""
+    calls = Counter()
+    original = getattr(verification, name)
+
+    def counted(*args):
+        calls[repr(args)] += 1
+        return original(*args)
+
+    monkeypatch.setattr(verification, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_invariance_trial_builds_each_point_set_once(monkeypatch, seed):
+    # points, translated, rotated, sheared, collinear and planar sets
+    builds = _count_calls(monkeypatch, "build_graded_basis")
+    assert verification.run_invariance(seed, trials=1).ok
+    assert sum(builds.values()) <= 6
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_micchelli_evaluates_each_form_once(monkeypatch, seed):
+    forms = _count_calls(monkeypatch, "tensor_apply_radial")
+    assert verification.run_micchelli(seed, trials=1).ok
+    assert forms and max(forms.values()) == 1
+
+
+def test_a_faulty_form_is_reported(monkeypatch):
+    monkeypatch.setattr(verification, "tensor_apply_radial", lambda lam, mu, k: 1)
+    report = verification.run_micchelli(0, trials=2)
+    assert not report.ok
+    assert {f.case for f in report.failures} >= {
+        "tensor application equals the point double sum",
+        "quadratic form vanishes exactly on functionals of order >= k+1",
+    }
