@@ -16,16 +16,17 @@ Both answer ``_integer_moments``, the moments of one degree as integers over
 one denominator.  Every atom moment comes from one integer kernel, and a
 point combination keeps each moment it has computed as a fraction.
 
-The workhorse identity separates the even radial power into products of
-one-sided terms.  With p_{a,beta}(x) = ||x||^(2a) x^beta,
+Radial images x |-> lambda ||x - .||_D^(2l), ||x||_D^2 = sum_k D_k x_k^2, come
+from the direct expansion sum over |m| = l of l!/m! D^m prod_k (x_k - y_k)^(2 m_k),
+in which each monomial x^gamma y^delta occurs once; tensor application and the
+degree-k bilinear form apply a functional to such an image.  The paper's
+separated expansion, with p_{a,beta}(x) = ||x||^(2a) x^beta and ||.|| Euclidean,
 
     ||x - y||^(2k) = sum over a + |beta| + c = k of
         (-2)^|beta| * k! / (a! beta! c!) * p_{a,beta}(x) * p_{c,beta}(y),
 
-where ||.|| is the Euclidean norm.  Tensor application of two functionals
-to ||x-y||^(2k), the degree-k bilinear form built from it, and radial
-images x |-> lambda ||x - .||^(2l) are all computed exactly through this
-expansion.  Radial images and lowest-degree parts of the moment series
+is the identity the images are tested against (``radial_power_expansion``).
+Radial images and lowest-degree parts of the moment series
 need nothing but a moment lookup: ``image_from_moments`` and
 ``least_part_from_moments`` take one, so the same bodies serve a functional
 (its ``_moment``) and a row of a graded basis's integer moment table.
@@ -41,6 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import DegreeCapError, DimensionMismatchError
@@ -118,6 +120,8 @@ def _checked_moment(functional: "Functional", alpha: Iterable[int]) -> Fraction:
     key = tuple(alpha)
     if len(key) != functional.dimension:
         raise DimensionMismatchError("moment index has wrong length")
+    if any(e < 0 for e in key):
+        raise ValueError(f"negative exponent in {key}")
     cap = functional.degree_cap
     if cap is not None and sum(key) > cap:
         raise DegreeCapError(f"moment of degree {sum(key)} requested, cap is {cap}")
@@ -493,31 +497,19 @@ def inner_product(lam: Functional, mu: Functional, k: int) -> Fraction:
     return (-1) ** k * tensor_apply_radial(lam, mu, k)
 
 
-@lru_cache(maxsize=4096)
-def _radial_terms(a: int, beta: Exponent, weights: tuple[int, ...],
-                  up: int) -> tuple[tuple[Exponent, int], ...]:
-    """p_{a,beta} = sum over |gamma| = a of a!/gamma! t^(2 gamma + beta), in graded
-    order, each term t^alpha scaled by D^((alpha + up) // 2), D the weights."""
-    out = []
-    for gamma in monomials_of_degree(len(weights), a):
-        alpha = tuple(2 * g + e for g, e in zip(gamma, beta))
-        scale = math.prod(w ** ((e + up) // 2) for w, e in zip(weights, alpha))
-        out.append((alpha, math.factorial(a) // multi_factorial(gamma) * scale))
-    return tuple(out)
-
-
 @lru_cache(maxsize=256)
-def _weighted_expansion(ell: int, weights: tuple[int, ...]) -> tuple[tuple[int, tuple, tuple], ...]:
-    """``radial_power_expansion(ell, r)`` in integers for the norm sum_k D_k t_k^2,
-    D the weights: (coeff, terms of p_{c,beta}, terms of p_{a,beta}).
-
-    The term t^alpha s^alpha' of a summand gains D^((alpha + alpha')/2), which
-    is D^ceil(alpha/2) D^floor(alpha'/2) since alpha and alpha' have the
-    parity of beta.
-    """
-    return tuple((t.coeff, _radial_terms(t.c, t.beta, weights, 0),
-                  _radial_terms(t.a, t.beta, weights, 1))
-                 for t in radial_power_expansion(ell, len(weights)))
+def _radial_kernel(ell: int, weights: tuple[int, ...]) -> tuple[tuple[Exponent, tuple], ...]:
+    """||t - s||_D^(2 ell) in integers, D the weights, grouped by the power s^delta:
+    (delta, ((gamma, K), ...)), K = ell!/m! D^m prod_k C(2 m_k, delta_k) (-1)^|delta|
+    the coefficient of t^gamma s^delta, where gamma + delta = 2m."""
+    grouped: dict[Exponent, list[tuple[Exponent, int]]] = {}
+    for m in monomials_of_degree(len(weights), ell):
+        scale = math.factorial(ell) // multi_factorial(m) * math.prod(map(pow, weights, m))
+        for delta in product(*(range(2 * e + 1) for e in m)):
+            gamma = tuple(2 * e - k for e, k in zip(m, delta))
+            coeff = (-1) ** sum(delta) * scale * math.prod(map(math.comb, (2 * e for e in m), delta))
+            grouped.setdefault(delta, []).append((gamma, coeff))
+    return tuple((delta, tuple(terms)) for delta, terms in grouped.items())
 
 
 def image_from_moments(moment: Callable[[Exponent], int | Fraction], denominator: int,
@@ -530,14 +522,11 @@ def image_from_moments(moment: Callable[[Exponent], int | Fraction], denominator
     division is in integers.
     """
     acc: dict[Exponent, int] = {}
-    for coeff, y_terms, x_terms in _weighted_expansion(ell, weights):
-        value = 0
-        for alpha, c in y_terms:
-            value += c * moment(alpha)
+    for delta, terms in _radial_kernel(ell, weights):
+        value = moment(delta)
         if value:
-            value *= coeff
-            for alpha, c in x_terms:
-                acc[alpha] = acc.get(alpha, 0) + value * c
+            for gamma, coeff in terms:
+                acc[gamma] = acc.get(gamma, 0) + coeff * value
     return Polynomial(len(weights), {alpha: Fraction(v, denominator) for alpha, v in acc.items()})
 
 

@@ -394,16 +394,14 @@ def polynomial_span_equal(first: Sequence[Polynomial], second: Sequence[Polynomi
 
 
 def span_dimension_below(polys: Sequence[Polynomial], k: int) -> int:
-    """dim(span(polys) intersected with polynomials of degree < k)."""
-    monomials = _union_monomials(polys)
-    if not monomials:
-        return 0
-    full = linalg.rank(_coefficient_rows(polys, monomials))
-    high = [alpha for alpha in monomials if sum(alpha) >= k]
-    if not high:
-        return full
-    high_rank = linalg.rank(_coefficient_rows(polys, high))
-    return full - high_rank
+    """dim(span(polys) intersected with polynomials of degree < k).
+
+    With the monomials in descending graded order, the rows of an echelon form
+    of the coefficients that lie in degree < k are those whose pivot does.
+    """
+    monomials = _union_monomials(polys)[::-1]
+    pivots = linalg.pivot_columns(_coefficient_rows(polys, monomials))
+    return sum(1 for col in pivots if sum(monomials[col]) < k)
 
 
 # ---------------------------------------------------------------------------

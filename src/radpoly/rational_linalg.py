@@ -7,8 +7,8 @@ to prefer large pivots, and determinism matters more.
 Every elimination here is a view of one forward elimination, ``_echelon``,
 which keeps its multipliers, so it is also an exact LU: ``solve`` factors
 one block and sweeps, ``factor_block_upper`` factors each diagonal block
-once for many right-hand sides, ``determinant`` and ``rank`` read the
-echelon form off, and ``rref`` reduces upward from it.
+once for many right-hand sides, ``determinant`` and ``pivot_columns`` read
+the echelon form off, and ``rref`` reduces upward from it.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ def transpose(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
 
 def mat_vec(matrix: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> Vector:
     return [sum((a * v for a, v in zip(row, vector)), Fraction(0)) for row in matrix]
-
-
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
 def _echelon(matrix: Sequence[Sequence[Fraction]]):
@@ -96,10 +91,6 @@ def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vect
     return factor_block_upper(matrix, [range(len(matrix))]).solve(rhs)
 
 
-def invert(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
-    return transpose([solve(matrix, e) for e in identity(len(matrix))])
-
-
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -113,8 +104,9 @@ def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     return det
 
 
-def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    return len(_echelon(matrix)[1])
+def pivot_columns(matrix: Sequence[Sequence[Fraction]]) -> list[int]:
+    """The pivot columns of a row echelon form; their number is the rank."""
+    return _echelon(matrix)[1]
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:

@@ -35,7 +35,7 @@ from radpoly import (
     verify_graded,
 )
 from radpoly.cli import main
-from radpoly.rational_linalg import determinant, invert, transpose
+from radpoly.rational_linalg import determinant, transpose
 from radpoly.verification import run_suite
 
 GOLDEN = Path(__file__).parent / "golden"

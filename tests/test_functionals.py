@@ -1,12 +1,18 @@
 """Functionals, the separated radial expansion, and everything built on it."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import radpoly
 from radpoly import (
     DegreeCapError,
     DimensionMismatchError,
@@ -25,10 +31,32 @@ from radpoly import (
     radial_power_expansion,
     tensor_apply_radial,
 )
-from radpoly.functionals import _weighted_expansion, radial_monomial
+from radpoly.functionals import image_from_moments, radial_monomial
 from radpoly.serialization import functional_from_obj, functional_to_obj
 
 SECOND_DIFFERENCE = PointFunctional([[0], [1], [2]], [1, -2, 1])
+
+
+def separated_image(moment, denominator, weights, ell):
+    """Oracle: the radial image from the separated expansion of ||t - s||_D^(2 ell).
+
+    The term t^alpha s^alpha' of a summand coeff p_{a,beta}(t) p_{c,beta}(s)
+    gains D^((alpha + alpha')/2), which is D^ceil(alpha/2) D^floor(alpha'/2)
+    since alpha and alpha' have the parity of beta.
+    """
+    d = len(weights)
+
+    def scaled_terms(a, beta, up):
+        return [(alpha, int(c) * math.prod(w ** ((e + up) // 2) for w, e in zip(weights, alpha)))
+                for alpha, c in radial_monomial(d, a, beta).terms()]
+
+    acc = {}
+    for term in radial_power_expansion(ell, d):
+        value = sum(c * moment(alpha) for alpha, c in scaled_terms(term.c, term.beta, 0))
+        if value:
+            for alpha, c in scaled_terms(term.a, term.beta, 1):
+                acc[alpha] = acc.get(alpha, 0) + int(term.coeff) * value * c
+    return Polynomial(d, {alpha: Fraction(v, denominator) for alpha, v in acc.items()})
 
 
 def two_set_distance_power(k, d):
@@ -97,6 +125,16 @@ class TestApply:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             SECOND_DIFFERENCE(Polynomial.squared_norm(2))
+
+    @pytest.mark.parametrize("lam", [
+        point_evaluation((2, 3)),
+        from_derivative((1, 0), (2, 3), 4),
+        MomentFunctional(2, 4, {(1, 2): 7}),
+    ])
+    def test_negative_exponent_is_rejected(self, lam):
+        for alpha in ((-1, 0), (-1, 2), (2, -1)):
+            with pytest.raises(ValueError, match="negative exponent"):
+                lam.moment(alpha)
 
 
 class TestPointFunctionalConstruction:
@@ -191,21 +229,38 @@ class TestRadialPowerExpansion:
                 assert expansion_polynomial(k, d) == two_set_distance_power(k, d)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_integer_expansion_matches_the_fraction_terms(self, d):
-        """The unit-weight integer table equals the expansion built from Fraction
-        polynomial products."""
-        def integer_terms(p):
-            assert all(c.denominator == 1 for _, c in p.terms())
-            return tuple((alpha, int(c)) for alpha, c in p.terms())
-
-        for ell in range(9):
-            expected = tuple(
-                (int(t.coeff), integer_terms(radial_monomial(d, t.c, t.beta)),
-                 integer_terms(radial_monomial(d, t.a, t.beta)))
-                for t in radial_power_expansion(ell, d)
-            )
+    def test_images_match_the_separated_expansion(self, d):
+        """Images from the direct expansion equal those from the separated one, for
+        unit and integer weights and integer, rational and vanishing moments."""
+        rng = random.Random(d)
+        for ell in range(21 if d == 1 else 9):
             assert all(t.coeff.denominator == 1 for t in radial_power_expansion(ell, d))
-            assert _weighted_expansion(ell, (1,) * d) == expected
+            monomials = monomial_sequence(d, 2 * ell)
+            integers = {a: rng.choice([0, rng.randint(-99, 99)]) for a in monomials}
+            rationals = {a: rng.choice([0, Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+                         for a in monomials}
+            for weights in ((1,) * d, tuple(rng.randint(1, 7) for _ in range(d))):
+                for moments, denominator in ((integers, 1), (integers, 6), (rationals, 5)):
+                    args = moments.__getitem__, denominator, weights, ell
+                    assert image_from_moments(*args) == separated_image(*args)
+
+    def test_basis_images_do_not_build_the_separated_expansion(self):
+        """A fresh interpreter builds radial images without the separated expansion."""
+        script = textwrap.dedent("""
+            import random
+            from radpoly import (build_graded_basis, from_derivative, point_evaluation,
+                                 radial_image, radial_power_expansion, schaback_basis)
+            ts = random.Random(1).sample(range(-40, 41), 12)
+            for points in ([(t,) for t in ts], [(t, 2 * t + 1) for t in ts]):
+                schaback_basis(build_graded_basis([point_evaluation(x) for x in points]))
+            radial_image(point_evaluation((1, -2, 3)), 4)
+            radial_image(from_derivative((1, 2), (3, -1), 8), 4)
+            print(radial_power_expansion.cache_info().currsize)
+        """)
+        src = str(Path(radpoly.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert result.stdout.split() == ["0"]
 
 
 class TestTensorApply:

@@ -27,8 +27,9 @@ from radpoly import (
     schaback_interpolate,
     span_dimension_below,
 )
-from radpoly.rational_linalg import determinant, invert, mat_mul, mat_vec, rref, solve, transpose
+from radpoly.rational_linalg import determinant, mat_vec, rref, solve, transpose
 from test_graded import RATIONALS, spans
+from test_rational_linalg import invert, mat_mul
 
 GRID = [(0, 0), (1, 0), (0, 1), (1, 1)]
 SKEW = [(0, 0), (1, 0), (0, 1), (1, 2)]
@@ -404,6 +405,20 @@ class TestProjectorLaws:
                 tail = sum(1 for kappa in graded.kappas if kappa >= k)
                 assert span_dimension_below(sb.w, k) + tail == n
                 assert span_dimension_below(lb.g, k) + tail == n
+
+    @given(st.integers(1, 2).flatmap(lambda d: st.lists(
+        st.dictionaries(st.tuples(*[st.integers(0, 3)] * d), st.integers(-2, 2), max_size=4)
+        .map(lambda terms: Polynomial(d, terms)), max_size=5)), st.integers(0, 7))
+    @settings(deadline=None, max_examples=60)
+    def test_span_dimension_below_is_the_rank_drop_past_degree_k(self, polys, k):
+        """Oracle: the rank of all coefficients less that of the degree >= k ones."""
+        monomials = sorted({alpha for p in polys for alpha, _ in p.terms()})
+
+        def rank(columns):
+            return len(rref([[p.coefficient(alpha) for alpha in columns] for p in polys])[1])
+
+        high = [alpha for alpha in monomials if sum(alpha) >= k]
+        assert span_dimension_below(polys, k) == rank(monomials) - rank(high)
 
 
 class TestGeneralLinearBehaviour:

@@ -239,7 +239,7 @@ def test_affine_substitution_matches_evaluation(case):
 
 
 def _invert_unit_upper(matrix):
-    from radpoly.rational_linalg import invert
+    from test_rational_linalg import invert
 
     return invert(matrix)
 

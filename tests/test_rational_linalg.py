@@ -12,15 +12,25 @@ from radpoly.rational_linalg import (
     determinant,
     factor_block_upper,
     identity,
-    invert,
-    mat_mul,
     mat_vec,
     nullspace,
-    rank,
+    pivot_columns,
     rref,
     solve,
     solve_block_upper,
+    transpose,
 )
+
+
+def mat_mul(a, b):
+    """Oracle: the matrix product by rows and columns."""
+    bt = transpose(b)
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+
+
+def invert(matrix):
+    """Oracle: the inverse, one solve per unit vector."""
+    return transpose([solve(matrix, e) for e in identity(len(matrix))])
 
 
 def to_matrix(rows):
@@ -134,7 +144,8 @@ def test_invert_is_a_left_inverse(a):
 @given(rectangular(5, 5))
 def test_rank_counts_the_rref_rows(a):
     reduced, pivots = rref(a)
-    assert rank(a) == len(reduced) == len(pivots)
+    assert pivot_columns(a) == pivots
+    assert len(reduced) == len(pivots)
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,15 +163,15 @@ def test_rref_is_canonical(a, rng):
 @given(rectangular(4, 6))
 def test_nullspace_vectors_are_annihilated(a):
     kernel = nullspace(a)
-    assert len(kernel) == len(a[0]) - rank(a)
+    assert len(kernel) == len(a[0]) - len(pivot_columns(a))
     for v in kernel:
         assert all(x == 0 for x in mat_vec(a, v))
     if kernel:
-        assert rank(kernel) == len(kernel)
+        assert len(pivot_columns(kernel)) == len(kernel)
 
 
 def test_empty_inputs():
-    assert rank([]) == 0
+    assert pivot_columns([]) == []
     assert rref([]) == ([], [])
     assert nullspace([]) == []
     assert solve([], []) == []
