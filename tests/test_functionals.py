@@ -229,9 +229,10 @@ class TestRadialPowerExpansion:
                 assert expansion_polynomial(k, d) == two_set_distance_power(k, d)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_images_match_the_separated_expansion(self, d):
-        """Images from the direct expansion equal those from the separated one, for
-        unit and integer weights and integer, rational and vanishing moments."""
+    def test_integer_expansion_matches_the_fraction_terms(self, d):
+        """Images from the direct integer expansion equal those from the separated
+        expansion's Fraction terms, for unit and integer weights and integer,
+        rational and vanishing moments."""
         rng = random.Random(d)
         for ell in range(21 if d == 1 else 9):
             assert all(t.coeff.denominator == 1 for t in radial_power_expansion(ell, d))
