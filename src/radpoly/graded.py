@@ -180,7 +180,8 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
     """Eliminate the moment matrix of the given functionals.
 
     For a span of point combinations the default cap is n-1, which always
-    suffices for independent input.  Spans containing moment functionals
+    suffices for independent input, and the search stops at degree m-1 for m
+    distinct support points whatever the cap.  Spans containing moment functionals
     must pass an explicit cap no larger than any stored moment cap.
 
     Raises RankDeficientError when fewer than n pivots exist up to the cap,
@@ -204,11 +205,14 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
     if table.cap is not None and degree_cap > table.cap:
         raise DegreeCapError(f"degree cap {degree_cap} exceeds a stored moment cap {table.cap}")
 
+    search_cap = degree_cap
+    if table.cap is None:  # a nonzero point combination on m distinct points has order <= m - 1
+        search_cap = min(degree_cap, len({x for f in span for x in f.points}) - 1)
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     transform: list[tuple[Fraction, ...]] = []
     pivots: list[Exponent] = []
     kappas: list[int] = []
-    for k in range(degree_cap + 1):
+    for k in range(search_cap + 1):
         table.extend(k)
         scale = table.scales[k]
         for alpha in monomials_of_degree(d, k, ascending_ties=ascending_ties):

@@ -26,9 +26,11 @@ mapped to hull coordinates): W_j from degrees up to 2 kappa_j, g_j from
 degree kappa_j, and each Gramian entry as sum_alpha p_j[alpha] L_i[alpha].
 Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular
 with invertible diagonal blocks: lambda_i annihilates degrees below kappa_i,
-while w_j has degree kappa_j and g_j is homogeneous of degree kappa_j.  Both
-coefficient solves are therefore the same block back-substitution, on factors
-each basis caches.  The data of a target p are V p, and the certificate
+while w_j has degree kappa_j and g_j is homogeneous of degree kappa_j.  The
+block of order kappa is symmetric, (-1)^kappa-definite for w (Micchelli) and
+positive definite for g (de Boor-Ron); factoring checks every pivot's sign.
+Both coefficient solves are the same block back-substitution, on factors each
+basis caches.  The data of a target p are V p, and the certificate
 mu_i(f) - b_i = V f - b reads only V.
 
 Either interpolant matches every functional in M exactly and never raises
@@ -153,8 +155,16 @@ class _Solves:
 
     @cached_property
     def factors(self) -> linalg.BlockUpperFactors:
-        """The Gramian factored one diagonal block at a time."""
-        return linalg.factor_block_upper(self.gramian, self.source.blocks())
+        """The Gramian factored one diagonal block at a time; each pivot of a block
+        of order kappa must have the sign ``_sign ** kappa``."""
+        factors = linalg.factor_block_upper(self.gramian, self.source.blocks())
+        for bi, (block, (_, upper)) in enumerate(zip(factors.blocks, factors.diagonal)):
+            kappa = self.source.kappas[block[0]]
+            wrong = [block[r] for r, row in enumerate(upper) if row[r].numerator * self._sign ** kappa < 0]
+            if wrong:
+                raise AssertionError(f"{self._method} Gramian block {bi} (order {kappa}): "
+                                     f"the pivot at index {wrong[0]} breaks the sign law")
+        return factors
 
     @cached_property
     def columns(self) -> tuple[tuple[list[int], list, int], ...]:
@@ -177,6 +187,7 @@ class SchabackBasis(_Solves):
     source: GradedBasis
     w: tuple[Polynomial, ...]
     gramian: tuple[tuple[Fraction, ...], ...]
+    _method, _sign = "schaback", -1  # not fields: they carry no annotation
 
 
 @dataclass(frozen=True)
@@ -186,6 +197,7 @@ class LeastBasis(_Solves):
     source: GradedBasis
     g: tuple[Polynomial, ...]
     gramian: tuple[tuple[Fraction, ...], ...]
+    _method, _sign = "least", 1
 
 
 def _span_hull(span: Sequence[Functional]) -> Hull | None:
@@ -393,15 +405,17 @@ def polynomial_span_equal(first: Sequence[Polynomial], second: Sequence[Polynomi
     return rows_a == rows_b
 
 
-def span_dimension_below(polys: Sequence[Polynomial], k: int) -> int:
-    """dim(span(polys) intersected with polynomials of degree < k).
-
-    With the monomials in descending graded order, the rows of an echelon form
-    of the coefficients that lie in degree < k are those whose pivot does.
-    """
+def _pivot_degrees(polys: Sequence[Polynomial]) -> list[int]:
+    """The pivot degrees of an echelon form of the coefficients, monomials in
+    descending graded order: the rows in degree < k are those whose pivot is,
+    so dim(span(polys) ∩ deg < k) of the degrees lie below k."""
     monomials = _union_monomials(polys)[::-1]
-    pivots = linalg.pivot_columns(_coefficient_rows(polys, monomials))
-    return sum(1 for col in pivots if sum(monomials[col]) < k)
+    return [sum(monomials[col]) for col in linalg.pivot_columns(_coefficient_rows(polys, monomials))]
+
+
+def span_dimension_below(polys: Sequence[Polynomial], k: int) -> int:
+    """dim(span(polys) intersected with polynomials of degree < k)."""
+    return sum(1 for degree in _pivot_degrees(polys) if degree < k)
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,16 @@ Matrices are lists of lists of ``Fraction``.  Pivoting always takes the
 first nonzero candidate: with exact arithmetic there is no stability reason
 to prefer large pivots, and determinism matters more.
 
-Every elimination here is a view of one forward elimination, ``_echelon``,
-which keeps its multipliers, so it is also an exact LU: ``solve`` factors
-one block and sweeps, ``factor_block_upper`` factors each diagonal block
-once for many right-hand sides, ``determinant`` and ``pivot_columns`` read
-the echelon form off, and ``rref`` reduces upward from it.
+Every elimination here is a view of one forward elimination, ``_echelon``:
+``determinant`` and ``pivot_columns`` read its echelon form off, ``rref``
+reduces upward from it, ``solve`` is the rref of [A | b], and
+``factor_block_upper`` reads L D L^T off it for each symmetric diagonal block.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -49,13 +48,10 @@ def _echelon(matrix: Sequence[Sequence[Fraction]]):
 
     Each pivot is the first nonzero entry at or below the current row; pivot
     rows are not normalized and only the entries below a pivot are cleared.
-    Returns the reduced rows U (any zero rows last), the pivot columns, the
-    number of row swaps, each row's input row (P) and multipliers (L).
+    Returns the rows U (any zero rows last), the pivot columns and the swap count.
     """
     a = [list(row) for row in matrix]
     n_rows, n_cols = len(a), len(a[0]) if a else 0
-    order = list(range(n_rows))
-    lower: list[list[tuple[int, Fraction]]] = [[] for _ in range(n_rows)]
     pivots: list[int] = []
     swaps = 0
     for col in range(n_cols):
@@ -66,8 +62,7 @@ def _echelon(matrix: Sequence[Sequence[Fraction]]):
         if pivot is None:
             continue
         if pivot != r:
-            for rows in (a, order, lower):
-                rows[r], rows[pivot] = rows[pivot], rows[r]
+            a[r], a[pivot] = a[pivot], a[r]
             swaps += 1
         head = a[r]
         for i in range(r + 1, n_rows):
@@ -76,32 +71,30 @@ def _echelon(matrix: Sequence[Sequence[Fraction]]):
                 row = a[i]
                 for c in range(col, n_cols):
                     row[c] -= factor * head[c]
-                lower[i].append((r, factor))
         pivots.append(col)
-    return a, pivots, swaps, order, lower
+    return a, pivots, swaps
 
 
 def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector:
-    """Solve a square system exactly: factor it as one block, then sweep.
+    """Solve a square system exactly: the last column of the rref of [A | b].
 
     Raises SingularMatrixError when no unique solution exists.
     """
-    if any(len(row) != len(rhs) for row in matrix) or len(rhs) != len(matrix):
+    n = len(rhs)
+    if any(len(row) != n for row in matrix) or len(matrix) != n:
         raise ValueError("solve needs a square matrix and a matching vector")
-    return factor_block_upper(matrix, [range(len(matrix))]).solve(rhs)
+    reduced, pivots = rref([[*row, v] for row, v in zip(matrix, rhs)])
+    if pivots != list(range(n)):
+        raise SingularMatrixError(f"no pivot in column {min(set(range(n)) - set(pivots))}")
+    return [row[n] for row in reduced]
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
-    a, pivots, swaps, _, _ = _echelon(matrix)
-    if len(pivots) < n:
-        return Fraction(0)
-    det = Fraction((-1) ** swaps)
-    for i in range(n):
-        det *= a[i][i]
-    return det
+    a, pivots, swaps = _echelon(matrix)
+    return prod((a[i][i] for i in range(n)), start=Fraction((-1) ** swaps)) if len(pivots) == n else _ZERO
 
 
 def pivot_columns(matrix: Sequence[Sequence[Fraction]]) -> list[int]:
@@ -147,11 +140,11 @@ def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
 
 class BlockUpperFactors(NamedTuple):
     """A block upper triangular matrix factored for many right-hand sides: per
-    block its (row order, multipliers, rows of U) from ``_echelon``; per row,
+    block B = L U, (row i of L as its nonzero (r, L[i][r]), rows of U); per row,
     (b, entries as integers, denominator) for each later block b it touches."""
 
     blocks: tuple[tuple[int, ...], ...]
-    diagonal: tuple[tuple[tuple, tuple, tuple], ...]
+    diagonal: tuple[tuple[tuple, tuple], ...]
     above: tuple[tuple[tuple[int, tuple[int, ...], int], ...], ...]
 
     def solve(self, rhs: Sequence[Fraction]) -> Vector:
@@ -160,12 +153,12 @@ class BlockUpperFactors(NamedTuple):
         x: dict[int, Fraction] = {}
         solved: list[tuple[list[int], int]] = [([], 1)] * len(self.blocks)
         for bi in range(len(self.blocks) - 1, -1, -1):
-            block, (order, lower, upper) = self.blocks[bi], self.diagonal[bi]
+            block, (lower, upper) = self.blocks[bi], self.diagonal[bi]
             reduced = [rhs[i] - sum((Fraction(sum(map(mul, nums, solved[b][0])), solved[b][1] * den)
                                      for b, nums, den in self.above[i]), _ZERO) for i in block]
             y: Vector = []
-            for k, multipliers in zip(order, lower):
-                y.append(reduced[k] - sum((f * y[r] for r, f in multipliers), _ZERO))
+            for value, multipliers in zip(reduced, lower):
+                y.append(value - sum((f * y[r] for r, f in multipliers), _ZERO))
             for r in range(len(y) - 1, -1, -1):
                 row = upper[r]
                 y[r] = (y[r] - sum((v * y[c] for c, v in enumerate(row[r + 1:], r + 1) if v), _ZERO)) / row[r]
@@ -177,7 +170,9 @@ class BlockUpperFactors(NamedTuple):
 def factor_block_upper(matrix: Sequence[Sequence[Fraction]],
                        blocks: Sequence[Sequence[int]]) -> BlockUpperFactors:
     """Factor each diagonal block once, ``blocks`` listing index groups in order;
-    SingularMatrixError when one is singular.  Entries below them are unread."""
+    entries below them are unread.  The blocks must be symmetric: with no row
+    swap U = D L^T, so L[i][r] = U[r][i] / U[r][r].  SingularMatrixError when a
+    block lacks a pivot or needs a swap (a zero leading minor)."""
     blocks = tuple(map(tuple, blocks))
     above: list[tuple] = [()] * len(matrix)
     diagonal = []
@@ -186,11 +181,14 @@ def factor_block_upper(matrix: Sequence[Sequence[Fraction]],
             rows = ((b, integer_vector([matrix[i][j] for j in blocks[b]]))
                     for b in range(bi + 1, len(blocks)))
             above[i] = tuple((b, tuple(nums), den) for b, (nums, den) in rows if any(nums))
-        a, pivots, _, order, lower = _echelon([[matrix[i][j] for j in block] for i in block])
+        a, pivots, swaps = _echelon([[matrix[i][j] for j in block] for i in block])
         missing = [block[c] for c in range(len(block)) if c not in pivots]
-        if missing:
-            raise SingularMatrixError(f"no pivot in column {missing[0]}")
-        diagonal.append((tuple(order), tuple(map(tuple, lower)), tuple(map(tuple, a))))
+        if missing or swaps:
+            raise SingularMatrixError(f"no pivot in column {missing[0]}" if missing
+                                      else f"diagonal block {bi} needs a row swap")
+        lower = tuple([tuple([(r, a[r][i] / a[r][r]) for r in range(i) if a[r][i]])
+                       for i in range(len(block))])
+        diagonal.append((lower, tuple(map(tuple, a))))
     return BlockUpperFactors(blocks, tuple(diagonal), tuple(above))
 
 

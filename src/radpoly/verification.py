@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache
 from . import rational_linalg as linalg
@@ -34,13 +34,13 @@ from .graded import GradedBasis, build_graded_basis
 from .interpolation import (
     LeastBasis,
     SchabackBasis,
+    _pivot_degrees,
     flat_projector,
     least_basis,
     least_interpolate,
     polynomial_span_equal,
     schaback_basis,
     schaback_interpolate,
-    span_dimension_below,
 )
 from .polynomials import Polynomial, monomial_sequence
 
@@ -55,16 +55,6 @@ class VerificationFailure:
     k: int | None
     ell: int | None
     discrepancy: str
-
-    def to_obj(self) -> dict:
-        return {
-            "suite": self.suite,
-            "case": self.case,
-            "functional": self.functional,
-            "k": self.k,
-            "ell": self.ell,
-            "discrepancy": self.discrepancy,
-        }
 
 
 @dataclass
@@ -81,14 +71,7 @@ class VerificationReport:
         return not self.failures
 
     def to_obj(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "trials": self.trials,
-            "cases": self.cases,
-            "failures": [f.to_obj() for f in self.failures],
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return asdict(self)
 
 
 class _Recorder:
@@ -384,10 +367,11 @@ def run_projector(seed: int, trials: int, corrupt: bool = False) -> Verification
             discrepancy="solver disagreement",
         )
 
+        degrees = {"schaback": _pivot_degrees(sb.w), "least": _pivot_degrees(lb.g)}
         for k in range(graded.kappas[-1] + 3):
             tail = sum(1 for kappa in graded.kappas if kappa >= k)
-            for name, polys in (("schaback", sb.w), ("least", lb.g)):
-                low = span_dimension_below(polys, k)
+            for name, found in degrees.items():
+                low = sum(1 for degree in found if degree < k)
                 rec.check(
                     low + tail == n,
                     f"{name}: range and annihilator dimensions add up",

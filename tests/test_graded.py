@@ -20,6 +20,7 @@ from radpoly import (
     point_evaluation,
     verify_graded,
 )
+from radpoly.graded import MomentTable
 from radpoly.rational_linalg import determinant
 
 
@@ -83,6 +84,19 @@ class TestErrors:
     def test_insufficient_cap_is_rank_deficient(self):
         with pytest.raises(RankDeficientError):
             build_graded_basis(evaluations([(0,), (1,), (2,)]), degree_cap=1)
+
+    def test_point_spans_search_no_degree_past_their_support(self, monkeypatch):
+        """m distinct support points: no degree above m - 1 is built, whatever the cap."""
+        built = []
+        extend = MomentTable.extend
+        monkeypatch.setattr(MomentTable, "extend", lambda table, k: (built.append(k), extend(table, k)))
+        with pytest.raises(RankDeficientError, match="searching degrees up to 6"):
+            build_graded_basis(evaluations([(1, 2), (1, 2), (3, 1)]), degree_cap=6)
+        assert max(built) <= 1
+        built.clear()
+        graded = build_graded_basis(evaluations([(0,), (1,)]), degree_cap=6)
+        assert graded.kappas == (0, 1) and graded.degree_cap == 6
+        assert max(built) <= 1
 
     def test_moment_span_requires_explicit_cap(self):
         span = [MomentFunctional(1, 4, {(0,): 1}), MomentFunctional(1, 4, {(1,): 1})]

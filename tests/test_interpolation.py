@@ -175,11 +175,21 @@ class TestSchabackInterpolation:
         basis = make_basis(graded_on([(0,), (1,), (3,)]))
         interpolate(basis, data=[0, 0, 1])  # factors the Gramian and caches the factors
         factors = basis.factors
-        order, lower, ((pivot,),) = factors.diagonal[-1]  # the top block is 1 x 1
-        patched = (order, lower, ((pivot + 1,),))
+        lower, ((pivot,),) = factors.diagonal[-1]  # the top block is 1 x 1
+        patched = (lower, ((pivot + 1,),))
         vars(basis)["factors"] = factors._replace(diagonal=factors.diagonal[:-1] + (patched,))
         with pytest.raises(AssertionError, match=rf"^{method}_interpolate: residual mu_\d\(f\)"):
             interpolate(basis, data=[0, 0, 1])
+
+    @pytest.mark.parametrize("method, make_basis, interpolate", METHODS, ids=["schaback", "least"])
+    def test_wrong_sign_pivot_is_named(self, method, make_basis, interpolate):
+        healthy = make_basis(graded_on([(0,), (1,), (3,)]))  # 1 x 1 blocks of orders 0, 1, 2
+        gramian = [list(row) for row in healthy.gramian]
+        gramian[1][1] = -gramian[1][1]  # still nonsingular, but against the sign law
+        broken = replace(healthy, gramian=tuple(map(tuple, gramian)))
+        message = rf"^{method} Gramian block 1 \(order 1\): the pivot at index 1 breaks the sign law"
+        with pytest.raises(AssertionError, match=message):
+            interpolate(broken, data=[0, 0, 1])
 
     @pytest.mark.parametrize("make_basis, image, message", [
         (schaback_basis, "image_from_moments", r"^schaback_basis: radial image w_0 has degree 1"),

@@ -67,6 +67,17 @@ def leibniz(matrix):
     return total
 
 
+def random_symmetric(rng, n):
+    """(M^T D M, M, D): M unit upper triangular, D diagonal with nonzero entries of mixed signs."""
+    m = identity(n)
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i][i] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+        for j in range(i + 1, n):
+            m[i][j] = Fraction(rng.randint(-2, 2))
+    return mat_mul(mat_mul(transpose(m), d), m), m, d
+
+
 def random_invertible(rng, n):
     """Product of unit lower and unit upper triangular integer matrices."""
     lower = identity(n)
@@ -110,24 +121,27 @@ def test_solve_rejects_shape_mismatch():
 
 
 @settings(max_examples=60, deadline=None)
-@given(square(5))
-def test_lu_factors_the_row_permuted_matrix(a):
-    """P A = L U from the elimination, with the first nonzero entry as pivot."""
-    n = len(a)
-    if determinant(a) == 0:
-        with pytest.raises(SingularMatrixError):
-            factor_block_upper(a, [range(n)])
-        return
-    (order, multipliers, upper), = factor_block_upper(a, [range(n)]).diagonal
+@given(st.integers(1, 5), st.randoms(use_true_random=False))
+def test_symmetric_blocks_factor_as_l_d_lt(n, rng):
+    """B = M^T D M factors without row swaps as B = L U with U = D L^T, L = M^T."""
+    b, m, d = random_symmetric(rng, n)
+    (multipliers, upper), = factor_block_upper(b, [range(n)]).diagonal
     lower = identity(n)
     for i, row in enumerate(multipliers):
         for r, f in row:
             assert r < i and f != 0
             lower[i][r] = f
-    assert all(upper[i][j] == 0 for i in range(n) for j in range(i))
-    assert sorted(order) == list(range(n))
-    assert order[0] == next(i for i, row in enumerate(a) if row[0])
-    assert mat_mul(lower, [list(row) for row in upper]) == [a[i] for i in order]
+    upper = [list(row) for row in upper]
+    assert lower == transpose(m)
+    assert mat_mul(lower, upper) == b
+    assert upper == mat_mul(d, transpose(lower))
+
+
+def test_a_block_that_needs_a_row_swap_is_singular():
+    a = to_matrix([[0, 1], [1, 0]])
+    with pytest.raises(SingularMatrixError):
+        factor_block_upper(a, [range(2)])
+    assert solve(a, to_matrix([[2, 3]])[0]) == to_matrix([[3, 2]])[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,8 +204,7 @@ def test_block_upper_solve_agrees_with_solve(seed):
     block_of = {i: bi for bi, block in enumerate(blocks) for i in block}
     a = [[Fraction(0)] * n for _ in range(n)]
     for block in blocks:
-        diag = random_invertible(rng, len(block))
-        rng.shuffle(diag)
+        diag, _, _ = random_symmetric(rng, len(block))
         for r, i in enumerate(block):
             for c, j in enumerate(block):
                 a[i][j] = diag[r][c]
