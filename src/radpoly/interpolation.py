@@ -30,8 +30,9 @@ while w_j has degree kappa_j and g_j is homogeneous of degree kappa_j.  The
 block of order kappa is symmetric, (-1)^kappa-definite for w (Micchelli) and
 positive definite for g (de Boor-Ron); factoring checks every pivot's sign.
 Both coefficient solves are the same block back-substitution, on factors each
-basis caches.  The data of a target p are V p, and the certificate
-mu_i(f) - b_i = V f - b reads only V.
+basis caches, and f = sum_j c_j p_j is one integer product over the integer
+form it caches for each basis polynomial.  The data of a target p are V p,
+and the certificate mu_i(f) - b_i = V f - b reads only V.
 
 Either interpolant matches every functional in M exactly and never raises
 the degree of its argument.
@@ -49,7 +50,6 @@ from typing import NamedTuple, Sequence
 from . import rational_linalg as linalg
 from .errors import DimensionMismatchError, SingularGramianError, SingularMatrixError
 from .functionals import (
-    Functional,
     PointFunctional,
     _require_moment_cap,
     image_from_moments,
@@ -151,7 +151,8 @@ def flat_projector(points: Sequence[Sequence[Rational]]) -> AffineProjection:
 
 
 class _Solves:
-    """Tables every solve reuses, cached outside the fields (``==`` ignores them)."""
+    """What every solve reuses, cached outside the fields (``==`` ignores them):
+    the factored Gramian and one integer form per basis polynomial."""
 
     @cached_property
     def factors(self) -> linalg.BlockUpperFactors:
@@ -167,17 +168,9 @@ class _Solves:
         return factors
 
     @cached_property
-    def columns(self) -> tuple[tuple[list[int], list, int], ...]:
-        """Per block (indices j, terms, D): each term (alpha, the D p_j[alpha])."""
-        polys, out = range_basis(self), []
-        for block in self.source.blocks():
-            support = list(dict.fromkeys(alpha for j in block for alpha, _ in polys[j].terms()))
-            numerators, denominator = linalg.integer_vector(
-                [polys[j].coefficient(alpha) for alpha in support for j in block])
-            m = len(block)
-            out.append((block, [(alpha, numerators[k * m:k * m + m]) for k, alpha in enumerate(support)],
-                        denominator))
-        return tuple(out)
+    def forms(self) -> tuple[tuple[list[tuple[Exponent, int]], int], ...]:
+        """Each basis polynomial as its integer form (see ``_integer_form``)."""
+        return tuple(map(_integer_form, range_basis(self)))
 
 
 @dataclass(frozen=True)
@@ -200,23 +193,30 @@ class LeastBasis(_Solves):
     _method, _sign = "least", 1
 
 
-def _span_hull(span: Sequence[Functional]) -> Hull | None:
+def _span_hull(graded: GradedBasis) -> Hull | None:
     """Hull coordinates of the support; None (t = x, D = 1) when a functional
-    has a cap, the support is one point (constant images) or its hull is R^d."""
+    has a cap, the support is one point (constant images) or its hull is R^d.
+    More than d orders kappa_i <= 1 mean the span separates the affine
+    functions, so the hull is R^d without computing it."""
+    span = graded.span
     if any(f.degree_cap is not None for f in span):
+        return None
+    if sum(kappa <= 1 for kappa in graded.kappas) > graded.dimension:
         return None
     points = list(dict.fromkeys(x for f in span for x in f.points))
     hull = _hull(points) if len(points) > 1 else None
     return None if hull is None or len(hull.weights) == len(points[0]) else hull
 
 
+def _integer_form(p: Polynomial) -> tuple[list[tuple[Exponent, int]], int]:
+    """p's terms as (alpha, integer numerator) pairs over p's own denominator."""
+    numerators, denominator = linalg.integer_vector(list(p._terms.values()))
+    return list(zip(p._terms, numerators)), denominator
+
+
 def _gramian(rows: Sequence[MomentRow], polys: Sequence[Polynomial]):
     """(lambda_i p_j) = sum_alpha p_j[alpha] L_i[alpha], one integer sum per entry."""
-    forms = []
-    for p in polys:
-        alphas, coefficients = zip(*p.terms())
-        numerators, denominator = linalg.integer_vector(coefficients)
-        forms.append((list(zip(alphas, numerators)), denominator))
+    forms = [_integer_form(p) for p in polys]
     return tuple(
         tuple(
             Fraction(sum(c * row[alpha] for alpha, c in numerators), denominator * row_denominator)
@@ -237,7 +237,7 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
     for kappa in graded.kappas:
         _require_moment_cap(graded.moments.cap, 2 * kappa, "radial image")
     d = graded.dimension
-    hull = _span_hull(graded.span)
+    hull = _span_hull(graded)
     if hull is None:
         rows, weights = graded.rows(2 * max(graded.kappas)), (1,) * d
     else:
@@ -322,7 +322,7 @@ def _span_values(graded: GradedBasis, f: Polynomial) -> list[Fraction]:
     table = graded.moments
     _require_moment_cap(table.cap, f.degree, "evaluating the span functionals")
     table.extend(f.degree)
-    terms = f.terms() or [((0,) * graded.dimension, Fraction(0))]
+    terms = list(f._terms.items()) or [((0,) * graded.dimension, Fraction(0))]
     weights, common = linalg.integer_vector([c / table.scales[sum(alpha)] for alpha, c in terms])
     return [Fraction(sum(map(mul, weights, row)), common)
             for row in zip(*(table.columns[alpha] for alpha, _ in terms))]
@@ -339,13 +339,13 @@ def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -
         coeffs = basis.factors.solve(lam_values)
     except SingularMatrixError as exc:
         raise SingularGramianError(f"{method} Gramian is singular") from exc
-    terms: dict[Exponent, Fraction] = {}
-    for indices, columns, denominator in basis.columns:  # one integer product per block
-        weights, scale = linalg.integer_vector([coeffs[j] for j in indices])
-        for alpha, numerators in columns if any(weights) else ():
-            value = sum(map(mul, weights, numerators))
-            if value:
-                terms[alpha] = terms.get(alpha, 0) + Fraction(value, scale * denominator)
+    forms = basis.forms  # f = sum_j c_j p_j as one integer product over every form
+    weights, scale = linalg.integer_vector([c / den for c, (_, den) in zip(coeffs, forms)])
+    sums: dict[Exponent, int] = {}
+    for weight, (numerators, _) in zip(weights, forms):
+        for alpha, c in numerators if weight else ():
+            sums[alpha] = sums.get(alpha, 0) + weight * c
+    terms = {alpha: Fraction(v, scale) for alpha, v in sums.items() if v}
     interpolant = Polynomial(graded.dimension, terms)
     residuals = tuple(v - value for v, value in zip(_span_values(graded, interpolant), b))
     j = next((j for j, r in enumerate(residuals) if r), None)

@@ -72,18 +72,33 @@ def monomials_of_degree(d: int, degree: int, *, ascending_ties: bool = False) ->
     The default within-degree order is the canonical one (larger first
     coordinate first).  ``ascending_ties`` reverses it, which is used to
     check that pivot-dependent results do not depend on the tie-break.
+    One vector is edited in place, with no recursion, so any d works.  With
+    u the last nonzero entry before the final one t, the canonical successor
+    of (.., u, 0..0, t) is (.., u - 1, t + 1, 0..0); the reversed order
+    undoes that step.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if degree < 0:
         return
-    if d == 1:
-        yield (degree,)
-        return
-    firsts = range(degree + 1) if ascending_ties else range(degree, -1, -1)
-    for first in firsts:
-        for rest in monomials_of_degree(d - 1, degree - first, ascending_ties=ascending_ties):
-            yield (first,) + rest
+    a = [0] * d
+    a[-1 if ascending_ties else 0] = degree
+    while True:
+        yield tuple(a)
+        tail = 0 if ascending_ties else a[-1]
+        a[-1] -= tail
+        r = d - 1
+        while r >= 0 and not a[r]:
+            r -= 1
+        if r < ascending_ties:  # the last vector: (0..0, degree), or (degree, 0..0) reversed
+            return
+        if ascending_ties:  # (.., u, v, 0..0) -> (.., u + 1, 0, 0..0, v - 1)
+            v, a[r] = a[r], 0
+            a[r - 1] += 1
+            a[-1] += v - 1
+        else:  # (.., u, 0..0, t) -> (.., u - 1, t + 1, 0..0)
+            a[r] -= 1
+            a[r + 1] = tail + 1
 
 
 def monomial_sequence(d: int, max_degree: int) -> list[Exponent]:
@@ -251,7 +266,7 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self._dimension, frozenset(self._terms.items())))
 
-    # -- evaluation and pairings ---------------------------------------
+    # -- evaluation ---------------------------------------------------
 
     def __call__(self, point: Sequence[Rational]) -> Fraction:
         """Exact value at a rational point."""
@@ -267,23 +282,6 @@ class Polynomial:
                 if e:
                     term *= x**e
             total += term
-        return total
-
-    def apolar(self, other: "Polynomial") -> Fraction:
-        """Formal power-series pairing: sum over alpha of alpha! f_alpha g_alpha.
-
-        Written on coefficients this is the pairing of iterated derivatives
-        at the origin, since D^alpha f(0) = alpha! f_alpha.
-        """
-        if not isinstance(other, Polynomial):
-            raise TypeError("apolar pairing needs two polynomials")
-        self._require_same_dimension(other)
-        small, large = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
-        total = Fraction(0)
-        for alpha, coeff in small._terms.items():
-            mate = large._terms.get(alpha)
-            if mate is not None:
-                total += multi_factorial(alpha) * coeff * mate
         return total
 
     def compose_affine(self, matrix: Sequence[Sequence[Rational]],

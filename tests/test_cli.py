@@ -93,6 +93,18 @@ class TestExitStatusContract:
         dup.write_text(json.dumps({"dimension": 2, "points": [[0, 0], [0, 0], [1, 1]]}))
         assert main(["basis", "--input", str(dup)]) == 2
 
+    def test_high_dimensional_problem_is_zero(self, tmp_path):
+        """Two points in dimension 1200: the monomial enumeration must not recurse d levels."""
+        d = 1200
+        problem = tmp_path / "wide.json"
+        problem.write_text(json.dumps({"dimension": d, "points": [[0] * d, [1] + [0] * (d - 1)],
+                                       "values": [1, 2]}))
+        code, body = run(tmp_path, "interp", "--input", str(problem), "--method", "both")
+        assert code == 0
+        expected = [{"alpha": [0] * d, "coeff": 1}, {"alpha": [1] + [0] * (d - 1), "coeff": 1}]
+        for method in ("schaback", "least"):
+            assert json.loads(body)[method]["interpolant"]["terms"] == expected
+
     def test_cap_exceeded_is_two(self, tmp_path):
         problem = tmp_path / "moments.json"
         problem.write_text(json.dumps({

@@ -19,6 +19,7 @@ from radpoly import (
     least_basis,
     least_part,
     least_interpolate,
+    multi_factorial,
     point_evaluation,
     polynomial_span_equal,
     radial_image,
@@ -45,6 +46,16 @@ def graded_on(points, **kwargs):
 
 def monomial(d, alpha):
     return Polynomial.monomial(d, alpha)
+
+
+def apolar(f, g):
+    """The power-series pairing sum_alpha alpha! f[alpha] g[alpha].
+
+    Written on coefficients this is the pairing of iterated derivatives at
+    the origin, since D^alpha f(0) = alpha! f[alpha].
+    """
+    assert f.dimension == g.dimension
+    return sum((multi_factorial(alpha) * c * g.coefficient(alpha) for alpha, c in f.terms()), Fraction(0))
 
 
 def gram_projector(points):
@@ -476,6 +487,42 @@ def test_table_built_bases_match_the_functional_path(case):
     lb = least_basis(graded)
     assert lb.g == tuple(parts)
     assert lb.gramian == tuple(tuple(lam(g) for g in parts) for lam in lambdas)
+
+
+@given(spans())
+@settings(deadline=None, max_examples=60)
+def test_least_gramian_blocks_are_the_apolar_pairing(case):
+    """On each diagonal block lambda_i g_j = sum_alpha alpha! g_i[alpha] g_j[alpha]
+    (de Boor-Ron): g_j is homogeneous of degree kappa, and there
+    g_i[alpha] = lambda_i(x^alpha) / alpha!."""
+    span, degree_cap, ascending_ties = case
+    try:
+        graded = build_graded_basis(span, degree_cap, ascending_ties=ascending_ties)
+    except RankDeficientError:
+        return
+    lb = least_basis(graded)
+    for block in graded.blocks():
+        for i in block:
+            for j in block:
+                assert lb.gramian[i][j] == apolar(lb.g[i], lb.g[j])
+
+
+@pytest.mark.parametrize("points, calls", [
+    ([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 3)], 0),  # d + 1 orders <= 1: the hull is R^2
+    ([(0, 1), (1, 3), (2, 5)], 1),
+])
+def test_full_dimensional_spans_skip_the_hull(monkeypatch, points, calls):
+    import radpoly.interpolation as interpolation
+
+    seen, hull = [], interpolation._hull
+
+    def counted(pts):
+        seen.append(pts)
+        return hull(pts)
+
+    monkeypatch.setattr(interpolation, "_hull", counted)
+    schaback_basis(graded_on(points))
+    assert len(seen) == calls
 
 
 def test_collinear_rational_basis_matches_the_composed_images():
