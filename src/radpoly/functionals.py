@@ -534,11 +534,12 @@ def least_part_from_moments(moment: Callable[[Exponent], int | Fraction], denomi
                             kappa: int) -> Polynomial:
     """sum over |alpha| = kappa of lambda(x^alpha) x^alpha / alpha!.
 
-    lambda(x^alpha) = moment(alpha) / denominator, as for ``image_from_moments``.
+    lambda(x^alpha) = moment(alpha) / denominator, as for ``image_from_moments``;
+    a zero moment costs no alpha! and no term.
     """
+    values = ((alpha, moment(alpha)) for alpha in monomials_of_degree(d, kappa))
     return Polynomial(d, {
-        alpha: Fraction(moment(alpha), denominator * multi_factorial(alpha))
-        for alpha in monomials_of_degree(d, kappa)
+        alpha: Fraction(value, denominator * multi_factorial(alpha)) for alpha, value in values if value
     })
 
 

@@ -28,9 +28,10 @@ worth more.  Column scales change no pivot choice and no elimination ratio,
 only the pivot value, which is divided back out: ``transform`` holds each
 row normalized so that lambda_i(x^beta_i) = 1.
 
-The rows of L = T V, the moments of the lambda_i, are kept as integer
-numerators over one denominator per row; the radial images, the least parts
-and both interpolation Gramians are computed from them.
+The rows of L = T V, the moments of the lambda_i, are integer numerators
+over one denominator per row, each entry computed from its table column the
+first time it is read: the radial images, the least parts and both
+interpolation Gramians read row i only up to degree max(2 kappa_i, kappa_max).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import DegreeCapError, DimensionMismatchError, RankDeficientError
 from .functionals import Functional, combine
@@ -78,36 +79,36 @@ class MomentTable:
             self.monomials.append(alphas)
             self.scales.append(scale)
 
+    def rows(self, transform: Sequence[tuple[Sequence[int], int]], top: int) -> tuple[MomentRow, ...]:
+        """The rows of T V up to degree ``top``, for lambda_i = sum_j T[i][j] mu_j
+        with T in integer rows (numerators, denominator): the moments of the
+        lambda_i, each over one denominator and filled where read."""
+        self.extend(top)
+        scale = lcm(*self.scales[: top + 1])
+        lifts = [scale // s for s in self.scales[: top + 1]]
+        return tuple(MomentRow(self.columns, lifts, ints, den * scale) for ints, den in transform)
 
-class MomentRow(NamedTuple):
-    """lambda(x^alpha) = numerators[alpha] / denominator for every tabled alpha."""
+    def values(self, terms: Sequence[tuple[Exponent, Fraction]]) -> list[Fraction]:
+        """mu_i(f) for every span functional, f = sum c x^alpha over ``terms``: V times c."""
+        self.extend(max(sum(alpha) for alpha, _ in terms))
+        weights, common = integer_vector([c / self.scales[sum(alpha)] for alpha, c in terms])
+        return [Fraction(sum(map(mul, weights, row)), common)
+                for row in zip(*(self.columns[alpha] for alpha, _ in terms))]
 
-    numerators: dict[Exponent, int]
-    denominator: int
 
+class MomentRow(dict):
+    """lambda(x^alpha) = self[alpha] / denominator for every alpha up to the row's top
+    degree; an entry is computed from its table column the first time it is read."""
 
-def moment_rows(transform: Sequence[tuple[Sequence[int], int]], table: MomentTable,
-                top: int) -> tuple[MomentRow, ...]:
-    """The moments of lambda_i = sum_j T[i][j] mu_j up to degree ``top``, mu_j
-    the table's span, T in integer rows: the rows of T V, each over one denominator."""
-    table.extend(top)
-    scale = lcm(*table.scales[: top + 1])
-    columns = [
-        (alpha, table.columns[alpha], scale // table.scales[k])
-        for k in range(top + 1)
-        for alpha in table.monomials[k]
-    ]
-    rows = []
-    for ints, denominator in transform:
-        numerators = {
-            alpha: sum(map(mul, ints, column)) * lift for alpha, column, lift in columns
-        }
-        common = gcd(denominator * scale, *numerators.values())
-        rows.append(MomentRow(
-            {alpha: v // common for alpha, v in numerators.items()},
-            denominator * scale // common,
-        ))
-    return tuple(rows)
+    def __init__(self, columns: dict[Exponent, tuple[int, ...]], lifts: list[int],
+                 ints: Sequence[int], denominator: int):
+        super().__init__()
+        self._columns, self._lifts, self._ints = columns, lifts, ints
+        self.denominator = denominator
+
+    def __missing__(self, alpha: Exponent) -> int:
+        value = self[alpha] = sum(map(mul, self._ints, self._columns[alpha])) * self._lifts[sum(alpha)]
+        return value
 
 
 @dataclass(frozen=True)
@@ -151,12 +152,12 @@ class GradedBasis:
     def rows(self, top: int) -> tuple[MomentRow, ...]:
         """The rows of L = T V, at least up to degree ``top``.
 
-        Computed once for the largest ``top`` asked: radial images in x read
-        moments up to 2 kappa_max, least parts and Gramians up to kappa_max.
+        Built once for the largest ``top`` asked: radial images in x read row
+        i up to 2 kappa_i, least parts and Gramians up to kappa_max.
         """
         done, rows = self.__dict__.get("_rows", (-1, ()))
         if done < top:
-            rows = moment_rows(self.integer_transform, self.moments, top)
+            rows = self.moments.rows(self.integer_transform, top)
             self.__dict__["_rows"] = (top, rows)
         return rows
 
@@ -175,8 +176,7 @@ class GradedBasis:
         return [[lam.moment(beta) for beta in self.pivots] for lam in self.lambdas]
 
 
-def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None = None,
-                       *, ascending_ties: bool = False) -> GradedBasis:
+def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None = None) -> GradedBasis:
     """Eliminate the moment matrix of the given functionals.
 
     For a span of point combinations the default cap is n-1, which always
@@ -215,7 +215,7 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
     for k in range(search_cap + 1):
         table.extend(k)
         scale = table.scales[k]
-        for alpha in monomials_of_degree(d, k, ascending_ties=ascending_ties):
+        for alpha in table.monomials[k]:
             rank = len(pivots)
             column = table.columns[alpha]
             values = [sum(map(mul, row, column)) for row in rows[rank:]]

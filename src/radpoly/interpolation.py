@@ -21,9 +21,10 @@ kappa_1 <= ... <= kappa_n) of the span M of the input functionals.
   only on M, not on the graded basis chosen.
 
 Everything is read off the rows of L = T V, the moments of the lambda_i
-as integer numerators over one denominator per row (for W_j, of the span
-mapped to hull coordinates): W_j from degrees up to 2 kappa_j, g_j from
-degree kappa_j, and each Gramian entry as sum_alpha p_j[alpha] L_i[alpha].
+as integer numerators over one denominator per row, each entry computed
+where it is read (for W_j, of the span mapped to hull coordinates): W_j from
+degrees up to 2 kappa_j, g_j from degree kappa_j, and each Gramian entry as
+sum_alpha p_j[alpha] L_i[alpha].
 Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular
 with invertible diagonal blocks: lambda_i annihilates degrees below kappa_i,
 while w_j has degree kappa_j and g_j is homogeneous of degree kappa_j.  The
@@ -56,7 +57,7 @@ from .functionals import (
     least_part_from_moments,
     point_evaluation,
 )
-from .graded import GradedBasis, MomentRow, MomentTable, build_graded_basis, moment_rows
+from .graded import GradedBasis, MomentRow, MomentTable, build_graded_basis
 from .polynomials import (
     Exponent,
     Polynomial,
@@ -219,10 +220,10 @@ def _gramian(rows: Sequence[MomentRow], polys: Sequence[Polynomial]):
     forms = [_integer_form(p) for p in polys]
     return tuple(
         tuple(
-            Fraction(sum(c * row[alpha] for alpha, c in numerators), denominator * row_denominator)
+            Fraction(sum(c * row[alpha] for alpha, c in numerators), denominator * row.denominator)
             for numerators, denominator in forms
         )
-        for row, row_denominator in rows
+        for row in rows
     )
 
 
@@ -244,9 +245,9 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
         weights = hull.weights
         mapped = [PointFunctional(map(hull, f.points), f.weights, dimension=len(weights))
                   for f in graded.span]
-        rows = moment_rows(graded.integer_transform, MomentTable(mapped), 2 * max(graded.kappas))
+        rows = MomentTable(mapped).rows(graded.integer_transform, 2 * max(graded.kappas))
     images = [
-        image_from_moments(row.numerators.__getitem__, row.denominator, weights, kappa)
+        image_from_moments(row.__getitem__, row.denominator, weights, kappa)
         for row, kappa in zip(rows, graded.kappas)
     ]
     w = images
@@ -267,7 +268,7 @@ def least_basis(graded: GradedBasis) -> LeastBasis:
     d = graded.dimension
     rows = graded.rows(max(graded.kappas))
     parts = [
-        least_part_from_moments(row.numerators.__getitem__, row.denominator, d, kappa)
+        least_part_from_moments(row.__getitem__, row.denominator, d, kappa)
         for row, kappa in zip(rows, graded.kappas)
     ]
     for j, (g, kappa) in enumerate(zip(parts, graded.kappas)):
@@ -319,13 +320,8 @@ def _data_vector(graded: GradedBasis, data, target) -> list[Fraction]:
 
 def _span_values(graded: GradedBasis, f: Polynomial) -> list[Fraction]:
     """mu_i(f) for every span functional, as V times the coefficients of f."""
-    table = graded.moments
-    _require_moment_cap(table.cap, f.degree, "evaluating the span functionals")
-    table.extend(f.degree)
-    terms = list(f._terms.items()) or [((0,) * graded.dimension, Fraction(0))]
-    weights, common = linalg.integer_vector([c / table.scales[sum(alpha)] for alpha, c in terms])
-    return [Fraction(sum(map(mul, weights, row)), common)
-            for row in zip(*(table.columns[alpha] for alpha, _ in terms))]
+    _require_moment_cap(graded.moments.cap, f.degree, "evaluating the span functionals")
+    return graded.moments.values(list(f._terms.items()) or [((0,) * graded.dimension, Fraction(0))])
 
 
 def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -> InterpolantReport:

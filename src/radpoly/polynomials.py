@@ -66,39 +66,30 @@ def graded_key(alpha: Exponent):
     return (sum(alpha), tuple(-e for e in alpha))
 
 
-def monomials_of_degree(d: int, degree: int, *, ascending_ties: bool = False) -> Iterator[Exponent]:
+def monomials_of_degree(d: int, degree: int) -> Iterator[Exponent]:
     """Yield all exponent vectors of the given total degree, in order.
 
-    The default within-degree order is the canonical one (larger first
-    coordinate first).  ``ascending_ties`` reverses it, which is used to
-    check that pivot-dependent results do not depend on the tie-break.
-    One vector is edited in place, with no recursion, so any d works.  With
-    u the last nonzero entry before the final one t, the canonical successor
-    of (.., u, 0..0, t) is (.., u - 1, t + 1, 0..0); the reversed order
-    undoes that step.
+    The order within a degree is the canonical one (larger first coordinate
+    first).  One vector is edited in place, with no recursion, so any d
+    works.  With u the last nonzero entry before the final one t, the
+    successor of (.., u, 0..0, t) is (.., u - 1, t + 1, 0..0).
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if degree < 0:
         return
     a = [0] * d
-    a[-1 if ascending_ties else 0] = degree
+    a[0] = degree
     while True:
         yield tuple(a)
-        tail = 0 if ascending_ties else a[-1]
-        a[-1] -= tail
-        r = d - 1
+        tail, a[-1] = a[-1], 0
+        r = d - 2
         while r >= 0 and not a[r]:
             r -= 1
-        if r < ascending_ties:  # the last vector: (0..0, degree), or (degree, 0..0) reversed
+        if r < 0:  # the last vector: (0..0, degree)
             return
-        if ascending_ties:  # (.., u, v, 0..0) -> (.., u + 1, 0, 0..0, v - 1)
-            v, a[r] = a[r], 0
-            a[r - 1] += 1
-            a[-1] += v - 1
-        else:  # (.., u, 0..0, t) -> (.., u - 1, t + 1, 0..0)
-            a[r] -= 1
-            a[r + 1] = tail + 1
+        a[r] -= 1
+        a[r + 1] = tail + 1
 
 
 def monomial_sequence(d: int, max_degree: int) -> list[Exponent]:

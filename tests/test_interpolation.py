@@ -29,7 +29,7 @@ from radpoly import (
     span_dimension_below,
 )
 from radpoly.rational_linalg import determinant, mat_vec, rref, solve, transpose
-from test_graded import RATIONALS, spans
+from test_graded import RATIONALS, build_with_ties, spans
 from test_rational_linalg import invert, mat_mul
 
 GRID = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -281,7 +281,7 @@ class TestLeastInterpolation:
     def test_least_span_depends_only_on_the_functional_space(self):
         points = [(0, 0), (1, 2), (2, 1), (-1, 1), (3, 0)]
         one = least_basis(graded_on(points))
-        other = least_basis(build_graded_basis(
+        other = least_basis(build_with_ties(
             [point_evaluation(p) for p in reversed(points)], ascending_ties=True
         ))
         assert polynomial_span_equal(one.g, other.g)
@@ -470,7 +470,7 @@ def test_table_built_bases_match_the_functional_path(case):
     """w_j, g_j and both Gramians from the rows of L equal those from the lambda_j."""
     span, degree_cap, ascending_ties = case
     try:
-        graded = build_graded_basis(span, degree_cap, ascending_ties=ascending_ties)
+        graded = build_with_ties(span, degree_cap, ascending_ties)
     except RankDeficientError:
         return
     lambdas = graded.lambdas
@@ -489,6 +489,48 @@ def test_table_built_bases_match_the_functional_path(case):
     assert lb.gramian == tuple(tuple(lam(g) for g in parts) for lam in lambdas)
 
 
+def plane_points(n, denominator=1):
+    """n distinct points of the plane, integer numerators in [-5, 5] from ``random.Random(1)``."""
+    rng, points = random.Random(1), []
+    while len(points) < n:
+        p = (Fraction(rng.randint(-5, 5), denominator), Fraction(rng.randint(-5, 5), denominator))
+        if p not in points:
+            points.append(p)
+    return points
+
+
+def test_rows_of_l_are_filled_only_where_read():
+    """After both bases, row i holds no degree above max(2 kappa_i, kappa_max),
+    and some row holds fewer entries than a table up to 2 kappa_max."""
+    from radpoly import monomial_sequence
+
+    graded = graded_on(plane_points(15))
+    schaback_basis(graded)
+    least_basis(graded)
+    kappa_max = max(graded.kappas)
+    rows = graded.rows(2 * kappa_max)
+    for i, (row, kappa) in enumerate(zip(rows, graded.kappas)):
+        assert max(map(sum, row)) <= max(2 * kappa, kappa_max), i
+    assert min(map(len, rows)) < len(monomial_sequence(2, 2 * kappa_max))
+
+
+@pytest.mark.parametrize("denominator", [1, 3])
+def test_bases_do_not_depend_on_which_is_built_first(denominator):
+    """least_basis reads the rows up to kappa_max, and a later schaback_basis
+    rebuilds them up to 2 kappa_max: w, g and both Gramians are those of the
+    other order.  Rational points give each degree its own table scale."""
+    points = plane_points(12, denominator)
+    least_first, schaback_first = graded_on(points), graded_on(points)
+    lb = least_basis(least_first)
+    least_rows = least_first.rows(max(least_first.kappas))
+    sb = schaback_basis(least_first)
+    assert least_first.rows(max(least_first.kappas)) is not least_rows
+    other_sb = schaback_basis(schaback_first)
+    other_lb = least_basis(schaback_first)
+    assert (sb.w, sb.gramian) == (other_sb.w, other_sb.gramian)
+    assert (lb.g, lb.gramian) == (other_lb.g, other_lb.gramian)
+
+
 @given(spans())
 @settings(deadline=None, max_examples=60)
 def test_least_gramian_blocks_are_the_apolar_pairing(case):
@@ -497,7 +539,7 @@ def test_least_gramian_blocks_are_the_apolar_pairing(case):
     g_i[alpha] = lambda_i(x^alpha) / alpha!."""
     span, degree_cap, ascending_ties = case
     try:
-        graded = build_graded_basis(span, degree_cap, ascending_ties=ascending_ties)
+        graded = build_with_ties(span, degree_cap, ascending_ties)
     except RankDeficientError:
         return
     lb = least_basis(graded)
@@ -569,7 +611,7 @@ def test_factored_solves_match_the_dense_oracle(case):
     span, degree_cap, ascending_ties, datas, target = case
 
     def fresh_graded():
-        return build_graded_basis(span, degree_cap, ascending_ties=ascending_ties)
+        return build_with_ties(span, degree_cap, ascending_ties)
 
     try:
         graded = fresh_graded()
