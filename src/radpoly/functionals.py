@@ -527,7 +527,7 @@ def image_from_moments(moment: Callable[[Exponent], int | Fraction], denominator
         if value:
             for gamma, coeff in terms:
                 acc[gamma] = acc.get(gamma, 0) + coeff * value
-    return Polynomial(len(weights), {alpha: Fraction(v, denominator) for alpha, v in acc.items()})
+    return Polynomial._of(len(weights), {alpha: Fraction(v, denominator) for alpha, v in acc.items() if v})
 
 
 def least_part_from_moments(moment: Callable[[Exponent], int | Fraction], denominator: int, d: int,
@@ -538,7 +538,7 @@ def least_part_from_moments(moment: Callable[[Exponent], int | Fraction], denomi
     a zero moment costs no alpha! and no term.
     """
     values = ((alpha, moment(alpha)) for alpha in monomials_of_degree(d, kappa))
-    return Polynomial(d, {
+    return Polynomial._of(d, {
         alpha: Fraction(value, denominator * multi_factorial(alpha)) for alpha, value in values if value
     })
 

@@ -27,9 +27,11 @@ degrees up to 2 kappa_j, g_j from degree kappa_j, and each Gramian entry as
 sum_alpha p_j[alpha] L_i[alpha].
 Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular
 with invertible diagonal blocks: lambda_i annihilates degrees below kappa_i,
-while w_j has degree kappa_j and g_j is homogeneous of degree kappa_j.  The
-block of order kappa is symmetric, (-1)^kappa-definite for w (Micchelli) and
-positive definite for g (de Boor-Ron); factoring checks every pivot's sign.
+while w_j has degree kappa_j and g_j is homogeneous of degree kappa_j: entries
+below the blocks are stored as zeros, not computed.  The block of order kappa
+is symmetric, (-1)^kappa-definite for w (Micchelli) and positive definite for
+g (de Boor-Ron); its upper triangle is computed and mirrored, and factoring
+reads only that triangle and checks every pivot's sign.
 Both coefficient solves are the same block back-substitution, on factors each
 basis caches, and f = sum_j c_j p_j is one integer product over the integer
 form it caches for each basis polynomial.  The data of a target p are V p,
@@ -176,7 +178,7 @@ class _Solves:
 
 @dataclass(frozen=True)
 class SchabackBasis(_Solves):
-    """Radial-polynomial basis w_j with its block-triangular Gramian."""
+    """Radial-polynomial basis w_j with its block-triangular Gramian (zeros below the blocks)."""
 
     source: GradedBasis
     w: tuple[Polynomial, ...]
@@ -186,7 +188,7 @@ class SchabackBasis(_Solves):
 
 @dataclass(frozen=True)
 class LeastBasis(_Solves):
-    """Homogeneous least-part basis g_j with its block-triangular Gramian."""
+    """Homogeneous least-part basis g_j with its block-triangular Gramian (zeros below the blocks)."""
 
     source: GradedBasis
     g: tuple[Polynomial, ...]
@@ -215,16 +217,18 @@ def _integer_form(p: Polynomial) -> tuple[list[tuple[Exponent, int]], int]:
     return list(zip(p._terms, numerators)), denominator
 
 
-def _gramian(rows: Sequence[MomentRow], polys: Sequence[Polynomial]):
-    """(lambda_i p_j) = sum_alpha p_j[alpha] L_i[alpha], one integer sum per entry."""
-    forms = [_integer_form(p) for p in polys]
-    return tuple(
-        tuple(
-            Fraction(sum(c * row[alpha] for alpha, c in numerators), denominator * row.denominator)
-            for numerators, denominator in forms
-        )
-        for row in rows
-    )
+def _gramian(rows: Sequence[MomentRow], forms, kappas: Sequence[int]):
+    """(lambda_i p_j) = sum_alpha p_j[alpha] L_i[alpha], one integer sum per entry with
+    kappa_i <= kappa_j: each diagonal block's upper triangle, mirrored, and the entries
+    above the blocks.  Those below vanish by the degree law and are stored as zeros."""
+    n = len(rows)
+    gramian = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, (nums, den) in enumerate(forms[i:], i):
+            gramian[i][j] = Fraction(sum(c * row[alpha] for alpha, c in nums), den * row.denominator)
+            if kappas[j] == kappas[i]:
+                gramian[j][i] = gramian[i][j]
+    return tuple(map(tuple, gramian))
 
 
 def schaback_basis(graded: GradedBasis) -> SchabackBasis:
@@ -260,7 +264,11 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
             raise AssertionError(
                 f"schaback_basis: radial image w_{j} has degree {p.degree}, not its order {kappa}"
             )
-    return SchabackBasis(source=graded, w=tuple(w), gramian=_gramian(rows, images))
+    forms = tuple(map(_integer_form, images))
+    basis = SchabackBasis(source=graded, w=tuple(w), gramian=_gramian(rows, forms, graded.kappas))
+    if hull is None:  # w_j = W_j: the solves reuse the Gramian's forms
+        vars(basis)["forms"] = forms
+    return basis
 
 
 def least_basis(graded: GradedBasis) -> LeastBasis:
@@ -276,7 +284,10 @@ def least_basis(graded: GradedBasis) -> LeastBasis:
             raise AssertionError(
                 f"least_basis: least part g_{j} is not homogeneous of degree {kappa}"
             )
-    return LeastBasis(source=graded, g=tuple(parts), gramian=_gramian(rows, parts))
+    forms = tuple(map(_integer_form, parts))
+    basis = LeastBasis(source=graded, g=tuple(parts), gramian=_gramian(rows, forms, graded.kappas))
+    vars(basis)["forms"] = forms
+    return basis
 
 
 def range_basis(basis: SchabackBasis | LeastBasis) -> tuple[Polynomial, ...]:
@@ -342,7 +353,7 @@ def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -
         for alpha, c in numerators if weight else ():
             sums[alpha] = sums.get(alpha, 0) + weight * c
     terms = {alpha: Fraction(v, scale) for alpha, v in sums.items() if v}
-    interpolant = Polynomial(graded.dimension, terms)
+    interpolant = Polynomial._of(graded.dimension, terms)
     residuals = tuple(v - value for v, value in zip(_span_values(graded, interpolant), b))
     j = next((j for j, r in enumerate(residuals) if r), None)
     if j is not None:

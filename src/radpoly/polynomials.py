@@ -55,10 +55,7 @@ def as_point(coords: Iterable[Rational]) -> tuple[Fraction, ...]:
 
 def multi_factorial(alpha: Exponent) -> int:
     """alpha! = alpha(1)! * ... * alpha(d)!"""
-    out = 1
-    for e in alpha:
-        out *= math.factorial(e)
-    return out
+    return math.prod(map(math.factorial, alpha))
 
 
 def graded_key(alpha: Exponent):
@@ -132,6 +129,15 @@ class Polynomial:
         self._degree = max((sum(a) for a in clean), default=-1)
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _of(cls, dimension: int, terms: dict[Exponent, Fraction]) -> "Polynomial":
+        """A polynomial on terms already canonical (int exponent tuples of length
+        ``dimension``, nonzero ``Fraction`` coefficients), taken as they are: for
+        terms radpoly's own arithmetic made, never for outside input."""
+        p = object.__new__(cls)
+        p._dimension, p._terms, p._degree = dimension, terms, max(map(sum, terms), default=-1)
+        return p
 
     @classmethod
     def zero(cls, dimension: int) -> "Polynomial":
@@ -212,10 +218,10 @@ class Polynomial:
                 out.pop(alpha, None)
             else:
                 out[alpha] = value
-        return Polynomial(self._dimension, out)
+        return Polynomial._of(self._dimension, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self._dimension, {a: -c for a, c in self._terms.items()})
+        return Polynomial._of(self._dimension, {a: -c for a, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -236,7 +242,7 @@ class Polynomial:
                         out[key] = value
             return Polynomial(self._dimension, out)
         scalar = as_fraction(other)
-        return Polynomial(self._dimension, {a: scalar * c for a, c in self._terms.items()})
+        return Polynomial._of(self._dimension, {a: scalar * c for a, c in self._terms.items() if scalar})
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
@@ -343,7 +349,7 @@ def substitute_affine(polys: Sequence[Polynomial], matrix: Sequence[Sequence[Rat
     forms, scales = [], []
     for row, b in zip(rows, offset):
         scale = math.lcm(b.denominator, *(c.denominator for c in row))
-        form = {tuple(int(i == j) for i in range(m)): c.numerator * (scale // c.denominator)
+        form = {(0,) * j + (1,) + (0,) * (m - j - 1): c.numerator * (scale // c.denominator)
                 for j, c in enumerate(row) if c}
         if b:
             form[(0,) * m] = b.numerator * (scale // b.denominator)
@@ -377,5 +383,5 @@ def substitute_affine(polys: Sequence[Polynomial], matrix: Sequence[Sequence[Rat
         for gamma, c in zip(p._terms, numerators):
             for alpha, v in power(gamma).items():
                 acc[alpha] = acc.get(alpha, 0) + c * v
-        out.append(Polynomial(m, {alpha: Fraction(v, common * big) for alpha, v in acc.items()}))
+        out.append(Polynomial._of(m, {alpha: Fraction(v, common * big) for alpha, v in acc.items() if v}))
     return out

@@ -4,10 +4,10 @@ Matrices are lists of lists of ``Fraction``.  Pivoting always takes the
 first nonzero candidate: with exact arithmetic there is no stability reason
 to prefer large pivots, and determinism matters more.
 
-Every elimination here is a view of one forward elimination, ``_echelon``:
-``determinant`` and ``pivot_columns`` read its echelon form off, ``rref``
-reduces upward from it, ``solve`` is the rref of [A | b], and
-``factor_block_upper`` reads L D L^T off it for each symmetric diagonal block.
+Every general elimination here is a view of one forward elimination, ``_echelon``:
+``determinant`` and ``pivot_columns`` read its echelon form off, ``rref`` reduces
+upward from it and ``solve`` is the rref of [A | b].  ``factor_block_upper`` runs
+L D L^T on the upper triangle of each symmetric diagonal block instead.
 """
 
 from __future__ import annotations
@@ -169,10 +169,11 @@ class BlockUpperFactors(NamedTuple):
 
 def factor_block_upper(matrix: Sequence[Sequence[Fraction]],
                        blocks: Sequence[Sequence[int]]) -> BlockUpperFactors:
-    """Factor each diagonal block once, ``blocks`` listing index groups in order;
-    entries below them are unread.  The blocks must be symmetric: with no row
-    swap U = D L^T, so L[i][r] = U[r][i] / U[r][r].  SingularMatrixError when a
-    block lacks a pivot or needs a swap (a zero leading minor)."""
+    """Factor each diagonal block once, ``blocks`` listing index groups in order.  The
+    blocks must be symmetric; only their upper triangles and the entries above them are
+    read.  L D L^T with no row swap: row r of U = D L^T is the block's row r after step r,
+    whose multipliers are L[i][r] = U[r][i] / U[r][r].  SingularMatrixError when a block
+    lacks a pivot or needs a swap (a zero leading minor), named from its echelon form."""
     blocks = tuple(map(tuple, blocks))
     above: list[tuple] = [()] * len(matrix)
     diagonal = []
@@ -181,14 +182,22 @@ def factor_block_upper(matrix: Sequence[Sequence[Fraction]],
             rows = ((b, integer_vector([matrix[i][j] for j in blocks[b]]))
                     for b in range(bi + 1, len(blocks)))
             above[i] = tuple((b, tuple(nums), den) for b, (nums, den) in rows if any(nums))
-        a, pivots, swaps = _echelon([[matrix[i][j] for j in block] for i in block])
-        missing = [block[c] for c in range(len(block)) if c not in pivots]
-        if missing or swaps:
-            raise SingularMatrixError(f"no pivot in column {missing[0]}" if missing
-                                      else f"diagonal block {bi} needs a row swap")
-        lower = tuple([tuple([(r, a[r][i] / a[r][r]) for r in range(i) if a[r][i]])
-                       for i in range(len(block))])
-        diagonal.append((lower, tuple(map(tuple, a))))
+        m = len(block)
+        a = [[_ZERO] * r + [matrix[i][j] for j in block[r:]] for r, i in enumerate(block)]
+        lower: list[list[tuple[int, Fraction]]] = [[] for _ in block]
+        for r, head in enumerate(a):
+            if not head[r]:
+                pivots = pivot_columns([[matrix[block[min(p, q)]][block[max(p, q)]] for q in range(m)]
+                                        for p in range(m)])
+                missing = [block[c] for c in range(m) if c not in pivots]
+                raise SingularMatrixError(f"no pivot in column {missing[0]}" if missing
+                                          else f"diagonal block {bi} needs a row swap")
+            for i in range(r + 1, m):
+                if head[i]:
+                    factor = head[i] / head[r]
+                    lower[i].append((r, factor))
+                    a[i][i:] = [v - factor * h for v, h in zip(a[i][i:], head[i:])]
+        diagonal.append((tuple(map(tuple, lower)), tuple(map(tuple, a))))
     return BlockUpperFactors(blocks, tuple(diagonal), tuple(above))
 
 

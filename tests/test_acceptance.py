@@ -197,7 +197,8 @@ def test_criterion_06_radial_basis_structure():
         for i in range(n):
             for j in range(n):
                 if graded.kappas[i] > graded.kappas[j]:
-                    assert sb.gramian[i][j] == 0
+                    assert graded.lambdas[i](sb.w[j]) == 0
+                    assert sb.gramian[i][j] == Fraction(0)
         for block in graded.blocks():
             diag = [[sb.gramian[i][j] for j in block] for i in block]
             assert determinant(diag) != 0

@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from radpoly import (
     DegreeCapError,
@@ -102,12 +102,15 @@ class TestSchabackBasis:
         assert sb.gramian[3][3] != 0
 
     def test_block_triangular_gramian(self):
+        """lambda_i p_j vanishes below the blocks; the basis stores exact zeros there."""
         graded = graded_on(SKEW)
         for basis in (schaback_basis(graded), least_basis(graded)):
+            polys = range_basis(basis)
             for i in range(4):
                 for j in range(4):
                     if graded.kappas[i] > graded.kappas[j]:
-                        assert basis.gramian[i][j] == 0
+                        assert graded.lambdas[i](polys[j]) == 0
+                        assert basis.gramian[i][j] == Fraction(0)
             for block in graded.blocks():
                 diag = [[basis.gramian[i][j] for j in block] for i in block]
                 assert determinant(diag) != 0
@@ -174,7 +177,8 @@ class TestSchabackInterpolation:
     def test_singular_diagonal_block_raises_on_every_call(self, method, make_basis, interpolate):
         healthy = make_basis(graded_on(GRID))  # blocks [0], [1, 2], [3]
         gramian = [list(row) for row in healthy.gramian]
-        gramian[2][1:3] = [2 * v for v in gramian[1][1:3]]  # block [1, 2] of rank one
+        a, b = gramian[1][1:3]  # block [1, 2] becomes [[a, b], [b, b^2 / a]], symmetric of rank one
+        gramian[2][1:3] = [b, b * b / a]
         basis = type(healthy)(healthy.source, range_basis(healthy), tuple(map(tuple, gramian)))
         for _ in range(2):
             with pytest.raises(SingularGramianError, match=f"^{method} Gramian is singular"):
@@ -635,3 +639,37 @@ def test_factored_solves_match_the_dense_oracle(case):
             assert fresh.coefficients == report.coefficients
             assert fresh.interpolant == report.interpolant
         assert basis == make_basis(fresh_graded())  # the cached factors stay out of ==
+
+
+SQUARE = [point_evaluation(p) for p in [(1, 0), (0, 1), (-1, 0), (0, -1)]]
+
+
+@given(solve_cases())
+@example((SQUARE, None, False, [[1, 2, 3, 4]] * 2, Polynomial.zero(2)))  # images with cancelling terms
+@settings(deadline=None, max_examples=60)
+def test_polynomials_built_unchecked_are_canonical(case):
+    """Every w_j and g_j, both interpolants, their difference and scalar multiples
+    are built from terms radpoly made, without the constructor's checks: each
+    equals its re-validated copy, with the same degree and no zero coefficient."""
+    span, degree_cap, ascending_ties, datas, _ = case
+    try:
+        graded = build_with_ties(span, degree_cap, ascending_ties)
+    except RankDeficientError:
+        return
+    polys, interpolants = [], []
+    for _, make_basis, interpolate in METHODS:
+        try:
+            basis = make_basis(graded)
+        except DegreeCapError:  # a moment cap below 2 kappa: no radial images
+            continue
+        polys.extend(range_basis(basis))
+        interpolants.append(interpolate(basis, data=datas[0]).interpolant)
+    polys.extend(interpolants)
+    polys.extend(c * f for f in interpolants for c in (Fraction(-2, 3), 0))
+    if len(interpolants) == 2:
+        polys.append(interpolants[0] - interpolants[1])
+    for p in polys:
+        copy = Polynomial(graded.dimension, p.terms())
+        assert p == copy and p.degree == copy.degree
+        assert all(c != 0 and type(c) is Fraction for _, c in p.terms())
+        assert all(len(alpha) == p.dimension and all(type(e) is int for e in alpha) for alpha, _ in p.terms())

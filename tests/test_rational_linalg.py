@@ -192,10 +192,10 @@ def test_empty_inputs():
     assert determinant([]) == 1
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_block_upper_solve_agrees_with_solve(seed):
-    rng = random.Random(seed)
-    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+def block_upper(rng, largest):
+    """(matrix, blocks): block upper triangular, zeros below the blocks, and diagonal
+    blocks M^T D M of sizes 1..largest, symmetric and factored with no row swap."""
+    sizes = [rng.randint(1, largest) for _ in range(rng.randint(1, 4))]
     blocks, start = [], 0
     for size in sizes:
         blocks.append(list(range(start, start + size)))
@@ -212,12 +212,37 @@ def test_block_upper_solve_agrees_with_solve(seed):
         for j in range(n):
             if block_of[j] > block_of[i]:
                 a[i][j] = Fraction(rng.randint(-5, 5))
+    return a, blocks
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_block_upper_solve_agrees_with_solve(seed):
+    rng = random.Random(seed)
+    a, blocks = block_upper(rng, 3)
+    n = len(a)
     factors = factor_block_upper(a, blocks)
     for _ in range(3):  # factored once, solved for several right-hand sides
         b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
         x = factors.solve(b)
         assert x == solve(a, b) == solve_block_upper(a, b, blocks)
         assert mat_vec(a, x) == b
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_block_factor_reads_only_the_upper_triangle_of_each_block(seed):
+    """Entries below the diagonal of a block and below the blocks are never read:
+    filled with arbitrary values, they change neither the factors nor the solves."""
+    rng = random.Random(seed)
+    clean, blocks = block_upper(rng, 4)
+    n = len(clean)
+    noisy = [list(row) for row in clean]
+    for i in range(n):
+        for j in range(i):
+            noisy[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+    factors = factor_block_upper(clean, blocks)
+    assert factor_block_upper(noisy, blocks) == factors
+    b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+    assert solve_block_upper(noisy, b, blocks) == factors.solve(b) == solve(clean, b)
 
 
 def test_block_upper_solve_reports_a_singular_diagonal_block():
