@@ -23,19 +23,18 @@ kappa_1 <= ... <= kappa_n) of the span M of the input functionals.
 Everything is read off the rows of L = T V, the moments of the lambda_i
 as integer numerators over one denominator per row, each entry computed
 where it is read (for W_j, of the span mapped to hull coordinates): W_j from
-degrees up to 2 kappa_j, g_j from degree kappa_j, and each Gramian entry as
-sum_alpha p_j[alpha] L_i[alpha].
-Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular
-with invertible diagonal blocks: lambda_i annihilates degrees below kappa_i,
-while w_j has degree kappa_j and g_j is homogeneous of degree kappa_j: entries
-below the blocks are stored as zeros, not computed.  The block of order kappa
-is symmetric, (-1)^kappa-definite for w (Micchelli) and positive definite for
-g (de Boor-Ron); its upper triangle is computed and mirrored, and factoring
-reads only that triangle and checks every pivot's sign.
-Both coefficient solves are the same block back-substitution, on factors each
-basis caches, and f = sum_j c_j p_j is one integer product over the integer
-form it caches for each basis polynomial.  The data of a target p are V p,
-and the certificate mu_i(f) - b_i = V f - b reads only V.
+degrees up to 2 kappa_j, g_j from degree kappa_j, and lambda_i p as
+sum_alpha p[alpha] L_i[alpha] over an integer form of p.
+Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular, as
+lambda_i annihilates degrees below kappa_i, and only their diagonal blocks are
+computed.  The block of order kappa is symmetric, (-1)^kappa-definite for w
+(Micchelli) and positive definite for g (de Boor-Ron); factoring reads only its
+upper triangle and checks every pivot's sign.  Both solves are the same block
+back-substitution from the highest order down: row i's entries above the blocks
+times the solved c_j sum to lambda_i(F), F = sum c_j p_j so far, and after the
+last block F is the interpolant (for a degenerate point set, in hull coordinates,
+mapped to x by one ``substitute_affine``).  The data of a target p are V p, and
+the certificate mu_i(f) - b_i = V f - b reads only V.
 
 Either interpolant matches every functional in M exactly and never raises
 the degree of its argument.
@@ -47,6 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations_with_replacement
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -154,8 +154,7 @@ def flat_projector(points: Sequence[Sequence[Rational]]) -> AffineProjection:
 
 
 class _Solves:
-    """What every solve reuses, cached outside the fields (``==`` ignores them):
-    the factored Gramian and one integer form per basis polynomial."""
+    """What every solve reuses, cached outside the fields (``==`` ignores them)."""
 
     @cached_property
     def factors(self) -> linalg.BlockUpperFactors:
@@ -171,14 +170,15 @@ class _Solves:
         return factors
 
     @cached_property
-    def forms(self) -> tuple[tuple[list[tuple[Exponent, int]], int], ...]:
-        """Each basis polynomial as its integer form (see ``_integer_form``)."""
-        return tuple(map(_integer_form, range_basis(self)))
+    def operands(self) -> tuple:
+        """(rows of L, each p_j's integer form in their coordinates, None or (A, b) with
+        p_j(x) = P_j(A x + b)); in x unless ``schaback_basis`` or ``least_basis`` set them."""
+        return self.source.rows(max(self.source.kappas)), tuple(map(_integer_form, range_basis(self))), None
 
 
 @dataclass(frozen=True)
 class SchabackBasis(_Solves):
-    """Radial-polynomial basis w_j with its block-triangular Gramian (zeros below the blocks)."""
+    """Radial-polynomial basis w_j with its Gramian's diagonal blocks (zeros outside them)."""
 
     source: GradedBasis
     w: tuple[Polynomial, ...]
@@ -188,7 +188,7 @@ class SchabackBasis(_Solves):
 
 @dataclass(frozen=True)
 class LeastBasis(_Solves):
-    """Homogeneous least-part basis g_j with its block-triangular Gramian (zeros below the blocks)."""
+    """Homogeneous least-part basis g_j with its Gramian's diagonal blocks (zeros outside them)."""
 
     source: GradedBasis
     g: tuple[Polynomial, ...]
@@ -217,17 +217,13 @@ def _integer_form(p: Polynomial) -> tuple[list[tuple[Exponent, int]], int]:
     return list(zip(p._terms, numerators)), denominator
 
 
-def _gramian(rows: Sequence[MomentRow], forms, kappas: Sequence[int]):
-    """(lambda_i p_j) = sum_alpha p_j[alpha] L_i[alpha], one integer sum per entry with
-    kappa_i <= kappa_j: each diagonal block's upper triangle, mirrored, and the entries
-    above the blocks.  Those below vanish by the degree law and are stored as zeros."""
-    n = len(rows)
-    gramian = [[Fraction(0)] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, (nums, den) in enumerate(forms[i:], i):
-            gramian[i][j] = Fraction(sum(c * row[alpha] for alpha, c in nums), den * row.denominator)
-            if kappas[j] == kappas[i]:
-                gramian[j][i] = gramian[i][j]
+def _gramian(rows: Sequence[MomentRow], forms, blocks: Sequence[Sequence[int]]):
+    """The diagonal blocks of (lambda_i p_j), sum_alpha p_j[alpha] L_i[alpha] on each upper triangle,
+    mirrored.  Zeros elsewhere: lambda_i p_j vanishes below the blocks, and no solve reads above."""
+    gramian = [[Fraction(0)] * len(rows) for _ in rows]
+    for i, j in (pair for block in blocks for pair in combinations_with_replacement(block, 2)):
+        (nums, den), row = forms[j], rows[i]
+        gramian[i][j] = gramian[j][i] = Fraction(sum(c * row[a] for a, c in nums), den * row.denominator)
     return tuple(map(tuple, gramian))
 
 
@@ -241,12 +237,13 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
     """
     for kappa in graded.kappas:
         _require_moment_cap(graded.moments.cap, 2 * kappa, "radial image")
-    d = graded.dimension
-    hull = _span_hull(graded)
+    hull, affine = _span_hull(graded), None
     if hull is None:
-        rows, weights = graded.rows(2 * max(graded.kappas)), (1,) * d
-    else:
-        weights = hull.weights
+        rows, weights = graded.rows(2 * max(graded.kappas)), (1,) * graded.dimension
+    else:  # w_j(x) = W_j(A x + b), A_k = u_k / D_k, b_k = -(u_k . x0) / D_k
+        weights, pairs = hull.weights, list(zip(hull.directions, hull.weights))
+        affine = ([[Fraction(c, dk) for c in u] for u, dk in pairs],
+                  [-sum(map(mul, u, hull.base)) / dk for u, dk in pairs])
         mapped = [PointFunctional(map(hull, f.points), f.weights, dimension=len(weights))
                   for f in graded.span]
         rows = MomentTable(mapped).rows(graded.integer_transform, 2 * max(graded.kappas))
@@ -254,29 +251,23 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
         image_from_moments(row.__getitem__, row.denominator, weights, kappa)
         for row, kappa in zip(rows, graded.kappas)
     ]
-    w = images
-    if hull is not None:  # w_j(x) = W_j(A x + b), A_k = u_k / D_k, b_k = -(u_k . x0) / D_k
-        pairs = list(zip(hull.directions, hull.weights))
-        w = substitute_affine(images, [[Fraction(c, dk) for c in u] for u, dk in pairs],
-                              [-sum(map(mul, u, hull.base)) / dk for u, dk in pairs])
+    w = substitute_affine(images, *affine) if affine else images
     for j, (p, kappa) in enumerate(zip(w, graded.kappas)):
         if p.degree != kappa:
             raise AssertionError(
                 f"schaback_basis: radial image w_{j} has degree {p.degree}, not its order {kappa}"
             )
     forms = tuple(map(_integer_form, images))
-    basis = SchabackBasis(source=graded, w=tuple(w), gramian=_gramian(rows, forms, graded.kappas))
-    if hull is None:  # w_j = W_j: the solves reuse the Gramian's forms
-        vars(basis)["forms"] = forms
+    basis = SchabackBasis(source=graded, w=tuple(w), gramian=_gramian(rows, forms, graded.blocks()))
+    vars(basis)["operands"] = rows, forms, affine
     return basis
 
 
 def least_basis(graded: GradedBasis) -> LeastBasis:
     """Lowest-degree homogeneous parts g_j and the Gramian (lambda_i g_j)."""
-    d = graded.dimension
     rows = graded.rows(max(graded.kappas))
     parts = [
-        least_part_from_moments(row.__getitem__, row.denominator, d, kappa)
+        least_part_from_moments(row.__getitem__, row.denominator, graded.dimension, kappa)
         for row, kappa in zip(rows, graded.kappas)
     ]
     for j, (g, kappa) in enumerate(zip(parts, graded.kappas)):
@@ -285,8 +276,8 @@ def least_basis(graded: GradedBasis) -> LeastBasis:
                 f"least_basis: least part g_{j} is not homogeneous of degree {kappa}"
             )
     forms = tuple(map(_integer_form, parts))
-    basis = LeastBasis(source=graded, g=tuple(parts), gramian=_gramian(rows, forms, graded.kappas))
-    vars(basis)["forms"] = forms
+    basis = LeastBasis(source=graded, g=tuple(parts), gramian=_gramian(rows, forms, graded.blocks()))
+    vars(basis)["operands"] = rows, forms, None
     return basis
 
 
@@ -335,25 +326,45 @@ def _span_values(graded: GradedBasis, f: Polynomial) -> list[Fraction]:
     return graded.moments.values(list(f._terms.items()) or [((0,) * graded.dimension, Fraction(0))])
 
 
+def _renormalize(sums: dict[Exponent, int], scale: int) -> tuple[dict[Exponent, int], int]:
+    """sums / scale in lowest terms."""
+    common = math.gcd(scale, *sums.values())
+    return {alpha: v // common for alpha, v in sums.items()}, scale // common
+
+
 def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -> InterpolantReport:
-    """Solve through the basis's cached factors and certify the residuals V f - b."""
+    """Block back-substitution from the highest order down, then the certificate V f - b.
+    F = sums / scale, f so far in the operands' coordinates, reduces row i by lambda_i(F).  A gcd
+    pass per block costs more than it saves; one runs when the scale outgrows 2 * bits + 64."""
     graded = basis.source
     b = _data_vector(graded, data, target)
     values, common = linalg.integer_vector(b)
     lam_values = [Fraction(sum(map(mul, row, values)), denominator * common)
                   for row, denominator in graded.integer_transform]
     try:
-        coeffs = basis.factors.solve(lam_values)
+        factors = basis.factors
     except SingularMatrixError as exc:
         raise SingularGramianError(f"{method} Gramian is singular") from exc
-    forms = basis.forms  # f = sum_j c_j p_j as one integer product over every form
-    weights, scale = linalg.integer_vector([c / den for c, (_, den) in zip(coeffs, forms)])
+    rows, forms, affine = basis.operands
     sums: dict[Exponent, int] = {}
-    for weight, (numerators, _) in zip(weights, forms):
-        for alpha, c in numerators if weight else ():
-            sums[alpha] = sums.get(alpha, 0) + weight * c
+    coeffs, scale, bits = [Fraction(0)] * graded.size, 1, 1
+    for bi, block in reversed(list(enumerate(factors.blocks))):
+        high = [(alpha, v) for alpha, v in sums.items() if sum(alpha) >= graded.kappas[block[0]]]
+        coeffs[block[0]:block[-1] + 1] = y = factors.sweep(bi, [lam_values[i] - Fraction(
+            sum(v * rows[i][alpha] for alpha, v in high), scale * rows[i].denominator) for i in block])
+        (lift, *weights), scale = linalg.integer_vector(  # F's old scale, as a weight, and the block's
+            [Fraction(1, scale)] + [c / forms[j][1] for j, c in zip(block, y)])
+        sums = {alpha: v * lift for alpha, v in sums.items()}
+        for j, weight in zip(block, weights):
+            for alpha, v in forms[j][0] if weight else ():
+                sums[alpha] = sums.get(alpha, 0) + weight * v
+        if scale.bit_length() > 2 * bits + 64:
+            sums, scale = _renormalize(sums, scale)
+            bits = scale.bit_length()
     terms = {alpha: Fraction(v, scale) for alpha, v in sums.items() if v}
-    interpolant = Polynomial._of(graded.dimension, terms)
+    interpolant = Polynomial._of(len(affine[0]) if affine else graded.dimension, terms)
+    if affine:
+        interpolant = substitute_affine([interpolant], *affine)[0]
     residuals = tuple(v - value for v, value in zip(_span_values(graded, interpolant), b))
     j = next((j for j, r in enumerate(residuals) if r), None)
     if j is not None:
@@ -377,7 +388,7 @@ def schaback_interpolate(basis: GradedBasis | SchabackBasis, data=None,
     ``data`` gives the values of the original span functionals (for point
     spans: the point values); alternatively a ``target`` polynomial is
     measured exactly and fed through the same path.  The coefficients come
-    from block back-substitution on the block upper triangular Gramian.
+    from block back-substitution on the diagonal blocks of the Gramian.
     """
     sb = basis if isinstance(basis, SchabackBasis) else schaback_basis(basis)
     return _interpolate("schaback", sb, data, target)

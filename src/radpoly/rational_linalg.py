@@ -7,14 +7,14 @@ to prefer large pivots, and determinism matters more.
 Every general elimination here is a view of one forward elimination, ``_echelon``:
 ``determinant`` and ``pivot_columns`` read its echelon form off, ``rref`` reduces
 upward from it and ``solve`` is the rref of [A | b].  ``factor_block_upper`` runs
-L D L^T on the upper triangle of each symmetric diagonal block instead.
+L D L^T on each symmetric diagonal block's upper triangle instead; each caller
+reduces a block's right-hand side by the blocks solved, for ``sweep`` to solve it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import SingularMatrixError
@@ -139,49 +139,34 @@ def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
 
 
 class BlockUpperFactors(NamedTuple):
-    """A block upper triangular matrix factored for many right-hand sides: per
-    block B = L U, (row i of L as its nonzero (r, L[i][r]), rows of U); per row,
-    (b, entries as integers, denominator) for each later block b it touches."""
+    """The diagonal blocks of a block upper triangular matrix factored for many
+    right-hand sides: per block B = L U, (row i of L as its nonzero (r, L[i][r]), rows of U)."""
 
     blocks: tuple[tuple[int, ...], ...]
     diagonal: tuple[tuple[tuple, tuple], ...]
-    above: tuple[tuple[tuple[int, tuple[int, ...], int], ...], ...]
 
-    def solve(self, rhs: Sequence[Fraction]) -> Vector:
-        """Block back-substitution by two sweeps per block; a solved block is
-        kept in integers, so reducing a row by it is one integer product."""
-        x: dict[int, Fraction] = {}
-        solved: list[tuple[list[int], int]] = [([], 1)] * len(self.blocks)
-        for bi in range(len(self.blocks) - 1, -1, -1):
-            block, (lower, upper) = self.blocks[bi], self.diagonal[bi]
-            reduced = [rhs[i] - sum((Fraction(sum(map(mul, nums, solved[b][0])), solved[b][1] * den)
-                                     for b, nums, den in self.above[i]), _ZERO) for i in block]
-            y: Vector = []
-            for value, multipliers in zip(reduced, lower):
-                y.append(value - sum((f * y[r] for r, f in multipliers), _ZERO))
-            for r in range(len(y) - 1, -1, -1):
-                row = upper[r]
-                y[r] = (y[r] - sum((v * y[c] for c, v in enumerate(row[r + 1:], r + 1) if v), _ZERO)) / row[r]
-            x.update(zip(block, y))
-            solved[bi] = integer_vector(y)
-        return [x.get(i, _ZERO) for i in range(len(rhs))]
+    def sweep(self, bi: int, values: Sequence[Fraction]) -> Vector:
+        """Solve block ``bi`` for ``values``, already reduced by the later blocks: L, then U."""
+        lower, upper = self.diagonal[bi]
+        y: Vector = []
+        for value, multipliers in zip(values, lower):
+            y.append(value - sum((f * y[r] for r, f in multipliers), _ZERO))
+        for r in range(len(y) - 1, -1, -1):
+            row = upper[r]
+            y[r] = (y[r] - sum((v * y[c] for c, v in enumerate(row[r + 1:], r + 1) if v), _ZERO)) / row[r]
+        return y
 
 
 def factor_block_upper(matrix: Sequence[Sequence[Fraction]],
                        blocks: Sequence[Sequence[int]]) -> BlockUpperFactors:
     """Factor each diagonal block once, ``blocks`` listing index groups in order.  The
-    blocks must be symmetric; only their upper triangles and the entries above them are
-    read.  L D L^T with no row swap: row r of U = D L^T is the block's row r after step r,
-    whose multipliers are L[i][r] = U[r][i] / U[r][r].  SingularMatrixError when a block
-    lacks a pivot or needs a swap (a zero leading minor), named from its echelon form."""
+    blocks must be symmetric; only their upper triangles are read.  L D L^T with no row
+    swap: row r of U = D L^T is the block's row r after step r, whose multipliers are
+    L[i][r] = U[r][i] / U[r][r].  SingularMatrixError when a block lacks a pivot or
+    needs a swap (a zero leading minor), named from its echelon form."""
     blocks = tuple(map(tuple, blocks))
-    above: list[tuple] = [()] * len(matrix)
     diagonal = []
     for bi, block in enumerate(blocks):
-        for i in block:
-            rows = ((b, integer_vector([matrix[i][j] for j in blocks[b]]))
-                    for b in range(bi + 1, len(blocks)))
-            above[i] = tuple((b, tuple(nums), den) for b, (nums, den) in rows if any(nums))
         m = len(block)
         a = [[_ZERO] * r + [matrix[i][j] for j in block[r:]] for r, i in enumerate(block)]
         lower: list[list[tuple[int, Fraction]]] = [[] for _ in block]
@@ -198,10 +183,14 @@ def factor_block_upper(matrix: Sequence[Sequence[Fraction]],
                     lower[i].append((r, factor))
                     a[i][i:] = [v - factor * h for v, h in zip(a[i][i:], head[i:])]
         diagonal.append((tuple(map(tuple, lower)), tuple(map(tuple, a))))
-    return BlockUpperFactors(blocks, tuple(diagonal), tuple(above))
+    return BlockUpperFactors(blocks, tuple(diagonal))
 
 
 def solve_block_upper(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction],
                       blocks: Sequence[Sequence[int]]) -> Vector:
-    """Solve a block upper triangular system by block back-substitution."""
-    return factor_block_upper(matrix, blocks).solve(rhs)
+    """Solve a block upper triangular system by block back-substitution, from the last block."""
+    factors, x = factor_block_upper(matrix, blocks), {}
+    for bi, block in reversed(list(enumerate(factors.blocks))):
+        reduced = [rhs[i] - sum((matrix[i][j] * v for j, v in x.items()), _ZERO) for i in block]
+        x.update(zip(block, factors.sweep(bi, reduced)))
+    return [x.get(i, _ZERO) for i in range(len(rhs))]

@@ -213,17 +213,21 @@ class TestRandomizedInvariants:
 RATIONALS = st.sampled_from([Fraction(v) for v in ("0", "1", "-1", "2", "1/2", "-2/3", "3/2", "-5/4")])
 
 
+SPAN_KINDS = ("points", "weighted", "derivatives", "collinear", "coplanar", "collinear weighted",
+              "single point")
+
+
 @st.composite
-def spans(draw):
+def spans(draw, kinds=SPAN_KINDS):
     """(span, degree_cap, ascending_ties) over the span kinds the moment table must handle.
 
     Rational point sets, weighted point combinations, derivative functionals
     at rational sites (mixed with point evaluations, and with moment caps
     that may lie below 2 kappa), collinear and coplanar point sets, weighted
-    combinations on a collinear support, and single-point supports.
+    combinations on a collinear support, and single-point supports; ``kinds``
+    narrows the draw.
     """
-    kind = draw(st.sampled_from(["points", "weighted", "derivatives", "collinear", "coplanar",
-                                 "collinear weighted", "single point"]))
+    kind = draw(st.sampled_from(kinds))
     degree_cap = None
     if kind == "points":
         d = draw(st.integers(1, 3))

@@ -29,7 +29,7 @@ from radpoly import (
     span_dimension_below,
 )
 from radpoly.rational_linalg import determinant, mat_vec, rref, solve, transpose
-from test_graded import RATIONALS, build_with_ties, spans
+from test_graded import RATIONALS, SPAN_KINDS, build_with_ties, spans
 from test_rational_linalg import invert, mat_mul
 
 GRID = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -46,6 +46,17 @@ def graded_on(points, **kwargs):
 
 def monomial(d, alpha):
     return Polynomial.monomial(d, alpha)
+
+
+def lambda_gramian(basis, polys=None):
+    """(lambda_i p_j) in full, from graded.lambdas, for p_j the basis polynomials or
+    ``polys``; the basis must store exactly its diagonal blocks and zeros elsewhere."""
+    graded = basis.source
+    dense = tuple(tuple(lam(p) for p in polys or range_basis(basis)) for lam in graded.lambdas)
+    kappas = graded.kappas
+    assert basis.gramian == tuple(tuple(v if kappas[i] == kappas[j] else 0 for j, v in enumerate(row))
+                                  for i, row in enumerate(dense))
+    return dense
 
 
 def apolar(f, g):
@@ -89,7 +100,8 @@ class TestSchabackBasis:
         sb = schaback_basis(graded_on([(0,), (1,)]))
         assert sb.w[0] == Polynomial.constant(1, 1)
         assert sb.w[1] == Polynomial(1, {(1,): -2, (0,): 1})
-        assert [list(row) for row in sb.gramian] == [[1, 1], [0, -2]]
+        assert [list(row) for row in sb.gramian] == [[1, 0], [0, -2]]
+        assert [list(row) for row in lambda_gramian(sb)] == [[1, 1], [0, -2]]
 
     def test_second_difference_basis_polynomial(self):
         sb = schaback_basis(graded_on([(0,), (1,), (2,)]))
@@ -144,7 +156,7 @@ class TestSchabackInterpolation:
         for _, make_basis, interpolate in METHODS:
             basis = make_basis(graded)
             block = interpolate(basis, target=target)
-            dense = solve(basis.gramian, mat_vec(graded.transform, block.data))
+            dense = solve(lambda_gramian(basis), mat_vec(graded.transform, block.data))
             assert block.coefficients == tuple(dense)
 
     def test_needs_exactly_one_input(self):
@@ -166,10 +178,11 @@ class TestSchabackInterpolation:
 
     @pytest.mark.parametrize("method, make_basis, interpolate", METHODS, ids=["schaback", "least"])
     def test_corrupted_gramian_names_the_failing_residual(self, method, make_basis, interpolate):
-        healthy = make_basis(graded_on([(0,), (1,), (3,)]))
-        gramian = [list(row) for row in healthy.gramian]
-        gramian[1][2] += 1  # still nonsingular: the diagonal is untouched
-        broken = replace(healthy, gramian=tuple(map(tuple, gramian)))
+        broken = make_basis(graded_on([(0,), (1,), (3,)]))  # 1 x 1 blocks of orders 0, 1, 2
+        # lambda_1(x^2): the Gramian entry (1, 2) above the blocks is read off it, and
+        # the solve reads it to reduce row 1 by lambda_1(c_2 p_2); the factors are untouched
+        rows, _, _ = broken.operands
+        rows[1][(2,)] += 1
         with pytest.raises(AssertionError, match=rf"^{method}_interpolate: residual mu_1\(f\)"):
             interpolate(broken, data=[0, 0, 1])
 
@@ -486,11 +499,11 @@ def test_table_built_bases_match_the_functional_path(case):
     else:
         sb = schaback_basis(graded)
         assert sb.w == tuple(images)
-        assert sb.gramian == tuple(tuple(lam(w) for w in images) for lam in lambdas)
+        lambda_gramian(sb, images)
     parts = [least_part(lam) for lam in lambdas]
     lb = least_basis(graded)
     assert lb.g == tuple(parts)
-    assert lb.gramian == tuple(tuple(lam(g) for g in parts) for lam in lambdas)
+    lambda_gramian(lb, parts)
 
 
 def plane_points(n, denominator=1):
@@ -580,16 +593,16 @@ def test_collinear_rational_basis_matches_the_composed_images():
     images = composed_images(graded)
     sb = schaback_basis(graded)
     assert sb.w == tuple(images)
-    assert sb.gramian == tuple(tuple(lam(w) for w in images) for lam in graded.lambdas)
+    lambda_gramian(sb, images)
     report = least_interpolate(graded, data=[t * t - 1 for t in steps])
     assert schaback_interpolate(sb, data=report.data).interpolant == report.interpolant
 
 
 def dense_oracle(basis, b):
-    """The solve path before factoring: a dense solve of the whole Gramian on
-    T b, assembly by Polynomial.__add__, and residuals mu(f) - b."""
+    """The solve path before factoring: a dense solve of the whole Gramian (lambda_i p_j)
+    on T b, assembly by Polynomial.__add__, and residuals mu(f) - b."""
     graded = basis.source
-    coefficients = solve(basis.gramian, mat_vec(graded.transform, b))
+    coefficients = solve(lambda_gramian(basis), mat_vec(graded.transform, b))
     f = Polynomial.zero(graded.dimension)
     for a, p in zip(coefficients, range_basis(basis)):
         f = f + a * p
@@ -597,9 +610,9 @@ def dense_oracle(basis, b):
 
 
 @st.composite
-def solve_cases(draw):
-    """A span from ``spans()``, two data vectors and a target of degree <= 3."""
-    span, degree_cap, ascending_ties = draw(spans())
+def solve_cases(draw, kinds=SPAN_KINDS):
+    """A span from ``spans(kinds)``, two data vectors and a target of degree <= 3."""
+    span, degree_cap, ascending_ties = draw(spans(kinds))
     d, n = span[0].dimension, len(span)
     datas = draw(st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=2, max_size=2))
     alpha = st.tuples(*[st.integers(0, 3)] * d).filter(lambda a: sum(a) <= 3)
@@ -639,6 +652,67 @@ def test_factored_solves_match_the_dense_oracle(case):
             assert fresh.coefficients == report.coefficients
             assert fresh.interpolant == report.interpolant
         assert basis == make_basis(fresh_graded())  # the cached factors stay out of ==
+
+
+@given(st.sampled_from(["collinear", "coplanar", "derivatives"]).flatmap(
+    lambda kind: st.tuples(st.just(kind), solve_cases(kinds=(kind,)))))
+@settings(deadline=None, max_examples=60)
+def test_solves_in_hull_coordinates_match_the_dense_oracle(case):
+    """On collinear and coplanar rational sets the Schaback solve reduces and sums F in
+    hull coordinates and maps it to x by one substitution; on derivative spans it works
+    in x.  Both methods agree with the dense lambda_i(p_j) solve, and with the solve of a
+    copy of the basis, which reads the rows of L and the basis polynomials in x."""
+    kind, (span, degree_cap, ascending_ties, datas, target) = case
+    try:
+        graded = build_with_ties(span, degree_cap, ascending_ties)
+    except RankDeficientError:
+        return
+    for method, make_basis, interpolate in METHODS:
+        try:
+            basis = make_basis(graded)
+        except DegreeCapError:  # a moment cap below 2 kappa: no radial images
+            continue
+        if kind != "derivatives":
+            assert (basis.operands[2] is not None) == (method == "schaback")  # (A, b) to x
+        copy = replace(basis)
+        assert copy.operands[2] is None
+        for data in datas:
+            b = [Fraction(v) for v in data]
+            report = interpolate(basis, data=data)
+            coefficients, f, residuals = dense_oracle(basis, b)
+            assert (report.coefficients, report.interpolant) == (coefficients, f)
+            assert report.residuals == residuals == (0,) * len(span)
+            in_x = interpolate(copy, data=data)
+            assert (in_x.coefficients, in_x.interpolant) == (coefficients, f)
+
+
+def test_f_is_renormalized_on_a_line_of_one_point_blocks(monkeypatch):
+    """Twelve rational points on a line give twelve 1 x 1 blocks, and the scale of F
+    outgrows twice its length plus 64 bits: the gcd pass runs for both methods, and
+    the solves still equal the dense solve."""
+    import radpoly.interpolation as interpolation
+
+    bits, renormalize = [], interpolation._renormalize
+
+    def counted(sums, scale):
+        bits.append(scale.bit_length())
+        return renormalize(sums, scale)
+
+    monkeypatch.setattr(interpolation, "_renormalize", counted)
+    points = [(Fraction(t, 2),) for t in random.Random(3).sample(range(-40, 41), 12)]
+    graded = graded_on(points)
+    assert graded.blocks() == [[i] for i in range(12)]
+    for _, make_basis, interpolate in METHODS:
+        basis = make_basis(graded)
+        bits.clear()
+        for seed in range(3):
+            rng = random.Random(seed)
+            b = [Fraction(rng.randint(-9, 9), 7) for _ in range(12)]
+            report = interpolate(basis, data=b)
+            coefficients, f, residuals = dense_oracle(basis, b)
+            assert (report.coefficients, report.interpolant) == (coefficients, f)
+            assert report.residuals == residuals == (0,) * 12
+        assert bits and min(bits) > 66
 
 
 SQUARE = [point_evaluation(p) for p in [(1, 0), (0, 1), (-1, 0), (0, -1)]]
