@@ -25,8 +25,8 @@ gcd, so each is a nonzero multiple of the rational row.  Pivot rows are
 chosen as the first remaining row with a nonzero entry; exact arithmetic
 needs no magnitude pivoting, and a deterministic, reproducible outcome is
 worth more.  Column scales change no pivot choice and no elimination ratio,
-only the pivot value, which is divided back out: ``transform`` holds each
-row normalized so that lambda_i(x^beta_i) = 1.
+only the pivot value, which is divided back out: each row of ``integer_transform``
+(the one copy of T) is normalized so that lambda_i(x^beta_i) = 1.
 
 The rows of L = T V, the moments of the lambda_i, are integer numerators
 over one denominator per row, each entry computed from its table column the
@@ -115,10 +115,10 @@ class MomentRow(dict):
 class GradedBasis:
     """Outcome of the elimination: orders, pivots, the transform, and the table.
 
-    ``transform`` is the row-wise matrix T with lambda_i = sum_j T[i][j] mu_j.
-    ``moments`` is the span's integer moment table; the basis functionals
-    ``lambdas`` and their moment rows ``rows`` are derived from it and from
-    ``transform`` when first asked for.  No invariants are enforced here;
+    ``integer_transform`` is the row-wise matrix T with lambda_i = sum_j T[i][j] mu_j, each
+    row as integer numerators over one denominator.  ``moments`` is the span's integer moment
+    table; ``lambdas``, their moment rows ``rows`` and T in ``Fraction``s (``transform``) are
+    derived from them when first asked for.  No invariants are enforced here;
     ``build_graded_basis`` guarantees them and ``verify_graded`` rechecks
     them on demand (so corrupted instances can be constructed in tests as
     negative controls).
@@ -127,7 +127,7 @@ class GradedBasis:
     span: tuple[Functional, ...]
     kappas: tuple[int, ...]
     pivots: tuple[Exponent, ...]
-    transform: tuple[tuple[Fraction, ...], ...]
+    integer_transform: tuple[tuple[tuple[int, ...], int], ...]
     degree_cap: int
     moments: MomentTable = field(compare=False, repr=False)
 
@@ -145,9 +145,9 @@ class GradedBasis:
         return tuple(combine(self.span, row) for row in self.transform)
 
     @cached_property
-    def integer_transform(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The rows of ``transform`` as integer numerators over one denominator each."""
-        return tuple((tuple(ints), den) for ints, den in map(integer_vector, self.transform))
+    def transform(self) -> tuple[tuple[Fraction, ...], ...]:
+        """T in ``Fraction``s, for the functionals, the output and the dense oracles."""
+        return tuple(tuple(Fraction(t, den) for t in ints) for ints, den in self.integer_transform)
 
     def rows(self, top: int) -> tuple[MomentRow, ...]:
         """The rows of L = T V, at least up to degree ``top``.
@@ -209,7 +209,7 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
     if table.cap is None:  # a nonzero point combination on m distinct points has order <= m - 1
         search_cap = min(degree_cap, len({x for f in span for x in f.points}) - 1)
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    transform: list[tuple[Fraction, ...]] = []
+    transform: list[tuple[tuple[int, ...], int]] = []
     pivots: list[Exponent] = []
     kappas: list[int] = []
     for k in range(search_cap + 1):
@@ -230,9 +230,10 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
                     row = [pivot_value * t - values[i] * h for t, h in zip(rows[rank + i], head)]
                     common = gcd(*row)
                     rows[rank + i] = [t // common for t in row]
-            # head is a multiple c of the rational row and pivot_value is
-            # c * scale * lambda(x^alpha), so this row has lambda(x^alpha) = 1
-            transform.append(tuple(Fraction(t * scale, pivot_value) for t in head))
+            # head (content 1) is c times the rational row and pivot_value is c * scale * lambda(x^alpha):
+            # head * scale / pivot_value, in lowest terms with a positive denominator, has lambda(x^alpha) = 1
+            common = gcd(scale, pivot_value) * (1 if pivot_value > 0 else -1)
+            transform.append((tuple(t * (scale // common) for t in head), pivot_value // common))
             pivots.append(alpha)
             kappas.append(k)
             if len(pivots) == n:
@@ -246,7 +247,7 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
         span=span,
         kappas=tuple(kappas),
         pivots=tuple(pivots),
-        transform=tuple(transform),
+        integer_transform=tuple(transform),
         degree_cap=degree_cap,
         moments=table,
     )

@@ -13,8 +13,9 @@ kappa_1 <= ... <= kappa_n) of the span M of the input functionals.
   live in hull coordinates: with orthogonal integer directions u_k,
   D_k = u_k . u_k and t_k(x) = u_k . (x - x0) / D_k, every y on the hull has
   ||Px - y||^2 = sum_k D_k (t_k(x) - t_k(y))^2, so w_j = W_j(t(x)) with W_j
-  the D-weighted radial image in r = dim(hull) variables, composed with the
-  affine map t by ``substitute_affine`` (``Polynomial.compose_affine``).
+  the D-weighted radial image in r = dim(hull) variables.  The basis keeps
+  the W_j; ``SchabackBasis.w`` composes them with the affine map t by one
+  ``substitute_affine`` when it is first read, which no solve does.
 
 * The least construction interpolates from the span of the lowest-degree
   homogeneous parts g_j of the lambda_j moment series.  That span depends
@@ -24,7 +25,8 @@ Everything is read off the rows of L = T V, the moments of the lambda_i
 as integer numerators over one denominator per row, each entry computed
 where it is read (for W_j, of the span mapped to hull coordinates): W_j from
 degrees up to 2 kappa_j, g_j from degree kappa_j, and lambda_i p as
-sum_alpha p[alpha] L_i[alpha] over an integer form of p.
+sum_alpha p[alpha] L_i[alpha] over an integer form of p.  Each basis keeps these
+operands of its solves as its builder set them (with the map to x, if degenerate).
 Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular, as
 lambda_i annihilates degrees below kappa_i, and only their diagonal blocks are
 computed.  The block of order kappa is symmetric, (-1)^kappa-definite for w
@@ -43,7 +45,7 @@ the degree of its argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -154,7 +156,7 @@ def flat_projector(points: Sequence[Sequence[Rational]]) -> AffineProjection:
 
 
 class _Solves:
-    """What every solve reuses, cached outside the fields (``==`` ignores them)."""
+    """The Gramian's factors, which every solve reuses, cached outside the fields (``==`` ignores them)."""
 
     @cached_property
     def factors(self) -> linalg.BlockUpperFactors:
@@ -169,30 +171,33 @@ class _Solves:
                                      f"the pivot at index {wrong[0]} breaks the sign law")
         return factors
 
-    @cached_property
-    def operands(self) -> tuple:
-        """(rows of L, each p_j's integer form in their coordinates, None or (A, b) with
-        p_j(x) = P_j(A x + b)); in x unless ``schaback_basis`` or ``least_basis`` set them."""
-        return self.source.rows(max(self.source.kappas)), tuple(map(_integer_form, range_basis(self))), None
-
 
 @dataclass(frozen=True)
 class SchabackBasis(_Solves):
-    """Radial-polynomial basis w_j with its Gramian's diagonal blocks (zeros outside them)."""
+    """Radial images W_j with their Gramian's diagonal blocks (zeros outside them); ``operands``
+    is (rows of L, each W_j's integer form, None or (A, b) with w_j(x) = W_j(A x + b))."""
 
     source: GradedBasis
-    w: tuple[Polynomial, ...]
+    images: tuple[Polynomial, ...]
     gramian: tuple[tuple[Fraction, ...], ...]
+    operands: tuple = field(compare=False, repr=False)
     _method, _sign = "schaback", -1  # not fields: they carry no annotation
+
+    @cached_property
+    def w(self) -> tuple[Polynomial, ...]:
+        """The radial images w_j in x, mapped there when first read."""
+        affine = self.operands[2]
+        return tuple(substitute_affine(self.images, *affine)) if affine else self.images
 
 
 @dataclass(frozen=True)
 class LeastBasis(_Solves):
-    """Homogeneous least-part basis g_j with its Gramian's diagonal blocks (zeros outside them)."""
+    """Least parts g_j with their Gramian's diagonal blocks (zeros outside them) and operands in x."""
 
     source: GradedBasis
     g: tuple[Polynomial, ...]
     gramian: tuple[tuple[Fraction, ...], ...]
+    operands: tuple = field(compare=False, repr=False)
     _method, _sign = "least", 1
 
 
@@ -231,9 +236,9 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
     """Radial images w_j = lambda_j ||Px - .||^(2 kappa_j) and their Gramian.
 
     P projects onto the affine hull of an all-point span's support (else P = I).
-    w_j = W_j(t(x)), W_j the D-weighted image in hull coordinates read off T
-    times the moment table of the span mapped to t(x_i); the Gramian
-    (lambda_i w_j) = (lambda_i W_j) is taken there too.
+    The basis keeps W_j, the D-weighted image in hull coordinates read off T times the
+    moment table of the span mapped to t(x_i), with w_j = W_j(t(x)) mapped when first
+    read; the Gramian (lambda_i w_j) = (lambda_i W_j) is taken in hull coordinates too.
     """
     for kappa in graded.kappas:
         _require_moment_cap(graded.moments.cap, 2 * kappa, "radial image")
@@ -247,20 +252,15 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
         mapped = [PointFunctional(map(hull, f.points), f.weights, dimension=len(weights))
                   for f in graded.span]
         rows = MomentTable(mapped).rows(graded.integer_transform, 2 * max(graded.kappas))
-    images = [
-        image_from_moments(row.__getitem__, row.denominator, weights, kappa)
-        for row, kappa in zip(rows, graded.kappas)
-    ]
-    w = substitute_affine(images, *affine) if affine else images
-    for j, (p, kappa) in enumerate(zip(w, graded.kappas)):
-        if p.degree != kappa:
+    images = tuple(image_from_moments(row.__getitem__, row.denominator, weights, kappa)
+                   for row, kappa in zip(rows, graded.kappas))
+    for j, (p, kappa) in enumerate(zip(images, graded.kappas)):
+        if p.degree != kappa:  # t(x) is onto the hull, so w_j = W_j(t(x)) has W_j's degree
             raise AssertionError(
-                f"schaback_basis: radial image w_{j} has degree {p.degree}, not its order {kappa}"
-            )
+                f"schaback_basis: radial image w_{j} has degree {p.degree}, not its order {kappa}")
     forms = tuple(map(_integer_form, images))
-    basis = SchabackBasis(source=graded, w=tuple(w), gramian=_gramian(rows, forms, graded.blocks()))
-    vars(basis)["operands"] = rows, forms, affine
-    return basis
+    return SchabackBasis(source=graded, images=images, gramian=_gramian(rows, forms, graded.blocks()),
+                         operands=(rows, forms, affine))
 
 
 def least_basis(graded: GradedBasis) -> LeastBasis:
@@ -276,9 +276,8 @@ def least_basis(graded: GradedBasis) -> LeastBasis:
                 f"least_basis: least part g_{j} is not homogeneous of degree {kappa}"
             )
     forms = tuple(map(_integer_form, parts))
-    basis = LeastBasis(source=graded, g=tuple(parts), gramian=_gramian(rows, forms, graded.blocks()))
-    vars(basis)["operands"] = rows, forms, None
-    return basis
+    return LeastBasis(source=graded, g=tuple(parts), gramian=_gramian(rows, forms, graded.blocks()),
+                      operands=(rows, forms, None))
 
 
 def range_basis(basis: SchabackBasis | LeastBasis) -> tuple[Polynomial, ...]:

@@ -240,7 +240,7 @@ class Polynomial:
                         out.pop(key, None)
                     else:
                         out[key] = value
-            return Polynomial(self._dimension, out)
+            return Polynomial._of(self._dimension, out)
         scalar = as_fraction(other)
         return Polynomial._of(self._dimension, {a: scalar * c for a, c in self._terms.items() if scalar})
 

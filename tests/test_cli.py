@@ -39,6 +39,11 @@ class TestGoldenFiles:
          "interp_collinear_both.json"),
         (("interp", "--input", str(GOLDEN / "coplanar3d.problem.json"), "--method", "both"),
          "interp_coplanar_both.json"),
+        # compare is the one command that reads the radial images w_j in x
+        (("compare", "--input", str(GOLDEN / "collinear2d.problem.json")), "compare_collinear.json"),
+        (("compare", "--input", str(GOLDEN / "coplanar3d.problem.json")), "compare_coplanar.json"),
+        (("interp", "--input", str(GOLDEN / "collinear3d.problem.json"), "--method", "both"),
+         "interp_collinear3d_both.json"),
     ]
 
     @pytest.mark.parametrize("argv,expected", CASES)

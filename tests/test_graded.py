@@ -23,7 +23,7 @@ from radpoly import (
     verify_graded,
 )
 from radpoly.graded import MomentTable
-from radpoly.rational_linalg import determinant
+from radpoly.rational_linalg import determinant, integer_vector
 
 
 def evaluations(points):
@@ -79,9 +79,9 @@ class TestVerifyGraded:
 
     def test_corrupted_basis_fails(self):
         graded = build_graded_basis(evaluations([(0, 0), (1, 0), (0, 1), (1, 1)]))
-        swapped = list(graded.transform)
+        swapped = list(graded.integer_transform)
         swapped[3], swapped[1] = swapped[1], swapped[3]
-        corrupt = replace(graded, transform=tuple(swapped))
+        corrupt = replace(graded, integer_transform=tuple(swapped))
         assert corrupt.lambdas[1] == graded.lambdas[3]
         assert not verify_graded(corrupt, 2)
 
@@ -320,6 +320,8 @@ def test_integer_elimination_matches_the_fraction_elimination(case):
         return
     graded = build_with_ties(span, degree_cap, ascending_ties)
     assert graded.transform == tuple(tuple(row) for row in transform)
+    # the integer rows the elimination keeps are the rows of T in lowest terms
+    assert graded.integer_transform == tuple((tuple(ints), den) for ints, den in map(integer_vector, transform))
     assert graded.kappas == tuple(kappas)
     assert graded.pivots == tuple(pivots)
     assert graded.lambdas == tuple(combine(span, row) for row in transform)

@@ -192,7 +192,7 @@ class TestSchabackInterpolation:
         gramian = [list(row) for row in healthy.gramian]
         a, b = gramian[1][1:3]  # block [1, 2] becomes [[a, b], [b, b^2 / a]], symmetric of rank one
         gramian[2][1:3] = [b, b * b / a]
-        basis = type(healthy)(healthy.source, range_basis(healthy), tuple(map(tuple, gramian)))
+        basis = replace(healthy, gramian=tuple(map(tuple, gramian)))
         for _ in range(2):
             with pytest.raises(SingularGramianError, match=f"^{method} Gramian is singular"):
                 interpolate(basis, data=[0, 0, 0, 1])
@@ -660,8 +660,7 @@ def test_factored_solves_match_the_dense_oracle(case):
 def test_solves_in_hull_coordinates_match_the_dense_oracle(case):
     """On collinear and coplanar rational sets the Schaback solve reduces and sums F in
     hull coordinates and maps it to x by one substitution; on derivative spans it works
-    in x.  Both methods agree with the dense lambda_i(p_j) solve, and with the solve of a
-    copy of the basis, which reads the rows of L and the basis polynomials in x."""
+    in x.  Both methods agree with the dense lambda_i(p_j) solve."""
     kind, (span, degree_cap, ascending_ties, datas, target) = case
     try:
         graded = build_with_ties(span, degree_cap, ascending_ties)
@@ -674,16 +673,40 @@ def test_solves_in_hull_coordinates_match_the_dense_oracle(case):
             continue
         if kind != "derivatives":
             assert (basis.operands[2] is not None) == (method == "schaback")  # (A, b) to x
-        copy = replace(basis)
-        assert copy.operands[2] is None
         for data in datas:
             b = [Fraction(v) for v in data]
             report = interpolate(basis, data=data)
             coefficients, f, residuals = dense_oracle(basis, b)
             assert (report.coefficients, report.interpolant) == (coefficients, f)
             assert report.residuals == residuals == (0,) * len(span)
-            in_x = interpolate(copy, data=data)
-            assert (in_x.coefficients, in_x.interpolant) == (coefficients, f)
+
+
+@pytest.mark.parametrize("points", [
+    [(t, 2 * t + 1) for t in (-3, -1, 0, 2, 5, 6)],
+    [(a, b, a + b) for a, b in ((0, 0), (1, 0), (0, 1), (2, -1), (-1, 2), (1, 1), (-2, -1))],
+], ids=["collinear", "coplanar"])
+def test_only_f_and_a_read_of_w_are_mapped_to_x(monkeypatch, points):
+    """schaback_basis keeps the W_j in hull coordinates and substitutes nothing; each
+    Schaback solve substitutes its F once, and w is mapped to x when first read."""
+    import radpoly.interpolation as interpolation
+
+    calls, substitute = [], interpolation.substitute_affine
+
+    def counted(polys, *affine):
+        calls.append(len(polys))
+        return substitute(polys, *affine)
+
+    monkeypatch.setattr(interpolation, "substitute_affine", counted)
+    graded = graded_on(points)
+    sb, lb = schaback_basis(graded), least_basis(graded)
+    assert calls == [] and sb.operands[2] is not None
+    for value in (1, -2):
+        data = [value * (i % 3) for i in range(len(points))]
+        schaback_interpolate(sb, data=data)
+        least_interpolate(lb, data=data)
+    assert calls == [1, 1]
+    assert sb.w is sb.w and calls == [1, 1, len(points)]
+    assert sb.w == tuple(substitute(sb.images, *sb.operands[2]))
 
 
 def test_f_is_renormalized_on_a_line_of_one_point_blocks(monkeypatch):
@@ -722,9 +745,10 @@ SQUARE = [point_evaluation(p) for p in [(1, 0), (0, 1), (-1, 0), (0, -1)]]
 @example((SQUARE, None, False, [[1, 2, 3, 4]] * 2, Polynomial.zero(2)))  # images with cancelling terms
 @settings(deadline=None, max_examples=60)
 def test_polynomials_built_unchecked_are_canonical(case):
-    """Every w_j and g_j, both interpolants, their difference and scalar multiples
-    are built from terms radpoly made, without the constructor's checks: each
-    equals its re-validated copy, with the same degree and no zero coefficient."""
+    """Every w_j and g_j, both interpolants, their difference, scalar multiples,
+    products and powers are built from terms radpoly made, without the constructor's
+    checks: each equals its re-validated copy, with the same degree and no zero
+    coefficient."""
     span, degree_cap, ascending_ties, datas, _ = case
     try:
         graded = build_with_ties(span, degree_cap, ascending_ties)
@@ -742,6 +766,8 @@ def test_polynomials_built_unchecked_are_canonical(case):
     polys.extend(c * f for f in interpolants for c in (Fraction(-2, 3), 0))
     if len(interpolants) == 2:
         polys.append(interpolants[0] - interpolants[1])
+        polys.append(interpolants[0] * interpolants[1])
+    polys.extend(f ** k for f in interpolants for k in (0, 2))
     for p in polys:
         copy = Polynomial(graded.dimension, p.terms())
         assert p == copy and p.degree == copy.degree
