@@ -530,16 +530,18 @@ def image_from_moments(moment: Callable[[Exponent], int | Fraction], denominator
     return Polynomial._of(len(weights), {alpha: Fraction(v, denominator) for alpha, v in acc.items() if v})
 
 
-def least_part_from_moments(moment: Callable[[Exponent], int | Fraction], denominator: int, d: int,
-                            kappa: int) -> Polynomial:
-    """sum over |alpha| = kappa of lambda(x^alpha) x^alpha / alpha!.
+def least_part_from_moments(moment: Callable[[Exponent], int | Fraction], denominator: int,
+                            weights: tuple[int, ...], kappa: int) -> Polynomial:
+    """sum over |alpha| = kappa of D^alpha lambda(t^alpha) t^alpha / alpha!.
 
-    lambda(x^alpha) = moment(alpha) / denominator, as for ``image_from_moments``;
+    lambda(t^alpha) = moment(alpha) / denominator, as for ``image_from_moments``,
+    and D the weights (unit weights: the least part lambda((t . .)^kappa) / kappa!);
     a zero moment costs no alpha! and no term.
     """
-    values = ((alpha, moment(alpha)) for alpha in monomials_of_degree(d, kappa))
-    return Polynomial._of(d, {
-        alpha: Fraction(value, denominator * multi_factorial(alpha)) for alpha, value in values if value
+    values = ((alpha, moment(alpha)) for alpha in monomials_of_degree(len(weights), kappa))
+    return Polynomial._of(len(weights), {
+        alpha: Fraction(value * math.prod(map(pow, weights, alpha)), denominator * multi_factorial(alpha))
+        for alpha, value in values if value
     })
 
 
@@ -568,4 +570,4 @@ def least_part(lam: Functional, search_cap: int | None = None) -> Polynomial:
         return Polynomial.zero(lam.dimension)
     if kappa is None:
         raise DegreeCapError("order not determined within the search cap")
-    return least_part_from_moments(lam._moment, 1, lam.dimension, kappa)
+    return least_part_from_moments(lam._moment, 1, (1,) * lam.dimension, kappa)

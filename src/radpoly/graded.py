@@ -67,6 +67,7 @@ class MomentTable:
         self.columns: dict[Exponent, tuple[int, ...]] = {}
         self.monomials: list[list[Exponent]] = []
         self.scales: list[int] = []
+        self._rows: tuple = (None, -1, ())
 
     def extend(self, degree: int) -> None:
         """Build every column of degree <= ``degree`` not built yet."""
@@ -80,13 +81,18 @@ class MomentTable:
             self.scales.append(scale)
 
     def rows(self, transform: Sequence[tuple[Sequence[int], int]], top: int) -> tuple[MomentRow, ...]:
-        """The rows of T V up to degree ``top``, for lambda_i = sum_j T[i][j] mu_j
+        """The rows of T V at least up to degree ``top``, for lambda_i = sum_j T[i][j] mu_j
         with T in integer rows (numerators, denominator): the moments of the
-        lambda_i, each over one denominator and filled where read."""
-        self.extend(top)
-        scale = lcm(*self.scales[: top + 1])
-        lifts = [scale // s for s in self.scales[: top + 1]]
-        return tuple(MomentRow(self.columns, lifts, ints, den * scale) for ints, den in transform)
+        lambda_i, each over one denominator and filled where read.  Built once for
+        the largest ``top`` asked of the same ``transform`` object."""
+        held, done, rows = self._rows
+        if held is not transform or done < top:
+            self.extend(top)
+            scale = lcm(*self.scales[: top + 1])
+            lifts = [scale // s for s in self.scales[: top + 1]]
+            rows = tuple(MomentRow(self.columns, lifts, ints, den * scale) for ints, den in transform)
+            self._rows = (transform, top, rows)
+        return rows
 
     def values(self, terms: Sequence[tuple[Exponent, Fraction]]) -> list[Fraction]:
         """mu_i(f) for every span functional, f = sum c x^alpha over ``terms``: V times c."""
@@ -150,16 +156,9 @@ class GradedBasis:
         return tuple(tuple(Fraction(t, den) for t in ints) for ints, den in self.integer_transform)
 
     def rows(self, top: int) -> tuple[MomentRow, ...]:
-        """The rows of L = T V, at least up to degree ``top``.
-
-        Built once for the largest ``top`` asked: radial images in x read row
-        i up to 2 kappa_i, least parts and Gramians up to kappa_max.
-        """
-        done, rows = self.__dict__.get("_rows", (-1, ()))
-        if done < top:
-            rows = self.moments.rows(self.integer_transform, top)
-            self.__dict__["_rows"] = (top, rows)
-        return rows
+        """The rows of L = T V in x, built once for the largest ``top`` asked (``MomentTable.rows``):
+        radial images in x read row i up to 2 kappa_i, least parts and Gramians up to kappa_max."""
+        return self.moments.rows(self.integer_transform, top)
 
     def blocks(self) -> list[list[int]]:
         """Indices grouped by order; contiguous since kappa is nondecreasing."""

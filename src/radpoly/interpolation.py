@@ -9,24 +9,25 @@ kappa_1 <= ... <= kappa_n) of the span M of the input functionals.
   combination of point evaluations (else P = I).  That makes the
   interpolant constant perpendicular to the hull and equal to the least
   interpolant on one-dimensional hulls, which the raw images are not (three
-  collinear points with quadratic data are a counterexample).  The images
-  live in hull coordinates: with orthogonal integer directions u_k,
-  D_k = u_k . u_k and t_k(x) = u_k . (x - x0) / D_k, every y on the hull has
-  ||Px - y||^2 = sum_k D_k (t_k(x) - t_k(y))^2, so w_j = W_j(t(x)) with W_j
-  the D-weighted radial image in r = dim(hull) variables.  The basis keeps
-  the W_j; ``SchabackBasis.w`` composes them with the affine map t by one
-  ``substitute_affine`` when it is first read, which no solve does.
+  collinear points with quadratic data are a counterexample).
 
 * The least construction interpolates from the span of the lowest-degree
-  homogeneous parts g_j of the lambda_j moment series.  That span depends
-  only on M, not on the graded basis chosen.
+  homogeneous parts g_j(x) = lambda_j((x . .)^kappa_j) / kappa_j! of the
+  lambda_j moment series.  That span depends only on M, not on the graded
+  basis chosen.
 
-Everything is read off the rows of L = T V, the moments of the lambda_i
-as integer numerators over one denominator per row, each entry computed
-where it is read (for W_j, of the span mapped to hull coordinates): W_j from
-degrees up to 2 kappa_j, g_j from degree kappa_j, and lambda_i p as
-sum_alpha p[alpha] L_i[alpha] over an integer form of p.  Each basis keeps these
-operands of its solves as its builder set them (with the map to x, if degenerate).
+Both bases keep their polynomials in one frame per graded basis: x, or for a
+degenerate point set the linear hull coordinates t = A x of ``Hull``, in which
+w_j = W_j(t(x)), W_j the D-weighted radial image in r = dim(hull) variables.
+As lambda_j annihilates degrees below kappa_j, g_j = G_j(t(x)) too, with
+G_j = sum over |e| = kappa_j of D^e lambda_j(t^e) t^e / e!.  ``w`` and ``g`` map
+them to x by one ``substitute_affine`` when first read, which no solve does.
+
+Everything is read off the rows of L = T V, the moments of the lambda_i in the
+frame, as integer numerators over one denominator per row, each entry computed
+where it is read: W_j from degrees up to 2 kappa_j, G_j from degree kappa_j, and
+lambda_i p as sum_alpha p[alpha] L_i[alpha] over an integer form of p; each basis
+keeps these operands of its solves.
 Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular, as
 lambda_i annihilates degrees below kappa_i, and only their diagonal blocks are
 computed.  The block of order kappa is symmetric, (-1)^kappa-definite for w
@@ -34,7 +35,7 @@ computed.  The block of order kappa is symmetric, (-1)^kappa-definite for w
 upper triangle and checks every pivot's sign.  Both solves are the same block
 back-substitution from the highest order down: row i's entries above the blocks
 times the solved c_j sum to lambda_i(F), F = sum c_j p_j so far, and after the
-last block F is the interpolant (for a degenerate point set, in hull coordinates,
+last block F is the interpolant (in hull coordinates for a degenerate point set,
 mapped to x by one ``substitute_affine``).  The data of a target p are V p, and
 the certificate mu_i(f) - b_i = V f - b reads only V.
 
@@ -100,24 +101,22 @@ class AffineProjection:
 class Hull(NamedTuple):
     """The affine hull x0 + span{u_1..u_r} of a point set, in coordinates t.
 
-    The u_k are orthogonal integer vectors, D_k = u_k . u_k, and
-    t_k(x) = u_k . (x - x0) / D_k.  With P the orthoprojector onto the hull,
-    ||Px - y||^2 = sum_k D_k (t_k(x) - t_k(y))^2 for every y on the hull.
+    The u_k are orthogonal integer vectors, D_k = u_k . u_k, and x0 is the hull's
+    point nearest 0, so u_k . x0 = 0 and t_k(x) = u_k . x / D_k is linear.  With P
+    the orthoprojector onto the hull, ||Px - y||^2 = sum_k D_k (t_k(x) - t_k(y))^2
+    for every y on the hull.
     """
 
-    base: tuple[Fraction, ...]
     directions: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
 
     def __call__(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        offset = [a - b for a, b in zip(x, self.base)]
-        return tuple(sum(map(mul, u, offset)) / w for u, w in zip(self.directions, self.weights))
+        return tuple(sum(map(mul, u, x)) / w for u, w in zip(self.directions, self.weights))
 
 
 def _hull(points: Sequence[tuple[Fraction, ...]]) -> Hull:
-    """Hull coordinates: rational Gram-Schmidt on the rref rows of the x_i - x0."""
-    base = points[0]
-    rows, _ = linalg.rref([[a - b for a, b in zip(p, base)] for p in points[1:]])
+    """Hull coordinates: rational Gram-Schmidt on the rref rows of the x_i - x_1."""
+    rows, _ = linalg.rref([[a - b for a, b in zip(p, points[0])] for p in points[1:]])
     directions: list[tuple[int, ...]] = []
     for row in rows:
         for u in directions:
@@ -125,14 +124,14 @@ def _hull(points: Sequence[tuple[Fraction, ...]]) -> Hull:
             row = [a - c * b for a, b in zip(row, u)]
         ints, _ = linalg.integer_vector(row)
         directions.append(tuple(v // math.gcd(*ints) for v in ints))
-    return Hull(base, tuple(directions), tuple(sum(map(mul, u, u)) for u in directions))
+    return Hull(tuple(directions), tuple(sum(map(mul, u, u)) for u in directions))
 
 
 def flat_projector(points: Sequence[Sequence[Rational]]) -> AffineProjection:
     """Exact orthoprojector onto the affine hull of the given points.
 
-    In hull coordinates the map is x |-> x0 + Q (x - x0) with
-    Q = sum_k u_k u_k^T / D_k, which is symmetric and idempotent.
+    The map is x |-> Q x + x0, where Q = sum_k u_k u_k^T / D_k is symmetric and
+    idempotent and x0 = x_1 - Q x_1 is the hull's point nearest 0.
     """
     pts = [as_point(p) for p in points]
     if not pts:
@@ -144,19 +143,61 @@ def flat_projector(points: Sequence[Sequence[Rational]]) -> AffineProjection:
     pairs = list(zip(hull.directions, hull.weights))
     q = [[sum((Fraction(u[i] * u[j], w) for u, w in pairs), Fraction(0)) for j in range(d)]
          for i in range(d)]
-    shift = [b - s for b, s in zip(hull.base, linalg.mat_vec(q, list(hull.base)))]
-    return AffineProjection(
-        linear=tuple(tuple(row) for row in q),
-        shift=tuple(shift),
-    )
+    x0 = [a - b for a, b in zip(pts[0], linalg.mat_vec(q, list(pts[0])))]
+    return AffineProjection(linear=tuple(tuple(row) for row in q), shift=tuple(x0))
 
 
 # ---------------------------------------------------------------------------
 # Bases
 
 
-class _Solves:
-    """The Gramian's factors, which every solve reuses, cached outside the fields (``==`` ignores them)."""
+class Frame(NamedTuple):
+    """Where both bases of one graded basis keep their polynomials: x (unit weights,
+    ``linear`` None) or, for a degenerate point span, hull coordinates t = A x with
+    A_k = u_k / D_k, the span's moments at the t(x_i) and the weights D_k."""
+
+    moments: MomentTable
+    weights: tuple[int, ...]
+    linear: tuple[tuple[Fraction, ...], ...] | None
+
+
+def _frame(graded: GradedBasis) -> Frame:
+    """The frame of ``graded``, built by whichever basis comes first and kept with it.
+    Hull coordinates unless a functional has a cap, the support is one point
+    (constant images) or its hull is R^d; more than d orders kappa_i <= 1 mean the
+    span separates the affine functions, so the hull is R^d without computing it."""
+    if "_frame" not in graded.__dict__:
+        span, hull, d = graded.span, None, graded.dimension
+        if all(f.degree_cap is None for f in span) and sum(k <= 1 for k in graded.kappas) <= d:
+            points = list(dict.fromkeys(x for f in span for x in f.points))
+            hull = _hull(points) if len(points) > 1 else None
+        if hull is None or len(hull.weights) == d:
+            frame = Frame(graded.moments, (1,) * d, None)
+        else:
+            r, pairs = len(hull.weights), zip(hull.directions, hull.weights)
+            mapped = [PointFunctional(map(hull, f.points), f.weights, dimension=r) for f in span]
+            linear = tuple(tuple(Fraction(c, dk) for c in u) for u, dk in pairs)
+            frame = Frame(MomentTable(mapped), hull.weights, linear)
+        graded.__dict__["_frame"] = frame
+    return graded.__dict__["_frame"]
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """Basis polynomials in the frame's coordinates with their Gramian's diagonal blocks
+    (zeros outside them); ``operands`` is (rows of L, each polynomial's integer form, the
+    frame's A or None).  The Gramian's factors, which every solve reuses, and the basis
+    in x are cached outside the fields (``==`` ignores them)."""
+
+    source: GradedBasis
+    polys: tuple[Polynomial, ...]
+    gramian: tuple[tuple[Fraction, ...], ...]
+    operands: tuple = field(compare=False, repr=False)
+
+    @classmethod
+    def _of(cls, graded: GradedBasis, rows: Sequence[MomentRow], polys: tuple[Polynomial, ...], linear):
+        forms = tuple(map(_integer_form, polys))
+        return cls(graded, polys, _gramian(rows, forms, graded.blocks()), (rows, forms, linear))
 
     @cached_property
     def factors(self) -> linalg.BlockUpperFactors:
@@ -171,49 +212,24 @@ class _Solves:
                                      f"the pivot at index {wrong[0]} breaks the sign law")
         return factors
 
+    def _in_x(self) -> tuple[Polynomial, ...]:
+        """The basis polynomials in x, mapped there by one substitution when first read."""
+        linear = self.operands[2]
+        return tuple(substitute_affine(self.polys, linear)) if linear else self.polys
 
-@dataclass(frozen=True)
-class SchabackBasis(_Solves):
-    """Radial images W_j with their Gramian's diagonal blocks (zeros outside them); ``operands``
-    is (rows of L, each W_j's integer form, None or (A, b) with w_j(x) = W_j(A x + b))."""
 
-    source: GradedBasis
-    images: tuple[Polynomial, ...]
-    gramian: tuple[tuple[Fraction, ...], ...]
-    operands: tuple = field(compare=False, repr=False)
+class SchabackBasis(_Basis):
+    """Radial images: ``polys`` holds the W_j and ``w`` the w_j = W_j(A x)."""
+
     _method, _sign = "schaback", -1  # not fields: they carry no annotation
-
-    @cached_property
-    def w(self) -> tuple[Polynomial, ...]:
-        """The radial images w_j in x, mapped there when first read."""
-        affine = self.operands[2]
-        return tuple(substitute_affine(self.images, *affine)) if affine else self.images
+    w = cached_property(_Basis._in_x)
 
 
-@dataclass(frozen=True)
-class LeastBasis(_Solves):
-    """Least parts g_j with their Gramian's diagonal blocks (zeros outside them) and operands in x."""
+class LeastBasis(_Basis):
+    """Least parts: ``polys`` holds the G_j and ``g`` the g_j = G_j(A x)."""
 
-    source: GradedBasis
-    g: tuple[Polynomial, ...]
-    gramian: tuple[tuple[Fraction, ...], ...]
-    operands: tuple = field(compare=False, repr=False)
     _method, _sign = "least", 1
-
-
-def _span_hull(graded: GradedBasis) -> Hull | None:
-    """Hull coordinates of the support; None (t = x, D = 1) when a functional
-    has a cap, the support is one point (constant images) or its hull is R^d.
-    More than d orders kappa_i <= 1 mean the span separates the affine
-    functions, so the hull is R^d without computing it."""
-    span = graded.span
-    if any(f.degree_cap is not None for f in span):
-        return None
-    if sum(kappa <= 1 for kappa in graded.kappas) > graded.dimension:
-        return None
-    points = list(dict.fromkeys(x for f in span for x in f.points))
-    hull = _hull(points) if len(points) > 1 else None
-    return None if hull is None or len(hull.weights) == len(points[0]) else hull
+    g = cached_property(_Basis._in_x)
 
 
 def _integer_form(p: Polynomial) -> tuple[list[tuple[Exponent, int]], int]:
@@ -236,48 +252,33 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
     """Radial images w_j = lambda_j ||Px - .||^(2 kappa_j) and their Gramian.
 
     P projects onto the affine hull of an all-point span's support (else P = I).
-    The basis keeps W_j, the D-weighted image in hull coordinates read off T times the
-    moment table of the span mapped to t(x_i), with w_j = W_j(t(x)) mapped when first
-    read; the Gramian (lambda_i w_j) = (lambda_i W_j) is taken in hull coordinates too.
+    The basis keeps W_j, read off the rows of L up to 2 kappa_j in the frame, and
+    its Gramian (lambda_i W_j) is taken there too.
     """
     for kappa in graded.kappas:
         _require_moment_cap(graded.moments.cap, 2 * kappa, "radial image")
-    hull, affine = _span_hull(graded), None
-    if hull is None:
-        rows, weights = graded.rows(2 * max(graded.kappas)), (1,) * graded.dimension
-    else:  # w_j(x) = W_j(A x + b), A_k = u_k / D_k, b_k = -(u_k . x0) / D_k
-        weights, pairs = hull.weights, list(zip(hull.directions, hull.weights))
-        affine = ([[Fraction(c, dk) for c in u] for u, dk in pairs],
-                  [-sum(map(mul, u, hull.base)) / dk for u, dk in pairs])
-        mapped = [PointFunctional(map(hull, f.points), f.weights, dimension=len(weights))
-                  for f in graded.span]
-        rows = MomentTable(mapped).rows(graded.integer_transform, 2 * max(graded.kappas))
-    images = tuple(image_from_moments(row.__getitem__, row.denominator, weights, kappa)
+    frame = _frame(graded)
+    rows = frame.moments.rows(graded.integer_transform, 2 * max(graded.kappas))
+    images = tuple(image_from_moments(row.__getitem__, row.denominator, frame.weights, kappa)
                    for row, kappa in zip(rows, graded.kappas))
     for j, (p, kappa) in enumerate(zip(images, graded.kappas)):
         if p.degree != kappa:  # t(x) is onto the hull, so w_j = W_j(t(x)) has W_j's degree
             raise AssertionError(
                 f"schaback_basis: radial image w_{j} has degree {p.degree}, not its order {kappa}")
-    forms = tuple(map(_integer_form, images))
-    return SchabackBasis(source=graded, images=images, gramian=_gramian(rows, forms, graded.blocks()),
-                         operands=(rows, forms, affine))
+    return SchabackBasis._of(graded, rows, images, frame.linear)
 
 
 def least_basis(graded: GradedBasis) -> LeastBasis:
-    """Lowest-degree homogeneous parts g_j and the Gramian (lambda_i g_j)."""
-    rows = graded.rows(max(graded.kappas))
-    parts = [
-        least_part_from_moments(row.__getitem__, row.denominator, graded.dimension, kappa)
-        for row, kappa in zip(rows, graded.kappas)
-    ]
+    """Lowest-degree homogeneous parts g_j and the Gramian (lambda_i g_j), both
+    as G_j and (lambda_i G_j) in the frame, read off the rows of L at degree kappa_j."""
+    frame = _frame(graded)
+    rows = frame.moments.rows(graded.integer_transform, max(graded.kappas))
+    parts = tuple(least_part_from_moments(row.__getitem__, row.denominator, frame.weights, kappa)
+                  for row, kappa in zip(rows, graded.kappas))
     for j, (g, kappa) in enumerate(zip(parts, graded.kappas)):
-        if g.degree != kappa or not g.is_homogeneous(kappa):
-            raise AssertionError(
-                f"least_basis: least part g_{j} is not homogeneous of degree {kappa}"
-            )
-    forms = tuple(map(_integer_form, parts))
-    return LeastBasis(source=graded, g=tuple(parts), gramian=_gramian(rows, forms, graded.blocks()),
-                      operands=(rows, forms, None))
+        if g.degree != kappa or not g.is_homogeneous(kappa):  # A is onto R^r: g_j = G_j(A x) is too
+            raise AssertionError(f"least_basis: least part g_{j} is not homogeneous of degree {kappa}")
+    return LeastBasis._of(graded, rows, parts, frame.linear)
 
 
 def range_basis(basis: SchabackBasis | LeastBasis) -> tuple[Polynomial, ...]:
@@ -344,7 +345,7 @@ def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -
         factors = basis.factors
     except SingularMatrixError as exc:
         raise SingularGramianError(f"{method} Gramian is singular") from exc
-    rows, forms, affine = basis.operands
+    rows, forms, linear = basis.operands
     sums: dict[Exponent, int] = {}
     coeffs, scale, bits = [Fraction(0)] * graded.size, 1, 1
     for bi, block in reversed(list(enumerate(factors.blocks))):
@@ -361,9 +362,9 @@ def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -
             sums, scale = _renormalize(sums, scale)
             bits = scale.bit_length()
     terms = {alpha: Fraction(v, scale) for alpha, v in sums.items() if v}
-    interpolant = Polynomial._of(len(affine[0]) if affine else graded.dimension, terms)
-    if affine:
-        interpolant = substitute_affine([interpolant], *affine)[0]
+    interpolant = Polynomial._of(len(linear) if linear else graded.dimension, terms)
+    if linear:
+        interpolant = substitute_affine([interpolant], linear)[0]
     residuals = tuple(v - value for v, value in zip(_span_values(graded, interpolant), b))
     j = next((j for j, r in enumerate(residuals) if r), None)
     if j is not None:

@@ -16,8 +16,8 @@ The tie-break itself is arbitrary, but it must stay fixed and documented:
 pivot choices in the graded-basis construction depend on the column order.
 
 ``substitute_affine`` is the one affine substitution p |-> p(A x + b): it
-serves ``Polynomial.compose_affine`` and ``translate`` and composes the
-radial images of degenerate point sets with their hull coordinates.
+serves ``Polynomial.compose_affine`` and ``translate`` and maps both bases
+and the interpolants of degenerate point sets from hull coordinates to x.
 """
 
 from __future__ import annotations

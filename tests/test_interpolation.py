@@ -658,8 +658,8 @@ def test_factored_solves_match_the_dense_oracle(case):
     lambda kind: st.tuples(st.just(kind), solve_cases(kinds=(kind,)))))
 @settings(deadline=None, max_examples=60)
 def test_solves_in_hull_coordinates_match_the_dense_oracle(case):
-    """On collinear and coplanar rational sets the Schaback solve reduces and sums F in
-    hull coordinates and maps it to x by one substitution; on derivative spans it works
+    """On collinear and coplanar rational sets both solves reduce and sum F in hull
+    coordinates and map it to x by one substitution; on derivative spans they work
     in x.  Both methods agree with the dense lambda_i(p_j) solve."""
     kind, (span, degree_cap, ascending_ties, datas, target) = case
     try:
@@ -672,7 +672,7 @@ def test_solves_in_hull_coordinates_match_the_dense_oracle(case):
         except DegreeCapError:  # a moment cap below 2 kappa: no radial images
             continue
         if kind != "derivatives":
-            assert (basis.operands[2] is not None) == (method == "schaback")  # (A, b) to x
+            assert basis.operands[2] is not None  # A, t = A x, for either method
         for data in datas:
             b = [Fraction(v) for v in data]
             report = interpolate(basis, data=data)
@@ -681,13 +681,17 @@ def test_solves_in_hull_coordinates_match_the_dense_oracle(case):
             assert report.residuals == residuals == (0,) * len(span)
 
 
-@pytest.mark.parametrize("points", [
+DEGENERATE = pytest.mark.parametrize("points", [
     [(t, 2 * t + 1) for t in (-3, -1, 0, 2, 5, 6)],
     [(a, b, a + b) for a, b in ((0, 0), (1, 0), (0, 1), (2, -1), (-1, 2), (1, 1), (-2, -1))],
 ], ids=["collinear", "coplanar"])
+
+
+@DEGENERATE
 def test_only_f_and_a_read_of_w_are_mapped_to_x(monkeypatch, points):
-    """schaback_basis keeps the W_j in hull coordinates and substitutes nothing; each
-    Schaback solve substitutes its F once, and w is mapped to x when first read."""
+    """Neither builder substitutes: both keep their polynomials in hull coordinates,
+    with the same A.  Each solve of either method substitutes its F once, and w and g
+    are each mapped to x when first read."""
     import radpoly.interpolation as interpolation
 
     calls, substitute = [], interpolation.substitute_affine
@@ -699,14 +703,45 @@ def test_only_f_and_a_read_of_w_are_mapped_to_x(monkeypatch, points):
     monkeypatch.setattr(interpolation, "substitute_affine", counted)
     graded = graded_on(points)
     sb, lb = schaback_basis(graded), least_basis(graded)
-    assert calls == [] and sb.operands[2] is not None
+    assert calls == [] and sb.operands[2] is not None and lb.operands[2] is sb.operands[2]
     for value in (1, -2):
         data = [value * (i % 3) for i in range(len(points))]
         schaback_interpolate(sb, data=data)
         least_interpolate(lb, data=data)
-    assert calls == [1, 1]
-    assert sb.w is sb.w and calls == [1, 1, len(points)]
-    assert sb.w == tuple(substitute(sb.images, *sb.operands[2]))
+    assert calls == [1] * 4
+    assert sb.w is sb.w and calls == [1] * 4 + [len(points)]
+    assert lb.g is lb.g and calls == [1] * 4 + [len(points)] * 2
+    assert sb.w == tuple(substitute(sb.polys, sb.operands[2]))
+    assert lb.g == tuple(substitute(lb.polys, lb.operands[2]))
+
+
+@DEGENERATE
+def test_both_bases_share_one_hull_frame(monkeypatch, points):
+    """The hull is computed once per graded basis, by whichever basis is built first;
+    least_basis alone reads its rows of L in hull coordinates and carries the map to x;
+    building least then Schaback, or the reverse, gives the same Gramians, w, g and solves."""
+    import radpoly.interpolation as interpolation
+
+    seen, hull = [], interpolation._hull
+    monkeypatch.setattr(interpolation, "_hull", lambda pts: seen.append(pts) or hull(pts))
+    alone = least_basis(graded_on(points))
+    rows, _, linear = alone.operands
+    assert len(seen) == 1 and linear is not None
+    assert {len(alpha) for row in rows for alpha in row} == {len(linear)}  # no row of L in x
+    least_first, schaback_first = graded_on(points), graded_on(points)
+    lb = least_basis(least_first)
+    sb = schaback_basis(least_first)
+    other_sb = schaback_basis(schaback_first)
+    other_lb = least_basis(schaback_first)
+    assert len(seen) == 3
+    assert lb.operands[2] is sb.operands[2] and other_lb.operands[2] is other_sb.operands[2]
+    assert (sb.gramian, sb.w) == (other_sb.gramian, other_sb.w)
+    assert (lb.gramian, lb.g) == (other_lb.gramian, other_lb.g) == (alone.gramian, alone.g)
+    data = [(i * i) % 5 - 2 for i in range(len(points))]
+    for interpolate, bases in ((schaback_interpolate, (sb, other_sb)),
+                               (least_interpolate, (lb, other_lb, alone))):
+        reports = [interpolate(basis, data=data) for basis in bases]
+        assert len({(r.coefficients, r.interpolant) for r in reports}) == 1
 
 
 def test_f_is_renormalized_on_a_line_of_one_point_blocks(monkeypatch):
