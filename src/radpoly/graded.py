@@ -39,14 +39,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Sequence
 
 from .errors import DegreeCapError, DimensionMismatchError, RankDeficientError
 from .functionals import Functional, combine
 from .polynomials import Exponent, monomials_of_degree
-from .rational_linalg import integer_vector
+from .rational_linalg import integer_vector, pivot_columns
 
 
 class MomentTable:
@@ -204,18 +204,25 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
     if table.cap is not None and degree_cap > table.cap:
         raise DegreeCapError(f"degree cap {degree_cap} exceeds a stored moment cap {table.cap}")
 
-    search_cap = degree_cap
+    search_cap, support = degree_cap, ()
     if table.cap is None:  # a nonzero point combination on m distinct points has order <= m - 1
-        search_cap = min(degree_cap, len({x for f in span for x in f.points}) - 1)
+        support = {x for f in span for x in f.points}
+        search_cap = min(degree_cap, len(support) - 1)
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     transform: list[tuple[tuple[int, ...], int]] = []
     pivots: list[Exponent] = []
     kappas: list[int] = []
+    hull = d  # the support's hull dimension: at most C(k + hull, hull) pivots through degree k
     for k in range(search_cap + 1):
+        if k == 2 and support and len(pivots) <= d:  # more pivots through degree 1 mean a hull of R^d
+            x0 = next(iter(support))
+            hull = len(pivot_columns([[a - b for a, b in zip(x, x0)] for x in support]))
         table.extend(k)
-        scale = table.scales[k]
+        scale, full = table.scales[k], comb(k + hull, hull)
         for alpha in table.monomials[k]:
             rank = len(pivots)
+            if rank == full:  # the remaining rows annihilate Pi_k on the hull: the rest of degree k is zero
+                break
             column = table.columns[alpha]
             values = [sum(map(mul, row, column)) for row in rows[rank:]]
             pivot = next((i for i, v in enumerate(values) if v), None)

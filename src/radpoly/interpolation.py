@@ -204,9 +204,9 @@ class _Basis:
         """The Gramian factored one diagonal block at a time; each pivot of a block
         of order kappa must have the sign ``_sign ** kappa``."""
         factors = linalg.factor_block_upper(self.gramian, self.source.blocks())
-        for bi, (block, (_, upper)) in enumerate(zip(factors.blocks, factors.diagonal)):
+        for bi, (block, (_, _, pivots)) in enumerate(zip(factors.blocks, factors.diagonal)):
             kappa = self.source.kappas[block[0]]
-            wrong = [block[r] for r, row in enumerate(upper) if row[r].numerator * self._sign ** kappa < 0]
+            wrong = [i for i, (num, _) in zip(block, pivots) if num * self._sign ** kappa < 0]
             if wrong:
                 raise AssertionError(f"{self._method} Gramian block {bi} (order {kappa}): "
                                      f"the pivot at index {wrong[0]} breaks the sign law")
@@ -339,7 +339,7 @@ def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -
     graded = basis.source
     b = _data_vector(graded, data, target)
     values, common = linalg.integer_vector(b)
-    lam_values = [Fraction(sum(map(mul, row, values)), denominator * common)
+    lam_values = [(sum(map(mul, row, values)), denominator * common)  # lambda_i(f), unreduced
                   for row, denominator in graded.integer_transform]
     try:
         factors = basis.factors
@@ -350,8 +350,9 @@ def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -
     coeffs, scale, bits = [Fraction(0)] * graded.size, 1, 1
     for bi, block in reversed(list(enumerate(factors.blocks))):
         high = [(alpha, v) for alpha, v in sums.items() if sum(alpha) >= graded.kappas[block[0]]]
-        coeffs[block[0]:block[-1] + 1] = y = factors.sweep(bi, [lam_values[i] - Fraction(
-            sum(v * rows[i][alpha] for alpha, v in high), scale * rows[i].denominator) for i in block])
+        coeffs[block[0]:block[-1] + 1] = y = factors.sweep(bi, [  # lambda_i(f) - lambda_i(F), unreduced
+            (num * below - den * sum(v * rows[i][alpha] for alpha, v in high), den * below)
+            for i in block for (num, den), below in [(lam_values[i], scale * rows[i].denominator)]])
         (lift, *weights), scale = linalg.integer_vector(  # F's old scale, as a weight, and the block's
             [Fraction(1, scale)] + [c / forms[j][1] for j, c in zip(block, y)])
         sums = {alpha: v * lift for alpha, v in sums.items()}

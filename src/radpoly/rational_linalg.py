@@ -9,12 +9,14 @@ Every general elimination here is a view of one forward elimination, ``_echelon`
 upward from it and ``solve`` is the rref of [A | b].  ``factor_block_upper`` runs
 L D L^T on each symmetric diagonal block's upper triangle instead; each caller
 reduces a block's right-hand side by the blocks solved, for ``sweep`` to solve it.
+Both run on (numerator, denominator) integer pairs, each step reduced to lowest terms
+with a positive denominator by ``_sub_mul``'s gcds: ``Fraction``'s values and heights.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import NamedTuple, Sequence
 
 from .errors import SingularMatrixError
@@ -138,23 +140,53 @@ def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
     return basis
 
 
+def _sub_mul(n: int, d: int, a: int, b: int, p: int, q: int) -> tuple[int, int]:
+    """n/d - (a/b)(p/q) from lowest-terms operands, in lowest terms with a positive denominator:
+    the product cross-cancels by two gcds, the difference by the denominators' gcd, as in ``Fraction``."""
+    g, h = gcd(a, q), gcd(p, b)
+    a, b = a // g * (p // h), b // h * (q // g)
+    g = gcd(d, b)
+    t = n * (b // g) - a * (d // g)
+    h = gcd(t, g)
+    return t // h, d // g * (b // h)
+
+
+def _quotient(n: int, d: int, p: int, q: int) -> tuple[int, int]:
+    """(n/d) / (p/q), p nonzero, in lowest terms with a positive denominator."""
+    g, h = gcd(n, p), gcd(q, d)
+    n, d = n // g * (q // h), d // h * (p // g)
+    return (-n, -d) if d < 0 else (n, d)
+
+
 class BlockUpperFactors(NamedTuple):
-    """The diagonal blocks of a block upper triangular matrix factored for many
-    right-hand sides: per block B = L U, (row i of L as its nonzero (r, L[i][r]), rows of U)."""
+    """The diagonal blocks of a block upper triangular matrix factored for many right-hand
+    sides, B = L U per block, in (numerator, positive denominator) pairs in lowest terms, as
+    tall as ``Fraction``'s: the rows of L as their nonzero (r, num, den) left of the diagonal,
+    the rows of U as their nonzero (c, num, den) right of it, and the pivots U[r][r] as pairs."""
 
     blocks: tuple[tuple[int, ...], ...]
-    diagonal: tuple[tuple[tuple, tuple], ...]
+    diagonal: tuple[tuple[tuple, tuple, tuple], ...]
 
-    def sweep(self, bi: int, values: Sequence[Fraction]) -> Vector:
-        """Solve block ``bi`` for ``values``, already reduced by the later blocks: L, then U."""
-        lower, upper = self.diagonal[bi]
-        y: Vector = []
-        for value, multipliers in zip(values, lower):
-            y.append(value - sum((f * y[r] for r, f in multipliers), _ZERO))
+    def sweep(self, bi: int, values: Sequence[tuple[int, int]]) -> Vector:
+        """Solve block ``bi`` for ``values``, its right-hand side less the later blocks' part as
+        (numerator, positive denominator) pairs in any terms: L, then U, on pairs in lowest terms."""
+        lower, upper, pivots = self.diagonal[bi]
+        y: list[tuple[int, int]] = []
+        for (n, d), row in zip(values, lower):
+            n, d = n // (g := gcd(n, d)), d // g
+            for r, a, b in row:
+                p, q = y[r]
+                if p:
+                    n, d = _sub_mul(n, d, a, b, p, q)
+            y.append((n, d))
         for r in range(len(y) - 1, -1, -1):
-            row = upper[r]
-            y[r] = (y[r] - sum((v * y[c] for c, v in enumerate(row[r + 1:], r + 1) if v), _ZERO)) / row[r]
-        return y
+            n, d = y[r]
+            for c, a, b in upper[r]:
+                p, q = y[c]
+                if p:
+                    n, d = _sub_mul(n, d, a, b, p, q)
+            y[r] = _quotient(n, d, *pivots[r])
+        return [Fraction(n, d) for n, d in y]
 
 
 def factor_block_upper(matrix: Sequence[Sequence[Fraction]],
@@ -168,21 +200,26 @@ def factor_block_upper(matrix: Sequence[Sequence[Fraction]],
     diagonal = []
     for bi, block in enumerate(blocks):
         m = len(block)
-        a = [[_ZERO] * r + [matrix[i][j] for j in block[r:]] for r, i in enumerate(block)]
-        lower: list[list[tuple[int, Fraction]]] = [[] for _ in block]
+        a = [[(0, 1)] * r + [(v.numerator, v.denominator) for v in (matrix[i][j] for j in block[r:])]
+             for r, i in enumerate(block)]
+        lower: list[list[tuple[int, int, int]]] = [[] for _ in block]
         for r, head in enumerate(a):
-            if not head[r]:
+            pn, pd = head[r]
+            if not pn:
                 pivots = pivot_columns([[matrix[block[min(p, q)]][block[max(p, q)]] for q in range(m)]
                                         for p in range(m)])
                 missing = [block[c] for c in range(m) if c not in pivots]
                 raise SingularMatrixError(f"no pivot in column {missing[0]}" if missing
                                           else f"diagonal block {bi} needs a row swap")
             for i in range(r + 1, m):
-                if head[i]:
-                    factor = head[i] / head[r]
-                    lower[i].append((r, factor))
-                    a[i][i:] = [v - factor * h for v, h in zip(a[i][i:], head[i:])]
-        diagonal.append((tuple(map(tuple, lower)), tuple(map(tuple, a))))
+                if head[i][0]:
+                    fn, fd = _quotient(*head[i], pn, pd)
+                    lower[i].append((r, fn, fd))
+                    for c in range(i, m):
+                        if head[c][0]:
+                            a[i][c] = _sub_mul(*a[i][c], fn, fd, *head[c])
+        upper = (tuple((c, *v) for c, v in enumerate(row[r + 1:], r + 1) if v[0]) for r, row in enumerate(a))
+        diagonal.append((tuple(map(tuple, lower)), tuple(upper), tuple(row[r] for r, row in enumerate(a))))
     return BlockUpperFactors(blocks, tuple(diagonal))
 
 
@@ -192,5 +229,5 @@ def solve_block_upper(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fracti
     factors, x = factor_block_upper(matrix, blocks), {}
     for bi, block in reversed(list(enumerate(factors.blocks))):
         reduced = [rhs[i] - sum((matrix[i][j] * v for j, v in x.items()), _ZERO) for i in block]
-        x.update(zip(block, factors.sweep(bi, reduced)))
+        x.update(zip(block, factors.sweep(bi, [(v.numerator, v.denominator) for v in reduced])))
     return [x.get(i, _ZERO) for i in range(len(rhs))]

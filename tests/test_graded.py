@@ -1,5 +1,6 @@
 """Graded basis construction by exact elimination, and its invariants."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -333,3 +334,51 @@ def test_integer_elimination_matches_the_fraction_elimination(case):
     for lam, row in zip(graded.lambdas, graded.rows(top)):
         assert all(lam.moment(alpha) == Fraction(row[alpha], row.denominator) for alpha in monomials)
     assert graded.rows(max(graded.kappas)) is graded.rows(top)  # built once for the top degree
+
+
+@pytest.mark.parametrize("points, hull", [
+    ([(t, 2 * t + 1) for t in (-3, -1, 0, 2, 5, 7, 9)], 1),
+    ([(a, b, a + b) for a, b in ((0, 0), (1, 0), (0, 1), (2, 1), (1, 3), (-2, 2), (3, -1), (-1, -3), (4, 4))], 2),
+], ids=["collinear", "coplanar"])
+def test_elimination_skips_the_rest_of_a_degree_once_the_hull_is_full(points, hull, monkeypatch):
+    """Once the pivots through degree k number C(k + r, r), r the support's hull dimension, every
+    remaining column of degree k is zero on the remaining rows: the elimination reads none of them,
+    and returns what the elimination that reads every column (hull dimension taken as d) returns."""
+    reads = []
+
+    class Recorded(dict):
+        def __getitem__(self, alpha):
+            reads.append(alpha)
+            return super().__getitem__(alpha)
+
+    def recording_init(table, span):
+        init(table, span)
+        table.columns = Recorded()
+
+    init = MomentTable.__init__
+    monkeypatch.setattr(MomentTable, "__init__", recording_init)
+    skipped = build_graded_basis(evaluations(points))
+    skipped_reads = reads[:]
+    reads.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr("radpoly.graded.pivot_columns", lambda rows: list(range(len(rows[0]))))
+        unskipped = build_graded_basis(evaluations(points))
+    assert (skipped.kappas, skipped.pivots, skipped.integer_transform) == (
+        unskipped.kappas, unskipped.pivots, unskipped.integer_transform)
+
+    def full(k):  # C(k + r, r) pivots through degree k fill Pi_k on the hull; r is known from degree 2 on, d before
+        r = hull if k > 1 else len(points[0])
+        return math.comb(k + r, r)
+
+    pivots = set(unskipped.pivots)  # read alpha when fewer than full(|alpha|) columns before it gave a pivot
+    expected = [alpha for i, alpha in enumerate(reads) if sum(beta in pivots for beta in reads[:i]) < full(sum(alpha))]
+    assert skipped_reads == expected != reads
+
+
+def test_spans_with_a_full_hull_or_a_cap_do_not_compute_the_hull(monkeypatch):
+    """More than d pivots through degree 1 mean the hull is R^d, and a capped span has no support
+    to take it from: neither pays for the rank of its point differences."""
+    monkeypatch.setattr("radpoly.graded.pivot_columns", mock.Mock(side_effect=AssertionError("hull computed")))
+    assert build_graded_basis(evaluations([(0, 0), (1, 0), (0, 1), (1, 1), (2, 3), (3, 1)])).kappas[-1] == 2
+    hermite = [from_derivative(alpha, (0, 0), 6) for alpha in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1))]
+    assert build_graded_basis(hermite + [point_evaluation((1, 2))], degree_cap=3).kappas[-1] == 2

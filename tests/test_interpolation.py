@@ -203,8 +203,8 @@ class TestSchabackInterpolation:
         basis = make_basis(graded_on([(0,), (1,), (3,)]))
         interpolate(basis, data=[0, 0, 1])  # factors the Gramian and caches the factors
         factors = basis.factors
-        lower, ((pivot,),) = factors.diagonal[-1]  # the top block is 1 x 1
-        patched = (lower, ((pivot + 1,),))
+        lower, upper, ((num, den),) = factors.diagonal[-1]  # the top block is 1 x 1
+        patched = (lower, upper, ((num + den, den),))  # its pivot plus 1
         vars(basis)["factors"] = factors._replace(diagonal=factors.diagonal[:-1] + (patched,))
         with pytest.raises(AssertionError, match=rf"^{method}_interpolate: residual mu_\d\(f\)"):
             interpolate(basis, data=[0, 0, 1])

@@ -1,6 +1,7 @@
 """Exact linear algebra: every view checked against an independent oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -125,13 +126,17 @@ def test_solve_rejects_shape_mismatch():
 def test_symmetric_blocks_factor_as_l_d_lt(n, rng):
     """B = M^T D M factors without row swaps as B = L U with U = D L^T, L = M^T."""
     b, m, d = random_symmetric(rng, n)
-    (multipliers, upper), = factor_block_upper(b, [range(n)]).diagonal
-    lower = identity(n)
+    (multipliers, right, pivots), = factor_block_upper(b, [range(n)]).diagonal
+    lower, upper = identity(n), [[Fraction(0)] * n for _ in range(n)]
     for i, row in enumerate(multipliers):
-        for r, f in row:
-            assert r < i and f != 0
-            lower[i][r] = f
-    upper = [list(row) for row in upper]
+        for r, num, den in row:
+            assert r < i and num != 0
+            lower[i][r] = Fraction(num, den)
+    for r, (row, (num, den)) in enumerate(zip(right, pivots)):
+        upper[r][r] = Fraction(num, den)
+        for c, num, den in row:
+            assert c > r and num != 0
+            upper[r][c] = Fraction(num, den)
     assert lower == transpose(m)
     assert mat_mul(lower, upper) == b
     assert upper == mat_mul(d, transpose(lower))
@@ -250,3 +255,51 @@ def test_block_upper_solve_reports_a_singular_diagonal_block():
         solve_block_upper(a, [Fraction(1), Fraction(1)], [[0], [1]])
     with pytest.raises(SingularMatrixError, match="no pivot in column 1"):
         factor_block_upper(a, [[0], [1]])
+
+
+def mixed_rationals(nonzero=False):
+    """Rationals from one bit up to a few hundred bits in numerator and denominator."""
+    numerators = st.one_of(st.integers(-3, 3), st.integers(-2 ** 300, 2 ** 300))
+    if nonzero:
+        numerators = numerators.filter(bool)
+    return st.builds(Fraction, numerators, st.one_of(st.integers(1, 4), st.integers(1, 2 ** 200)))
+
+
+@st.composite
+def symmetric_blocks(draw):
+    """(block, sign): M^T D M with M unit upper triangular, of mixed-size rationals and zeros (a
+    zero M[0][j] is a zero B[0][j]), and D diagonal: B negative definite (sign -1), positive
+    definite (1) or of mixed signs (0)."""
+    n, sign = draw(st.integers(1, 5)), draw(st.sampled_from([-1, 0, 1]))
+    m = identity(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = draw(st.one_of(st.just(Fraction(0)), mixed_rationals()))
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i][i] = abs(draw(mixed_rationals(nonzero=True))) * (sign or draw(st.sampled_from([-1, 1])))
+    return mat_mul(mat_mul(transpose(m), d), m), sign
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(symmetric_blocks(), min_size=1, max_size=3), st.data())
+def test_pair_factors_and_sweeps_match_the_rref_solve(blocks, data):
+    """Factor and sweep on integer pairs give solve's rationals, and every stored pair is in
+    lowest terms with a positive denominator, so no entry is taller than ``Fraction``'s."""
+    n = sum(len(block) for block, _ in blocks)
+    matrix, groups, start = [[Fraction(0)] * n for _ in range(n)], [], 0
+    for block, _ in blocks:
+        groups.append(list(range(start, start + len(block))))
+        for r, row in enumerate(block):
+            matrix[start + r][start:start + len(block)] = row
+        start += len(block)
+    factors = factor_block_upper(matrix, groups)
+    for (lower, upper, pivots), (_, sign) in zip(factors.diagonal, blocks):
+        stored = [(num, den) for row in lower + upper for _, num, den in row] + list(pivots)
+        assert all(den > 0 and math.gcd(num, den) == 1 and num for num, den in stored)
+        assert sign == 0 or all(num * sign > 0 for num, _ in pivots)
+    rhs = data.draw(st.lists(mixed_rationals(), min_size=n, max_size=n))
+    lift = data.draw(st.integers(1, 2 ** 64))  # sweep reduces pairs that are not in lowest terms
+    solution = [v for bi, block in enumerate(factors.blocks)
+                for v in factors.sweep(bi, [(rhs[i].numerator * lift, rhs[i].denominator * lift) for i in block])]
+    assert solution == solve(matrix, rhs)
