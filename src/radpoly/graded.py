@@ -28,10 +28,13 @@ worth more.  Column scales change no pivot choice and no elimination ratio,
 only the pivot value, which is divided back out: each row of ``integer_transform``
 (the one copy of T) is normalized so that lambda_i(x^beta_i) = 1.
 
-The rows of L = T V, the moments of the lambda_i, are integer numerators
-over one denominator per row, each entry computed from its table column the
-first time it is read: the radial images, the least parts and both
-interpolation Gramians read row i only up to degree max(2 kappa_i, kappa_max).
+For a span of point combinations the elimination also finds the support's affine
+hull, once (``Hull``).  Its dimension r bounds the pivots through degree k by
+C(k + r, r), past which the rest of degree k goes unread, and a hull smaller than R^d
+is the ``Frame`` of both interpolation bases: the coordinates t = A x of their
+polynomials.  The rows of L = T V, the moments of the lambda_i in the frame, are
+integer numerators over one denominator per row, each entry computed from its table
+column the first time it is read, up to degree max(2 kappa_i, kappa_max) for row i.
 """
 
 from __future__ import annotations
@@ -41,12 +44,12 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegreeCapError, DimensionMismatchError, RankDeficientError
-from .functionals import Functional, combine
+from .functionals import Functional, PointFunctional, combine
 from .polynomials import Exponent, monomials_of_degree
-from .rational_linalg import integer_vector, pivot_columns
+from .rational_linalg import integer_vector, rref
 
 
 class MomentTable:
@@ -117,17 +120,61 @@ class MomentRow(dict):
         return value
 
 
+class Hull(NamedTuple):
+    """The affine hull x0 + span{u_1..u_r} of a point set, in coordinates t.  The u_k are
+    orthogonal integer vectors, D_k = u_k . u_k, and x0 is the hull's point nearest 0, so
+    u_k . x0 = 0 and t_k(x) = u_k . x / D_k is linear.  With P the orthoprojector onto the
+    hull, ||Px - y||^2 = sum_k D_k (t_k(x) - t_k(y))^2 for every y on the hull."""
+
+    directions: tuple[tuple[int, ...], ...]
+    weights: tuple[int, ...]
+
+    def __call__(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        return tuple(sum(map(mul, u, x)) / w for u, w in zip(self.directions, self.weights))
+
+
+def _hull(points: Sequence[tuple[Fraction, ...]]) -> Hull:
+    """Hull coordinates: rational Gram-Schmidt on the rref rows of the x_i - x_1."""
+    rows, _ = rref([[a - b for a, b in zip(p, points[0])] for p in points[1:]])
+    directions: list[tuple[int, ...]] = []
+    for row in rows:
+        for u in directions:
+            c = sum(map(mul, row, u)) / sum(map(mul, u, u))
+            row = [a - c * b for a, b in zip(row, u)]
+        ints, _ = integer_vector(row)
+        directions.append(tuple(v // gcd(*ints) for v in ints))
+    return Hull(tuple(directions), tuple(sum(map(mul, u, u)) for u in directions))
+
+
+def _support_hull(support: Sequence[tuple[Fraction, ...]], low_pivots: int, d: int) -> Hull | None:
+    """The hull of a point span's support, or None for R^d: no support (a capped span), one point,
+    more than d pivots through degree 1 (they separate the affine functions) or r = d."""
+    if len(support) < 2 or low_pivots > d:
+        return None
+    hull = _hull(support)
+    return hull if len(hull.weights) < d else None
+
+
+class Frame(NamedTuple):
+    """Where both bases keep their polynomials: x (unit weights, ``linear`` None) or hull
+    coordinates t = A x, A_k = u_k / D_k, with the span's moments at the t(x_i) and weights D_k."""
+
+    moments: MomentTable
+    weights: tuple[int, ...]
+    linear: tuple[tuple[Fraction, ...], ...] | None
+
+
 @dataclass(frozen=True)
 class GradedBasis:
     """Outcome of the elimination: orders, pivots, the transform, and the table.
 
     ``integer_transform`` is the row-wise matrix T with lambda_i = sum_j T[i][j] mu_j, each
     row as integer numerators over one denominator.  ``moments`` is the span's integer moment
-    table; ``lambdas``, their moment rows ``rows`` and T in ``Fraction``s (``transform``) are
-    derived from them when first asked for.  No invariants are enforced here;
-    ``build_graded_basis`` guarantees them and ``verify_graded`` rechecks
-    them on demand (so corrupted instances can be constructed in tests as
-    negative controls).
+    table and ``hull`` its support's hull (None for R^d); ``lambdas``, T in ``Fraction``s
+    (``transform``), the ``frame`` and its moment ``rows`` are derived when first asked for.
+    No invariants are enforced here; ``build_graded_basis`` guarantees them and
+    ``verify_graded`` rechecks them on demand (so corrupted instances can be constructed
+    in tests as negative controls).
     """
 
     span: tuple[Functional, ...]
@@ -136,6 +183,7 @@ class GradedBasis:
     integer_transform: tuple[tuple[tuple[int, ...], int], ...]
     degree_cap: int
     moments: MomentTable = field(compare=False, repr=False)
+    hull: Hull | None = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -155,10 +203,21 @@ class GradedBasis:
         """T in ``Fraction``s, for the functionals, the output and the dense oracles."""
         return tuple(tuple(Fraction(t, den) for t in ints) for ints, den in self.integer_transform)
 
+    @cached_property
+    def frame(self) -> Frame:
+        """The frame of both bases: x, or the coordinates t = A x of ``hull``."""
+        if self.hull is None:
+            return Frame(self.moments, (1,) * self.dimension, None)
+        directions, weights = self.hull
+        mapped = [PointFunctional(map(self.hull, f.points), f.weights, dimension=len(weights))
+                  for f in self.span]
+        linear = tuple(tuple(Fraction(c, w) for c in u) for u, w in zip(directions, weights))
+        return Frame(MomentTable(mapped), weights, linear)
+
     def rows(self, top: int) -> tuple[MomentRow, ...]:
-        """The rows of L = T V in x, built once for the largest ``top`` asked (``MomentTable.rows``):
-        radial images in x read row i up to 2 kappa_i, least parts and Gramians up to kappa_max."""
-        return self.moments.rows(self.integer_transform, top)
+        """The rows of L = T V in the frame, built once for the largest ``top`` asked: radial
+        images read row i up to 2 kappa_i, least parts, Gramians and solves up to kappa_max."""
+        return self.frame.moments.rows(self.integer_transform, top)
 
     def blocks(self) -> list[list[int]]:
         """Indices grouped by order; contiguous since kappa is nondecreasing."""
@@ -206,19 +265,19 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
 
     search_cap, support = degree_cap, ()
     if table.cap is None:  # a nonzero point combination on m distinct points has order <= m - 1
-        support = {x for f in span for x in f.points}
+        support = list(dict.fromkeys(x for f in span for x in f.points))
         search_cap = min(degree_cap, len(support) - 1)
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     transform: list[tuple[tuple[int, ...], int]] = []
     pivots: list[Exponent] = []
     kappas: list[int] = []
-    hull = d  # the support's hull dimension: at most C(k + hull, hull) pivots through degree k
+    hull, r = None, d  # the support's hull, of dimension r: at most C(k + r, r) pivots through degree k
     for k in range(search_cap + 1):
-        if k == 2 and support and len(pivots) <= d:  # more pivots through degree 1 mean a hull of R^d
-            x0 = next(iter(support))
-            hull = len(pivot_columns([[a - b for a, b in zip(x, x0)] for x in support]))
+        if k == 2:  # the pivots through degree 1 are known
+            hull = _support_hull(support, len(pivots), d)
+            r = len(hull.weights) if hull else d
         table.extend(k)
-        scale, full = table.scales[k], comb(k + hull, hull)
+        scale, full = table.scales[k], comb(k + r, r)
         for alpha in table.monomials[k]:
             rank = len(pivots)
             if rank == full:  # the remaining rows annihilate Pi_k on the hull: the rest of degree k is zero
@@ -248,6 +307,8 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
             break
     if len(pivots) < n:
         raise RankDeficientError(achieved_rank=len(pivots), size=n, degree_cap=degree_cap)
+    if kappas[-1] < 2:  # the search stopped before degree 2
+        hull = _support_hull(support, n, d)
 
     return GradedBasis(
         span=span,
@@ -256,6 +317,7 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
         integer_transform=tuple(transform),
         degree_cap=degree_cap,
         moments=table,
+        hull=hull,
     )
 
 

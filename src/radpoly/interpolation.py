@@ -16,18 +16,14 @@ kappa_1 <= ... <= kappa_n) of the span M of the input functionals.
   lambda_j moment series.  That span depends only on M, not on the graded
   basis chosen.
 
-Both bases keep their polynomials in one frame per graded basis: x, or for a
-degenerate point set the linear hull coordinates t = A x of ``Hull``, in which
-w_j = W_j(t(x)), W_j the D-weighted radial image in r = dim(hull) variables.
-As lambda_j annihilates degrees below kappa_j, g_j = G_j(t(x)) too, with
-G_j = sum over |e| = kappa_j of D^e lambda_j(t^e) t^e / e!.  ``w`` and ``g`` map
-them to x by one ``substitute_affine`` when first read, which no solve does.
-
-Everything is read off the rows of L = T V, the moments of the lambda_i in the
-frame, as integer numerators over one denominator per row, each entry computed
-where it is read: W_j from degrees up to 2 kappa_j, G_j from degree kappa_j, and
-lambda_i p as sum_alpha p[alpha] L_i[alpha] over an integer form of p; each basis
-keeps these operands of its solves.
+Both bases keep their polynomials in their graded basis's ``frame``: x, or for a
+degenerate point set the coordinates t = A x of the hull the elimination found, where
+w_j = W_j(t(x)), W_j the D-weighted radial image in r = dim(hull) variables, and, as
+lambda_j annihilates degrees below kappa_j, g_j = G_j(t(x)) with G_j = sum over
+|e| = kappa_j of D^e lambda_j(t^e) t^e / e!.  ``w`` and ``g`` map them to x when first
+read, which no solve and no range comparison does.  Everything is read off the frame's
+rows of L = T V: W_j up to degree 2 kappa_j, G_j at kappa_j, and lambda_i p as
+sum_alpha p[alpha] L_i[alpha] over the integer form of p each basis keeps.
 Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular, as
 lambda_i annihilates degrees below kappa_i, and only their diagonal blocks are
 computed.  The block of order kappa is symmetric, (-1)^kappa-definite for w
@@ -36,7 +32,8 @@ upper triangle and checks every pivot's sign.  Both solves are the same block
 back-substitution from the highest order down: row i's entries above the blocks
 times the solved c_j sum to lambda_i(F), F = sum c_j p_j so far, and after the
 last block F is the interpolant (in hull coordinates for a degenerate point set,
-mapped to x by one ``substitute_affine``).  The data of a target p are V p, and
+mapped to x by one ``substitute_affine``); the sweeps' integer pairs build F with no
+``Fraction``.  The data of a target p are V p, and
 the certificate mu_i(f) - b_i = V f - b reads only V.
 
 Either interpolant matches every functional in M exactly and never raises
@@ -51,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import rational_linalg as linalg
 from .errors import DimensionMismatchError, SingularGramianError, SingularMatrixError
@@ -62,7 +59,7 @@ from .functionals import (
     least_part_from_moments,
     point_evaluation,
 )
-from .graded import GradedBasis, MomentRow, MomentTable, build_graded_basis
+from .graded import GradedBasis, MomentRow, _hull, build_graded_basis
 from .polynomials import (
     Exponent,
     Polynomial,
@@ -98,35 +95,6 @@ class AffineProjection:
         return tuple(v + s for v, s in zip(image, self.shift))
 
 
-class Hull(NamedTuple):
-    """The affine hull x0 + span{u_1..u_r} of a point set, in coordinates t.
-
-    The u_k are orthogonal integer vectors, D_k = u_k . u_k, and x0 is the hull's
-    point nearest 0, so u_k . x0 = 0 and t_k(x) = u_k . x / D_k is linear.  With P
-    the orthoprojector onto the hull, ||Px - y||^2 = sum_k D_k (t_k(x) - t_k(y))^2
-    for every y on the hull.
-    """
-
-    directions: tuple[tuple[int, ...], ...]
-    weights: tuple[int, ...]
-
-    def __call__(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(sum(map(mul, u, x)) / w for u, w in zip(self.directions, self.weights))
-
-
-def _hull(points: Sequence[tuple[Fraction, ...]]) -> Hull:
-    """Hull coordinates: rational Gram-Schmidt on the rref rows of the x_i - x_1."""
-    rows, _ = linalg.rref([[a - b for a, b in zip(p, points[0])] for p in points[1:]])
-    directions: list[tuple[int, ...]] = []
-    for row in rows:
-        for u in directions:
-            c = sum(map(mul, row, u)) / sum(map(mul, u, u))
-            row = [a - c * b for a, b in zip(row, u)]
-        ints, _ = linalg.integer_vector(row)
-        directions.append(tuple(v // math.gcd(*ints) for v in ints))
-    return Hull(tuple(directions), tuple(sum(map(mul, u, u)) for u in directions))
-
-
 def flat_projector(points: Sequence[Sequence[Rational]]) -> AffineProjection:
     """Exact orthoprojector onto the affine hull of the given points.
 
@@ -151,53 +119,21 @@ def flat_projector(points: Sequence[Sequence[Rational]]) -> AffineProjection:
 # Bases
 
 
-class Frame(NamedTuple):
-    """Where both bases of one graded basis keep their polynomials: x (unit weights,
-    ``linear`` None) or, for a degenerate point span, hull coordinates t = A x with
-    A_k = u_k / D_k, the span's moments at the t(x_i) and the weights D_k."""
-
-    moments: MomentTable
-    weights: tuple[int, ...]
-    linear: tuple[tuple[Fraction, ...], ...] | None
-
-
-def _frame(graded: GradedBasis) -> Frame:
-    """The frame of ``graded``, built by whichever basis comes first and kept with it.
-    Hull coordinates unless a functional has a cap, the support is one point
-    (constant images) or its hull is R^d; more than d orders kappa_i <= 1 mean the
-    span separates the affine functions, so the hull is R^d without computing it."""
-    if "_frame" not in graded.__dict__:
-        span, hull, d = graded.span, None, graded.dimension
-        if all(f.degree_cap is None for f in span) and sum(k <= 1 for k in graded.kappas) <= d:
-            points = list(dict.fromkeys(x for f in span for x in f.points))
-            hull = _hull(points) if len(points) > 1 else None
-        if hull is None or len(hull.weights) == d:
-            frame = Frame(graded.moments, (1,) * d, None)
-        else:
-            r, pairs = len(hull.weights), zip(hull.directions, hull.weights)
-            mapped = [PointFunctional(map(hull, f.points), f.weights, dimension=r) for f in span]
-            linear = tuple(tuple(Fraction(c, dk) for c in u) for u, dk in pairs)
-            frame = Frame(MomentTable(mapped), hull.weights, linear)
-        graded.__dict__["_frame"] = frame
-    return graded.__dict__["_frame"]
-
-
 @dataclass(frozen=True)
 class _Basis:
-    """Basis polynomials in the frame's coordinates with their Gramian's diagonal blocks
-    (zeros outside them); ``operands`` is (rows of L, each polynomial's integer form, the
-    frame's A or None).  The Gramian's factors, which every solve reuses, and the basis
-    in x are cached outside the fields (``==`` ignores them)."""
+    """Basis polynomials in their graded basis's ``frame``, their Gramian's diagonal blocks (zeros
+    outside them) and their integer ``forms``.  The Gramian's factors, which every solve reuses,
+    and the basis in x are cached outside the fields (``==`` ignores them)."""
 
     source: GradedBasis
     polys: tuple[Polynomial, ...]
     gramian: tuple[tuple[Fraction, ...], ...]
-    operands: tuple = field(compare=False, repr=False)
+    forms: tuple = field(compare=False, repr=False)
 
     @classmethod
-    def _of(cls, graded: GradedBasis, rows: Sequence[MomentRow], polys: tuple[Polynomial, ...], linear):
+    def _of(cls, graded: GradedBasis, rows: Sequence[MomentRow], polys: tuple[Polynomial, ...]):
         forms = tuple(map(_integer_form, polys))
-        return cls(graded, polys, _gramian(rows, forms, graded.blocks()), (rows, forms, linear))
+        return cls(graded, polys, _gramian(rows, forms, graded.blocks()), forms)
 
     @cached_property
     def factors(self) -> linalg.BlockUpperFactors:
@@ -214,7 +150,7 @@ class _Basis:
 
     def _in_x(self) -> tuple[Polynomial, ...]:
         """The basis polynomials in x, mapped there by one substitution when first read."""
-        linear = self.operands[2]
+        linear = self.source.frame.linear
         return tuple(substitute_affine(self.polys, linear)) if linear else self.polys
 
 
@@ -257,28 +193,26 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
     """
     for kappa in graded.kappas:
         _require_moment_cap(graded.moments.cap, 2 * kappa, "radial image")
-    frame = _frame(graded)
-    rows = frame.moments.rows(graded.integer_transform, 2 * max(graded.kappas))
+    frame, rows = graded.frame, graded.rows(2 * max(graded.kappas))
     images = tuple(image_from_moments(row.__getitem__, row.denominator, frame.weights, kappa)
                    for row, kappa in zip(rows, graded.kappas))
     for j, (p, kappa) in enumerate(zip(images, graded.kappas)):
         if p.degree != kappa:  # t(x) is onto the hull, so w_j = W_j(t(x)) has W_j's degree
             raise AssertionError(
                 f"schaback_basis: radial image w_{j} has degree {p.degree}, not its order {kappa}")
-    return SchabackBasis._of(graded, rows, images, frame.linear)
+    return SchabackBasis._of(graded, rows, images)
 
 
 def least_basis(graded: GradedBasis) -> LeastBasis:
     """Lowest-degree homogeneous parts g_j and the Gramian (lambda_i g_j), both
     as G_j and (lambda_i G_j) in the frame, read off the rows of L at degree kappa_j."""
-    frame = _frame(graded)
-    rows = frame.moments.rows(graded.integer_transform, max(graded.kappas))
+    frame, rows = graded.frame, graded.rows(max(graded.kappas))
     parts = tuple(least_part_from_moments(row.__getitem__, row.denominator, frame.weights, kappa)
                   for row, kappa in zip(rows, graded.kappas))
     for j, (g, kappa) in enumerate(zip(parts, graded.kappas)):
         if g.degree != kappa or not g.is_homogeneous(kappa):  # A is onto R^r: g_j = G_j(A x) is too
             raise AssertionError(f"least_basis: least part g_{j} is not homogeneous of degree {kappa}")
-    return LeastBasis._of(graded, rows, parts, frame.linear)
+    return LeastBasis._of(graded, rows, parts)
 
 
 def range_basis(basis: SchabackBasis | LeastBasis) -> tuple[Polynomial, ...]:
@@ -333,9 +267,9 @@ def _renormalize(sums: dict[Exponent, int], scale: int) -> tuple[dict[Exponent, 
 
 
 def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -> InterpolantReport:
-    """Block back-substitution from the highest order down, then the certificate V f - b.
-    F = sums / scale, f so far in the operands' coordinates, reduces row i by lambda_i(F).  A gcd
-    pass per block costs more than it saves; one runs when the scale outgrows 2 * bits + 64."""
+    """Block back-substitution from the highest order down, then the certificate V f - b.  F =
+    sums / scale, f so far in the frame, reduces row i by lambda_i(F) and takes c_j / den_j by a
+    gcd and an lcm.  A gcd pass per block costs more than it saves; one runs past 2 * bits + 64."""
     graded = basis.source
     b = _data_vector(graded, data, target)
     values, common = linalg.integer_vector(b)
@@ -345,20 +279,23 @@ def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -
         factors = basis.factors
     except SingularMatrixError as exc:
         raise SingularGramianError(f"{method} Gramian is singular") from exc
-    rows, forms, linear = basis.operands
+    rows, forms, linear = graded.rows(max(graded.kappas)), basis.forms, graded.frame.linear
     sums: dict[Exponent, int] = {}
-    coeffs, scale, bits = [Fraction(0)] * graded.size, 1, 1
+    coeffs, scale, bits = [(0, 1)] * graded.size, 1, 1
     for bi, block in reversed(list(enumerate(factors.blocks))):
         high = [(alpha, v) for alpha, v in sums.items() if sum(alpha) >= graded.kappas[block[0]]]
         coeffs[block[0]:block[-1] + 1] = y = factors.sweep(bi, [  # lambda_i(f) - lambda_i(F), unreduced
             (num * below - den * sum(v * rows[i][alpha] for alpha, v in high), den * below)
             for i in block for (num, den), below in [(lam_values[i], scale * rows[i].denominator)]])
-        (lift, *weights), scale = linalg.integer_vector(  # F's old scale, as a weight, and the block's
-            [Fraction(1, scale)] + [c / forms[j][1] for j, c in zip(block, y)])
-        sums = {alpha: v * lift for alpha, v in sums.items()}
-        for j, weight in zip(block, weights):
+        parts = [(num // g, den * (forms[j][1] // g))  # c_j / den_j in lowest terms
+                 for j, (num, den) in zip(block, y) for g in [math.gcd(num, forms[j][1])]]
+        lifted = math.lcm(scale, *(den for _, den in parts))
+        sums = {alpha: v * (lifted // scale) for alpha, v in sums.items()}
+        for j, (num, den) in zip(block, parts):
+            weight = num * (lifted // den)
             for alpha, v in forms[j][0] if weight else ():
                 sums[alpha] = sums.get(alpha, 0) + weight * v
+        scale = lifted
         if scale.bit_length() > 2 * bits + 64:
             sums, scale = _renormalize(sums, scale)
             bits = scale.bit_length()
@@ -375,7 +312,7 @@ def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -
     return InterpolantReport(
         method=method,
         interpolant=interpolant,
-        coefficients=tuple(coeffs),
+        coefficients=tuple(Fraction(num, den) for num, den in coeffs),
         data=tuple(b),
         residuals=residuals,
         basis=basis,
@@ -493,7 +430,7 @@ def compare_interpolants(points: Sequence[Sequence[Rational]], probe_degree: int
     graded = build_graded_basis([point_evaluation(p) for p in pts], degree_cap)
     sb = schaback_basis(graded)
     lb = least_basis(graded)
-    ranges_equal = polynomial_span_equal(sb.w, lb.g)
+    ranges_equal = polynomial_span_equal(sb.polys, lb.polys)  # one frame: p -> p(A x) is injective
     first_difference: Exponent | None = None
     for alpha in monomial_sequence(graded.dimension, probe_degree):
         probe = Polynomial.monomial(graded.dimension, alpha)

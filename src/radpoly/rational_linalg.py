@@ -167,9 +167,9 @@ class BlockUpperFactors(NamedTuple):
     blocks: tuple[tuple[int, ...], ...]
     diagonal: tuple[tuple[tuple, tuple, tuple], ...]
 
-    def sweep(self, bi: int, values: Sequence[tuple[int, int]]) -> Vector:
-        """Solve block ``bi`` for ``values``, its right-hand side less the later blocks' part as
-        (numerator, positive denominator) pairs in any terms: L, then U, on pairs in lowest terms."""
+    def sweep(self, bi: int, values: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+        """Solve block ``bi`` for ``values``, its right-hand side less the later blocks' part, by L
+        then U: (numerator, positive denominator) pairs in any terms in, pairs in lowest terms out."""
         lower, upper, pivots = self.diagonal[bi]
         y: list[tuple[int, int]] = []
         for (n, d), row in zip(values, lower):
@@ -186,7 +186,7 @@ class BlockUpperFactors(NamedTuple):
                 if p:
                     n, d = _sub_mul(n, d, a, b, p, q)
             y[r] = _quotient(n, d, *pivots[r])
-        return [Fraction(n, d) for n, d in y]
+        return y
 
 
 def factor_block_upper(matrix: Sequence[Sequence[Fraction]],
@@ -229,5 +229,6 @@ def solve_block_upper(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fracti
     factors, x = factor_block_upper(matrix, blocks), {}
     for bi, block in reversed(list(enumerate(factors.blocks))):
         reduced = [rhs[i] - sum((matrix[i][j] * v for j, v in x.items()), _ZERO) for i in block]
-        x.update(zip(block, factors.sweep(bi, [(v.numerator, v.denominator) for v in reduced])))
+        solved = factors.sweep(bi, [(v.numerator, v.denominator) for v in reduced])
+        x.update((i, Fraction(num, den)) for i, (num, den) in zip(block, solved))
     return [x.get(i, _ZERO) for i in range(len(rhs))]

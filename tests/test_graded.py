@@ -23,6 +23,7 @@ from radpoly import (
     point_evaluation,
     verify_graded,
 )
+import radpoly.graded as graded_module
 from radpoly.graded import MomentTable
 from radpoly.rational_linalg import determinant, integer_vector
 
@@ -331,9 +332,10 @@ def test_integer_elimination_matches_the_fraction_elimination(case):
     if graded.moments.cap is not None:
         top = min(top, graded.moments.cap)
     monomials = monomial_sequence(graded.dimension, top)  # rows fill where read: look each one up
-    for lam, row in zip(graded.lambdas, graded.rows(top)):
+    rows = graded.moments.rows(graded.integer_transform, top)  # the rows in x, whatever the frame
+    for lam, row in zip(graded.lambdas, rows):
         assert all(lam.moment(alpha) == Fraction(row[alpha], row.denominator) for alpha in monomials)
-    assert graded.rows(max(graded.kappas)) is graded.rows(top)  # built once for the top degree
+    assert graded.moments.rows(graded.integer_transform, max(graded.kappas)) is rows  # built once for the top degree
 
 
 @pytest.mark.parametrize("points, hull", [
@@ -361,7 +363,7 @@ def test_elimination_skips_the_rest_of_a_degree_once_the_hull_is_full(points, hu
     skipped_reads = reads[:]
     reads.clear()
     with monkeypatch.context() as patch:
-        patch.setattr("radpoly.graded.pivot_columns", lambda rows: list(range(len(rows[0]))))
+        patch.setattr("radpoly.graded._support_hull", lambda support, low_pivots, d: None)
         unskipped = build_graded_basis(evaluations(points))
     assert (skipped.kappas, skipped.pivots, skipped.integer_transform) == (
         unskipped.kappas, unskipped.pivots, unskipped.integer_transform)
@@ -377,8 +379,24 @@ def test_elimination_skips_the_rest_of_a_degree_once_the_hull_is_full(points, hu
 
 def test_spans_with_a_full_hull_or_a_cap_do_not_compute_the_hull(monkeypatch):
     """More than d pivots through degree 1 mean the hull is R^d, and a capped span has no support
-    to take it from: neither pays for the rank of its point differences."""
-    monkeypatch.setattr("radpoly.graded.pivot_columns", mock.Mock(side_effect=AssertionError("hull computed")))
-    assert build_graded_basis(evaluations([(0, 0), (1, 0), (0, 1), (1, 1), (2, 3), (3, 1)])).kappas[-1] == 2
+    to take it from: neither pays for the hull of its points, and neither keeps one (None, as
+    for a single point)."""
+    monkeypatch.setattr("radpoly.graded._hull", mock.Mock(side_effect=AssertionError("hull computed")))
+    generic = build_graded_basis(evaluations([(0, 0), (1, 0), (0, 1), (1, 1), (2, 3), (3, 1)]))
+    assert generic.kappas[-1] == 2 and generic.hull is None
     hermite = [from_derivative(alpha, (0, 0), 6) for alpha in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1))]
-    assert build_graded_basis(hermite + [point_evaluation((1, 2))], degree_cap=3).kappas[-1] == 2
+    capped = build_graded_basis(hermite + [point_evaluation((1, 2))], degree_cap=3)
+    assert capped.kappas[-1] == 2 and capped.hull is None
+    assert build_graded_basis(hermite, degree_cap=3).hull is None
+    assert build_graded_basis(evaluations([(1, 2, 3)])).hull is None
+
+
+def test_only_a_hull_smaller_than_r_d_is_kept(monkeypatch):
+    """Point differences with no more than d orders <= 1 get their hull computed; it spans R^2
+    here, so the graded basis keeps None.  A line keeps its one direction and its weight."""
+    calls, hull = [], graded_module._hull
+    monkeypatch.setattr(graded_module, "_hull", lambda points: calls.append(points) or hull(points))
+    differences = [PointFunctional([(0, 0), p], [1, -1]) for p in ((1, 0), (0, 1))]
+    assert build_graded_basis(differences).hull is None and len(calls) == 1
+    line = build_graded_basis(evaluations([(0, 1), (1, 3), (2, 5)]))
+    assert line.hull == (((1, 2),), (5,)) and len(calls) == 2

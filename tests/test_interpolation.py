@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +20,7 @@ from radpoly import (
     least_basis,
     least_part,
     least_interpolate,
+    monomial_sequence,
     multi_factorial,
     point_evaluation,
     polynomial_span_equal,
@@ -181,7 +183,7 @@ class TestSchabackInterpolation:
         broken = make_basis(graded_on([(0,), (1,), (3,)]))  # 1 x 1 blocks of orders 0, 1, 2
         # lambda_1(x^2): the Gramian entry (1, 2) above the blocks is read off it, and
         # the solve reads it to reduce row 1 by lambda_1(c_2 p_2); the factors are untouched
-        rows, _, _ = broken.operands
+        rows = broken.source.rows(max(broken.source.kappas))
         rows[1][(2,)] += 1
         with pytest.raises(AssertionError, match=rf"^{method}_interpolate: residual mu_1\(f\)"):
             interpolate(broken, data=[0, 0, 1])
@@ -571,15 +573,15 @@ def test_least_gramian_blocks_are_the_apolar_pairing(case):
     ([(0, 1), (1, 3), (2, 5)], 1),
 ])
 def test_full_dimensional_spans_skip_the_hull(monkeypatch, points, calls):
-    import radpoly.interpolation as interpolation
+    import radpoly.graded as graded_module
 
-    seen, hull = [], interpolation._hull
+    seen, hull = [], graded_module._hull
 
     def counted(pts):
         seen.append(pts)
         return hull(pts)
 
-    monkeypatch.setattr(interpolation, "_hull", counted)
+    monkeypatch.setattr(graded_module, "_hull", counted)
     schaback_basis(graded_on(points))
     assert len(seen) == calls
 
@@ -672,7 +674,7 @@ def test_solves_in_hull_coordinates_match_the_dense_oracle(case):
         except DegreeCapError:  # a moment cap below 2 kappa: no radial images
             continue
         if kind != "derivatives":
-            assert basis.operands[2] is not None  # A, t = A x, for either method
+            assert graded.frame.linear is not None  # A, t = A x, for either method
         for data in datas:
             b = [Fraction(v) for v in data]
             report = interpolate(basis, data=data)
@@ -703,7 +705,7 @@ def test_only_f_and_a_read_of_w_are_mapped_to_x(monkeypatch, points):
     monkeypatch.setattr(interpolation, "substitute_affine", counted)
     graded = graded_on(points)
     sb, lb = schaback_basis(graded), least_basis(graded)
-    assert calls == [] and sb.operands[2] is not None and lb.operands[2] is sb.operands[2]
+    assert calls == [] and graded.frame.linear is not None and lb.source.frame is sb.source.frame
     for value in (1, -2):
         data = [value * (i % 3) for i in range(len(points))]
         schaback_interpolate(sb, data=data)
@@ -711,21 +713,21 @@ def test_only_f_and_a_read_of_w_are_mapped_to_x(monkeypatch, points):
     assert calls == [1] * 4
     assert sb.w is sb.w and calls == [1] * 4 + [len(points)]
     assert lb.g is lb.g and calls == [1] * 4 + [len(points)] * 2
-    assert sb.w == tuple(substitute(sb.polys, sb.operands[2]))
-    assert lb.g == tuple(substitute(lb.polys, lb.operands[2]))
+    assert sb.w == tuple(substitute(sb.polys, graded.frame.linear))
+    assert lb.g == tuple(substitute(lb.polys, graded.frame.linear))
 
 
 @DEGENERATE
 def test_both_bases_share_one_hull_frame(monkeypatch, points):
-    """The hull is computed once per graded basis, by whichever basis is built first;
-    least_basis alone reads its rows of L in hull coordinates and carries the map to x;
+    """The hull is computed once per graded basis, by the elimination; least_basis alone
+    reads its rows of L in hull coordinates and its graded basis carries the map to x;
     building least then Schaback, or the reverse, gives the same Gramians, w, g and solves."""
-    import radpoly.interpolation as interpolation
+    import radpoly.graded as graded_module
 
-    seen, hull = [], interpolation._hull
-    monkeypatch.setattr(interpolation, "_hull", lambda pts: seen.append(pts) or hull(pts))
+    seen, hull = [], graded_module._hull
+    monkeypatch.setattr(graded_module, "_hull", lambda pts: seen.append(pts) or hull(pts))
     alone = least_basis(graded_on(points))
-    rows, _, linear = alone.operands
+    rows, linear = alone.source.rows(max(alone.source.kappas)), alone.source.frame.linear
     assert len(seen) == 1 and linear is not None
     assert {len(alpha) for row in rows for alpha in row} == {len(linear)}  # no row of L in x
     least_first, schaback_first = graded_on(points), graded_on(points)
@@ -734,7 +736,7 @@ def test_both_bases_share_one_hull_frame(monkeypatch, points):
     other_sb = schaback_basis(schaback_first)
     other_lb = least_basis(schaback_first)
     assert len(seen) == 3
-    assert lb.operands[2] is sb.operands[2] and other_lb.operands[2] is other_sb.operands[2]
+    assert lb.source.frame is sb.source.frame and other_lb.source.frame is other_sb.source.frame
     assert (sb.gramian, sb.w) == (other_sb.gramian, other_sb.w)
     assert (lb.gramian, lb.g) == (other_lb.gramian, other_lb.g) == (alone.gramian, alone.g)
     data = [(i * i) % 5 - 2 for i in range(len(points))]
@@ -742,6 +744,57 @@ def test_both_bases_share_one_hull_frame(monkeypatch, points):
                                (least_interpolate, (lb, other_lb, alone))):
         reports = [interpolate(basis, data=data) for basis in bases]
         assert len({(r.coefficients, r.interpolant) for r in reports}) == 1
+
+
+@pytest.mark.parametrize("points", [
+    [(t, 2 * t + 1) for t in (-3, -1, 0, 2, 5, 6)],
+    [(a, b, a + b) for a, b in ((0, 0), (1, 0), (0, 1), (2, -1), (-1, 2), (1, 1), (-2, -1))],
+    [(1, -2, 3), (4, 0, -1)],  # the search stops at degree 1
+], ids=["collinear", "coplanar", "two-points"])
+def test_the_elimination_finds_the_hull_once(monkeypatch, points):
+    """The build, both bases and one solve of each compute the support's hull once, in the
+    elimination, which takes no separate rank of the point differences."""
+    import radpoly.graded as graded_module
+    import radpoly.rational_linalg as linalg_module
+
+    seen, hull = [], graded_module._hull
+    monkeypatch.setattr(graded_module, "_hull", lambda pts: seen.append(pts) or hull(pts))
+    rank = mock.Mock(side_effect=AssertionError("rank taken"))
+    monkeypatch.setattr(graded_module, "pivot_columns", rank, raising=False)
+    monkeypatch.setattr(linalg_module, "pivot_columns", rank)
+    graded = graded_on(points)
+    assert len(seen) == 1 and graded.hull is not None
+    data = [i % 3 for i in range(len(points))]
+    schaback_interpolate(schaback_basis(graded), data=data)
+    least_interpolate(least_basis(graded), data=data)
+    assert len(seen) == 1 and len(graded.frame.linear) == len(graded.hull.weights)
+
+
+@pytest.mark.parametrize("points, equal", [
+    ([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 2, 1)], False),  # the skew four-set on a plane
+    ([(a, b, a + b) for a, b in ((0, 0), (1, 0), (0, 1), (2, -1), (-1, 2), (1, 1), (-2, -1))], False),
+    ([(t, 2 * t + 1) for t in (-3, -1, 0, 2, 5, 6)], True),
+    ([(0, 0), (2, 1), (-1, 3), (1, -2), (3, 3), (-2, -1), (0, 2)], False),
+], ids=["skew-plane", "coplanar", "collinear", "generic"])
+def test_compare_decides_range_equality_in_the_shared_frame(points, equal):
+    """p -> p(A x) is injective for A onto R^r, so the ranges in hull coordinates are equal
+    exactly when the ranges in x are."""
+    graded = graded_on(points)
+    assert polynomial_span_equal(schaback_basis(graded).w, least_basis(graded).g) is equal
+    assert compare_interpolants(points, probe_degree=1).ranges_equal is equal
+
+
+@DEGENERATE
+def test_compare_maps_no_basis_polynomial_to_x(monkeypatch, points):
+    """On a degenerate set compare reads neither w nor g: the only substitutions are the
+    interpolants, one polynomial per solve, two solves per probe (the two agree here)."""
+    import radpoly.interpolation as interpolation
+
+    calls, substitute = [], interpolation.substitute_affine
+    monkeypatch.setattr(interpolation, "substitute_affine",
+                        lambda polys, *affine: calls.append(len(polys)) or substitute(polys, *affine))
+    assert compare_interpolants(points, probe_degree=2).interpolants_agree
+    assert calls == [1] * 2 * len(monomial_sequence(len(points[0]), 2))
 
 
 def test_f_is_renormalized_on_a_line_of_one_point_blocks(monkeypatch):

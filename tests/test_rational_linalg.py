@@ -284,8 +284,9 @@ def symmetric_blocks(draw):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(symmetric_blocks(), min_size=1, max_size=3), st.data())
 def test_pair_factors_and_sweeps_match_the_rref_solve(blocks, data):
-    """Factor and sweep on integer pairs give solve's rationals, and every stored pair is in
-    lowest terms with a positive denominator, so no entry is taller than ``Fraction``'s."""
+    """Factor and sweep on integer pairs give solve's rationals, and every stored and every
+    returned pair is in lowest terms with a positive denominator, so no entry is taller than
+    ``Fraction``'s."""
     n = sum(len(block) for block, _ in blocks)
     matrix, groups, start = [[Fraction(0)] * n for _ in range(n)], [], 0
     for block, _ in blocks:
@@ -302,4 +303,5 @@ def test_pair_factors_and_sweeps_match_the_rref_solve(blocks, data):
     lift = data.draw(st.integers(1, 2 ** 64))  # sweep reduces pairs that are not in lowest terms
     solution = [v for bi, block in enumerate(factors.blocks)
                 for v in factors.sweep(bi, [(rhs[i].numerator * lift, rhs[i].denominator * lift) for i in block])]
-    assert solution == solve(matrix, rhs)
+    assert all(den > 0 and math.gcd(num, den) == 1 for num, den in solution)  # zero as (0, 1)
+    assert [Fraction(num, den) for num, den in solution] == solve(matrix, rhs)
