@@ -68,8 +68,8 @@ def _build_parser() -> _Parser:
                           help="query point as comma-separated rationals; repeatable")
     evaluate.add_argument("--method", choices=("schaback", "least"),
                           help="pick a side of a --method both report")
-    evaluate.add_argument("--precision", type=int,
-                          help="additionally render values with this many decimals")
+    evaluate.add_argument("--precision", type=int, help="additionally render values with "
+                          f"this many decimals (at most {MAX_PRECISION})")
     evaluate.add_argument("--output", help="write the result here instead of stdout")
 
     expand = sub.add_parser("expand", help="list the separated radial power expansion")
@@ -122,10 +122,13 @@ def _parse_query_point(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(piece) for piece in pieces)
 
 
+# The most decimals ``eval --precision`` renders: past Python's 4300-digit int-to-str limit a
+# rendering would fail only after all its arithmetic, and 10^7 decimals run for seconds.
+MAX_PRECISION = 1000
+
+
 def _render_decimal(value: Fraction, digits: int) -> str:
     """Fixed-point rendering, round half away from zero.  Presentation only."""
-    if digits < 0:
-        raise ValueError("precision must be >= 0")
     sign = "-" if value < 0 else ""
     scaled = abs(value.numerator) * 10**digits
     quotient, remainder = divmod(scaled, value.denominator)
@@ -187,6 +190,8 @@ def _extract_polynomial(obj, method: str | None) -> Polynomial:
 
 
 def _cmd_eval(args) -> int:
+    if args.precision is not None and not 0 <= args.precision <= MAX_PRECISION:
+        raise _UsageError(f"precision guard: 0 <= precision <= {MAX_PRECISION}")
     polynomial = _extract_polynomial(_load_json(args.input), args.method)
     points = [_parse_query_point(text) for text in args.at]
     values = [polynomial(p) for p in points]

@@ -229,10 +229,6 @@ class GradedBasis:
                 groups.append([i])
         return groups
 
-    def pivot_matrix(self) -> list[list[Fraction]]:
-        """(lambda_i(x^beta_j))_{i,j}; upper triangular with unit diagonal."""
-        return [[lam.moment(beta) for beta in self.pivots] for lam in self.lambdas]
-
 
 def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None = None) -> GradedBasis:
     """Eliminate the moment matrix of the given functionals.

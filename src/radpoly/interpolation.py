@@ -432,7 +432,10 @@ def compare_interpolants(points: Sequence[Sequence[Rational]], probe_degree: int
     lb = least_basis(graded)
     ranges_equal = polynomial_span_equal(sb.polys, lb.polys)  # one frame: p -> p(A x) is injective
     first_difference: Exponent | None = None
-    for alpha in monomial_sequence(graded.dimension, probe_degree):
+    # Both projectors have the kernel of the mu_i: equal iff their ranges are, else some
+    # P_S w_j = w_j != P_L w_j, so the first differing monomial has degree <= kappa_max.
+    probes = monomial_sequence(graded.dimension, min(probe_degree, graded.kappas[-1]))
+    for alpha in () if ranges_equal else probes:
         probe = Polynomial.monomial(graded.dimension, alpha)
         left = schaback_interpolate(sb, target=probe).interpolant
         right = least_interpolate(lb, target=probe).interpolant

@@ -6,7 +6,8 @@ to prefer large pivots, and determinism matters more.
 
 Every general elimination here is a view of one forward elimination, ``_echelon``:
 ``determinant`` and ``pivot_columns`` read its echelon form off, ``rref`` reduces
-upward from it and ``solve`` is the rref of [A | b].  ``factor_block_upper`` runs
+upward from it and ``solve`` is the rref of [A | b]; both passes walk a pivot row's nonzero
+entries only, into the rows whose entry in its column is nonzero.  ``factor_block_upper`` runs
 L D L^T on each symmetric diagonal block's upper triangle instead; each caller
 reduces a block's right-hand side by the blocks solved, for ``sweep`` to solve it.
 Both run on (numerator, denominator) integer pairs, each step reduced to lowest terms
@@ -67,12 +68,12 @@ def _echelon(matrix: Sequence[Sequence[Fraction]]):
             a[r], a[pivot] = a[pivot], a[r]
             swaps += 1
         head = a[r]
-        for i in range(r + 1, n_rows):
-            factor = a[i][col] / head[col]
-            if factor:
-                row = a[i]
-                for c in range(col, n_cols):
-                    row[c] -= factor * head[c]
+        support = [(c, v) for c, v in enumerate(head[col:], col) if v]
+        for row in a[r + 1:]:
+            if row[col]:
+                factor = row[col] / head[col]
+                for c, v in support:
+                    row[c] -= factor * v
         pivots.append(col)
     return a, pivots, swaps
 
@@ -115,11 +116,12 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     for r in range(len(pivots) - 1, -1, -1):
         col = pivots[r]
         scale = a[r][col]
-        a[r] = [v / scale for v in a[r]]
-        for i in range(r):
-            factor = a[i][col]
-            if factor:
-                a[i] = [v - factor * w for v, w in zip(a[i], a[r])]
+        a[r] = [v and v / scale for v in a[r]]
+        support = [(c, v) for c, v in enumerate(a[r][col:], col) if v]
+        for row in a[:r]:
+            if factor := row[col]:
+                for c, v in support:
+                    row[c] -= factor * v
     return a, pivots
 
 

@@ -417,31 +417,6 @@ def _collinear_points(rng: random.Random, d: int, n: int):
     return [tuple(b + t * v for b, v in zip(base, direction)) for t in steps]
 
 
-def schaback_general_linear_counterexample():
-    """Search small non-orthogonal invertible maps for an equivariance witness.
-
-    Under an invertible map A of the sites, the least space transforms
-    exactly by composition with A transposed; the radial-polynomial space is
-    only guaranteed to do so for orthogonal A.  Returns (points, matrix) for
-    the first violation of that transformation law found for the radial
-    method, or None if the search space is exhausted.
-    """
-    points = [(0, 0), (1, 0), (0, 1), (1, 2)]
-    candidates = [
-        [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]],
-        [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]],
-        [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]],
-        [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]],
-    ]
-    unmapped = _bases(points)["schaback"].w
-    for matrix in candidates:
-        moved = _bases([linalg.mat_vec(matrix, p) for p in points])["schaback"].w
-        composed = [w.compose_affine(linalg.transpose(matrix)) for w in unmapped]
-        if not polynomial_span_equal(moved, composed):
-            return points, matrix
-    return None
-
-
 def run_invariance(seed: int, trials: int, corrupt: bool = False) -> VerificationReport:
     rng = random.Random(seed)
     rec = _Recorder("invariance")

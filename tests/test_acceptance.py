@@ -172,7 +172,7 @@ def test_criterion_05_graded_basis_invariants():
         assert graded.kappas == tuple(sorted(graded.kappas))
         assert all(sum(b) == k for b, k in zip(graded.pivots, graded.kappas))
         assert determinant([list(r) for r in graded.transform]) != 0
-        pivot_matrix = graded.pivot_matrix()
+        pivot_matrix = [[lam.moment(beta) for beta in graded.pivots] for lam in graded.lambdas]
         for i in range(n):
             assert pivot_matrix[i][i] == 1
             for j in range(i):

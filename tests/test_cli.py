@@ -283,6 +283,23 @@ class TestEval:
         assert out["values"] == ["1/4"]
         assert out["decimals"] == ["0.250"]
 
+    def test_precision_guard_exits_one_before_evaluating(self, tmp_path, capsys):
+        """A precision past the guard ends with one line and no output before the input is
+        read, so a missing file is not reported; the guard's own bound still renders."""
+        missing = str(tmp_path / "missing.json")
+        for precision in (-1, cli.MAX_PRECISION + 1, 10**8):
+            code, body = run(tmp_path, "eval", "--input", missing, "--at", "1/3,1/2",
+                             "--precision", str(precision))
+            err = capsys.readouterr().err
+            assert (code, body) == (1, b"")
+            assert err == f"radpoly: precision guard: 0 <= precision <= {cli.MAX_PRECISION}\n"
+        poly_file = tmp_path / "poly.json"
+        poly_file.write_text(json.dumps({"dimension": 2, "terms": [{"alpha": [1, 1], "coeff": 1}]}))
+        code, body = run(tmp_path, "eval", "--input", str(poly_file), "--at", "1/3,1/2",
+                         "--precision", str(cli.MAX_PRECISION))
+        assert code == 0
+        assert json.loads(body)["decimals"] == ["0.1" + "6" * (cli.MAX_PRECISION - 2) + "7"]  # 1/6
+
     def test_basis_polynomial_value(self, tmp_path):
         poly_file = tmp_path / "poly.json"
         poly_file.write_text(json.dumps({

@@ -166,7 +166,7 @@ class TestRandomizedInvariants:
             assert all(sum(beta) == kappa for beta, kappa in zip(graded.pivots, graded.kappas))
             assert determinant([list(row) for row in graded.transform]) != 0
 
-            pivot_matrix = graded.pivot_matrix()
+            pivot_matrix = [[lam.moment(beta) for beta in graded.pivots] for lam in graded.lambdas]
             for i in range(n):
                 for j in range(n):
                     if i == j:

@@ -472,7 +472,7 @@ class TestGeneralLinearBehaviour:
         assert polynomial_span_equal(lb_moved.g, composed)
 
     def test_radial_method_violates_the_transformation_law(self):
-        from radpoly.verification import schaback_general_linear_counterexample
+        from test_verification import schaback_general_linear_counterexample
 
         witness = schaback_general_linear_counterexample()
         assert witness is not None
@@ -787,14 +787,85 @@ def test_compare_decides_range_equality_in_the_shared_frame(points, equal):
 @DEGENERATE
 def test_compare_maps_no_basis_polynomial_to_x(monkeypatch, points):
     """On a degenerate set compare reads neither w nor g: the only substitutions are the
-    interpolants, one polynomial per solve, two solves per probe (the two agree here)."""
+    interpolants, one polynomial per solve, two solves per probe (the two agree here).  Equal
+    ranges decide the comparison with no probe, so the line, whose ranges are equal, maps none."""
     import radpoly.interpolation as interpolation
 
     calls, substitute = [], interpolation.substitute_affine
     monkeypatch.setattr(interpolation, "substitute_affine",
                         lambda polys, *affine: calls.append(len(polys)) or substitute(polys, *affine))
-    assert compare_interpolants(points, probe_degree=2).interpolants_agree
-    assert calls == [1] * 2 * len(monomial_sequence(len(points[0]), 2))
+    report = compare_interpolants(points, probe_degree=2)
+    assert report.interpolants_agree and report.ranges_equal is (len(points[0]) == 2)
+    probes = 0 if report.ranges_equal else len(monomial_sequence(len(points[0]), 2))
+    assert calls == [1] * 2 * probes
+
+
+def unbounded_first_difference(points, probe_degree):
+    """The probe loop with no bound: the first monomial in graded order up to ``probe_degree``
+    on which the two interpolants differ, or None."""
+    graded = graded_on(points)
+    sb, lb = schaback_basis(graded), least_basis(graded)
+    for alpha in monomial_sequence(graded.dimension, probe_degree):
+        probe = monomial(graded.dimension, alpha)
+        if schaback_interpolate(sb, target=probe).interpolant != least_interpolate(lb, target=probe).interpolant:
+            return alpha
+    return None
+
+
+@st.composite
+def comparison_sets(draw):
+    """Distinct integer point sets with d <= 3 and n <= 7, about a quarter of them on a line."""
+    d = draw(st.integers(1, 3))
+    coordinate = st.integers(-3, 3)
+    if d > 1 and draw(st.integers(0, 3)) == 0:
+        base = draw(st.tuples(*[coordinate] * d))
+        direction = draw(st.tuples(*[coordinate] * d).filter(any))
+        steps = draw(st.lists(coordinate, min_size=1, max_size=7, unique=True))
+        return [tuple(b + t * v for b, v in zip(base, direction)) for t in steps]
+    return draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=7, unique=True))
+
+
+@given(comparison_sets())
+@settings(deadline=None, max_examples=60)
+def test_compare_probes_only_where_the_projectors_can_differ(points):
+    """Both projectors have the kernel of the mu_i, so they are equal exactly when their ranges
+    are, and otherwise first differ on a monomial of degree <= kappa_max: at every probe degree
+    the bounded probe reports what the unbounded loop finds up to kappa_max + 1."""
+    kappa_max = graded_on(points).kappas[-1]
+    first = unbounded_first_difference(points, kappa_max + 1)
+    assert first is None or sum(first) <= kappa_max
+    for probe_degree in range(kappa_max + 2):
+        report = compare_interpolants(points, probe_degree=probe_degree)
+        expected = first if first is not None and sum(first) <= probe_degree else None
+        assert report.first_difference == expected
+        assert report.interpolants_agree is (expected is None)
+        assert report.ranges_equal is (first is None)
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (1, 1)],
+    GRID,
+    [(t, 2 * t + 1) for t in (-3, -1, 0, 2, 5, 6)],
+    SKEW,
+    [(a, b, a + b) for a, b in ((0, 0), (1, 0), (0, 1), (2, -1), (-1, 2), (1, 1), (-2, -1))],
+], ids=["two-points", "grid", "collinear", "skew", "coplanar"])
+def test_compare_solves_nothing_on_equal_ranges_and_nothing_past_kappa_max(monkeypatch, points):
+    """A probe degree of 10^5 costs no more than kappa_max: no solve at all when the ranges are
+    equal, and otherwise two solves per probe, every probe of degree <= kappa_max."""
+    import radpoly.interpolation as interpolation
+
+    degrees = []
+    for name in ("schaback_interpolate", "least_interpolate"):
+        monkeypatch.setattr(interpolation, name, lambda basis, target, solve=getattr(interpolation, name):
+                            degrees.append(target.degree) or solve(basis, target=target))
+    report = compare_interpolants(points, probe_degree=10**5)
+    kappa_max = report.kappas[-1]
+    assert report.probe_degree == 10**5
+    if report.ranges_equal:
+        assert degrees == [] and report.interpolants_agree
+    else:
+        assert degrees and max(degrees) <= kappa_max and report.first_difference is not None
+        assert len(degrees) == 2 * monomial_sequence(len(points[0]), kappa_max).index(report.first_difference) + 2
 
 
 def test_f_is_renormalized_on_a_line_of_one_point_blocks(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from radpoly import SingularMatrixError
 from radpoly.rational_linalg import (
+    _echelon,
     determinant,
     factor_block_upper,
     identity,
@@ -187,6 +188,74 @@ def test_nullspace_vectors_are_annihilated(a):
         assert all(x == 0 for x in mat_vec(a, v))
     if kernel:
         assert len(pivot_columns(kernel)) == len(kernel)
+
+
+def dense_echelon(matrix):
+    """Oracle: forward elimination over every entry of every row below the pivot."""
+    a = [list(row) for row in matrix]
+    n_rows, n_cols = len(a), len(a[0]) if a else 0
+    pivots, swaps = [], 0
+    for col in range(n_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        pivot = next((i for i in range(r, n_rows) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            swaps += 1
+        head = a[r]
+        for i in range(r + 1, n_rows):
+            factor = a[i][col] / head[col]
+            if factor:
+                row = a[i]
+                for c in range(col, n_cols):
+                    row[c] -= factor * head[c]
+        pivots.append(col)
+    return a, pivots, swaps
+
+
+def dense_rref(matrix):
+    """Oracle: the dense upward reduction of ``dense_echelon``'s rows."""
+    a, pivots = dense_echelon(matrix)[:2]
+    del a[len(pivots):]
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r]
+        scale = a[r][col]
+        a[r] = [v / scale for v in a[r]]
+        for i in range(r):
+            factor = a[i][col]
+            if factor:
+                a[i] = [v - factor * w for v, w in zip(a[i], a[r])]
+    return a, pivots
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Rational matrices up to 7 x 8, most entries zero, with some rows and columns all zero."""
+    n_rows, n_cols = draw(st.integers(1, 7)), draw(st.integers(1, 8))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+    a = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+    zero_rows = draw(st.sets(st.integers(0, n_rows - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, n_cols - 1), max_size=2))
+    return [[Fraction(0) if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)]
+            for i, row in enumerate(a)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_sparse_elimination_matches_the_dense_loops(a):
+    """Walking only nonzero entries keeps every pivot, swap and value of the dense loops."""
+    rows, pivots, swaps = dense_echelon(a)
+    assert _echelon(a) == (rows, pivots, swaps)
+    assert pivot_columns(a) == pivots
+    assert rref(a) == dense_rref(a)
+    square_part = [row[:len(a)] for row in a[:len(a[0])]]
+    rows, pivots, swaps = dense_echelon(square_part)
+    expected = math.prod((rows[i][i] for i in range(len(rows))), start=Fraction((-1) ** swaps))
+    assert determinant(square_part) == (expected if len(pivots) == len(rows) else 0)
 
 
 def test_empty_inputs():

@@ -2,16 +2,42 @@
 
 import json
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from radpoly import verification
-from radpoly.verification import (
-    SUITE_NAMES,
-    run_suite,
-    schaback_general_linear_counterexample,
-)
+from radpoly import build_graded_basis, point_evaluation, polynomial_span_equal, schaback_basis, verification
+from radpoly.rational_linalg import mat_vec, transpose
+from radpoly.verification import SUITE_NAMES, run_suite
+
+
+def schaback_general_linear_counterexample():
+    """Search small non-orthogonal invertible maps for an equivariance witness.
+
+    Under an invertible map A of the sites, the least space transforms
+    exactly by composition with A transposed; the radial-polynomial space is
+    only guaranteed to do so for orthogonal A.  Returns (points, matrix) for
+    the first violation of that transformation law found for the radial
+    method, or None if the search space is exhausted.
+    """
+    def radial_range(points):
+        return schaback_basis(build_graded_basis([point_evaluation(p) for p in points])).w
+
+    points = [(0, 0), (1, 0), (0, 1), (1, 2)]
+    candidates = [
+        [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]],
+        [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]],
+        [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]],
+        [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]],
+    ]
+    unmapped = radial_range(points)
+    for matrix in candidates:
+        moved = radial_range([mat_vec(matrix, p) for p in points])
+        composed = [w.compose_affine(transpose(matrix)) for w in unmapped]
+        if not polynomial_span_equal(moved, composed):
+            return points, matrix
+    return None
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
