@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import RadpolyError
 from .functionals import expansion_polynomial, radial_power_expansion
@@ -107,12 +107,23 @@ def _load_problem(path: str) -> ProblemFile:
     return problem_from_obj(_load_json(path))
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(build: Callable[[], object], output: str | None) -> None:
+    """Write ``build()`` as canonical JSON.  Exact values may pass Python's limit on int-to-str
+    conversion (4300 digits), so it is lifted while the output is built and written, and only
+    then: input keeps it, and the rest of the process gets the previous limit back."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = dumps(build())
+        if output:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _parse_query_point(text: str) -> tuple[Fraction, ...]:
@@ -147,7 +158,7 @@ def _render_decimal(value: Fraction, digits: int) -> str:
 def _cmd_basis(args) -> int:
     problem = _load_problem(args.input)
     graded = build_graded_basis(problem.functionals, problem.degree_cap)
-    _emit(dumps(graded_basis_to_obj(graded)), args.output)
+    _emit(lambda: graded_basis_to_obj(graded), args.output)
     return 0
 
 
@@ -160,19 +171,18 @@ def _cmd_interp(args) -> int:
         {"data": list(problem.values)} if problem.values is not None
         else {"target": problem.target}
     )
-    if args.method == "schaback":
-        out = report_to_obj(schaback_interpolate(graded, **kwargs))
-    elif args.method == "least":
-        out = report_to_obj(least_interpolate(graded, **kwargs))
-    else:
-        left = schaback_interpolate(graded, **kwargs)
-        right = least_interpolate(graded, **kwargs)
-        out = {
-            "schaback": report_to_obj(left),
-            "least": report_to_obj(right),
-            "difference": polynomial_to_obj(left.interpolant - right.interpolant),
-        }
-    _emit(dumps(out), args.output)
+    if args.method != "both":
+        interpolate = schaback_interpolate if args.method == "schaback" else least_interpolate
+        report = interpolate(graded, **kwargs)
+        _emit(lambda: report_to_obj(report), args.output)
+        return 0
+    left = schaback_interpolate(graded, **kwargs)
+    right = least_interpolate(graded, **kwargs)
+    _emit(lambda: {
+        "schaback": report_to_obj(left),
+        "least": report_to_obj(right),
+        "difference": polynomial_to_obj(left.interpolant - right.interpolant),
+    }, args.output)
     return 0
 
 
@@ -195,13 +205,17 @@ def _cmd_eval(args) -> int:
     polynomial = _extract_polynomial(_load_json(args.input), args.method)
     points = [_parse_query_point(text) for text in args.at]
     values = [polynomial(p) for p in points]
-    out = {
-        "points": [[format_rational(c) for c in p] for p in points],
-        "values": [format_rational(v) for v in values],
-    }
-    if args.precision is not None:
-        out["decimals"] = [_render_decimal(v, args.precision) for v in values]
-    _emit(dumps(out), args.output)
+
+    def build() -> dict:
+        out = {
+            "points": [[format_rational(c) for c in p] for p in points],
+            "values": [format_rational(v) for v in values],
+        }
+        if args.precision is not None:
+            out["decimals"] = [_render_decimal(v, args.precision) for v in values]
+        return out
+
+    _emit(build, args.output)
     return 0
 
 
@@ -219,7 +233,8 @@ def _cmd_expand(args) -> int:
         diff = x - y
         squared_distance = squared_distance + diff * diff
     direct = squared_distance**args.k
-    out = {
+    match = reassembled == direct
+    _emit(lambda: {
         "k": args.k,
         "d": args.d,
         "terms": [
@@ -232,17 +247,16 @@ def _cmd_expand(args) -> int:
             for term in radial_power_expansion(args.k, args.d)
         ],
         "reassembled": polynomial_to_obj(reassembled),
-        "oracle_match": reassembled == direct,
-    }
-    _emit(dumps(out), args.output)
-    return 0 if out["oracle_match"] else 2
+        "oracle_match": match,
+    }, args.output)
+    return 0 if match else 2
 
 
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise _UsageError("need at least one trial")
     report = run_suite(args.suite, args.seed, args.trials, corrupt=args.corrupt)
-    _emit(dumps(report.to_obj()), args.output)
+    _emit(report.to_obj, args.output)
     return 0 if report.ok else 3
 
 
@@ -255,7 +269,7 @@ def _cmd_compare(args) -> int:
     report = compare_interpolants(
         list(problem.points), args.probe_degree, problem.degree_cap
     )
-    _emit(dumps(comparison_to_obj(report)), args.output)
+    _emit(lambda: comparison_to_obj(report), args.output)
     return 0
 
 

@@ -50,6 +50,8 @@ from .polynomials import (
     Exponent,
     Polynomial,
     Rational,
+    _canonical_terms,
+    _checked_exponent,
     as_fraction,
     as_point,
     graded_key,
@@ -117,15 +119,7 @@ def _atom_kernel(points, weights, orders) -> Callable:
 
 
 def _checked_moment(functional: "Functional", alpha: Iterable[int]) -> Fraction:
-    key = tuple(alpha)
-    if len(key) != functional.dimension:
-        raise DimensionMismatchError("moment index has wrong length")
-    if any(e < 0 for e in key):
-        raise ValueError(f"negative exponent in {key}")
-    cap = functional.degree_cap
-    if cap is not None and sum(key) > cap:
-        raise DegreeCapError(f"moment of degree {sum(key)} requested, cap is {cap}")
-    return functional._moment(key)
+    return functional._moment(_checked_exponent(alpha, functional.dimension, functional.degree_cap))
 
 
 class PointFunctional:
@@ -242,28 +236,9 @@ class MomentFunctional:
             raise ValueError("dimension must be >= 1")
         if degree_cap < 0:
             raise ValueError("degree cap must be >= 0")
-        items = moments.items() if isinstance(moments, Mapping) else moments
-        clean: dict[Exponent, Fraction] = {}
-        for alpha, value in items:
-            key = tuple(int(e) for e in alpha)
-            if len(key) != dimension:
-                raise DimensionMismatchError("moment index has wrong length")
-            if any(e < 0 for e in key):
-                raise ValueError(f"negative exponent in {key}")
-            if sum(key) > degree_cap:
-                raise DegreeCapError(
-                    f"moment for degree {sum(key)} exceeds the declared cap {degree_cap}"
-                )
-            v = as_fraction(value)
-            if key in clean:
-                v = v + clean[key]
-            if v == 0:
-                clean.pop(key, None)
-            else:
-                clean[key] = v
         self._dimension = dimension
         self._degree_cap = degree_cap
-        self._moments = clean
+        self._moments = _canonical_terms(moments, dimension, degree_cap)
 
     @property
     def dimension(self) -> int:
@@ -326,12 +301,8 @@ def point_evaluation(point: Sequence[Rational]) -> PointFunctional:
 def from_derivative(alpha: Iterable[int], at: Sequence[Rational],
                     degree_cap: int) -> PointFunctional:
     """The one-atom combination p |-> (D^alpha p)(x0), applicable up to ``degree_cap``."""
-    key = tuple(int(e) for e in alpha)
     x0 = as_point(at)
-    if len(key) != len(x0):
-        raise DimensionMismatchError("derivative index and base point lengths differ")
-    if any(e < 0 for e in key):
-        raise ValueError("derivative orders must be nonnegative")
+    key = _checked_exponent(alpha, len(x0))
     if degree_cap < sum(key):
         raise ValueError("degree cap must be at least the derivative's total order")
     functional = PointFunctional([x0], [1])

@@ -35,6 +35,8 @@ is the ``Frame`` of both interpolation bases: the coordinates t = A x of their
 polynomials.  The rows of L = T V, the moments of the lambda_i in the frame, are
 integer numerators over one denominator per row, each entry computed from its table
 column the first time it is read, up to degree max(2 kappa_i, kappa_max) for row i.
+The product V f with a polynomial f, the span's values on f, is read off the table in
+integers too: f's integer form, each term lifted by its degree's scale.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DegreeCapError, DimensionMismatchError, RankDeficientError
-from .functionals import Functional, PointFunctional, combine
-from .polynomials import Exponent, monomials_of_degree
+from .functionals import Functional, PointFunctional, _require_moment_cap, combine
+from .polynomials import Exponent, Polynomial, monomials_of_degree
 from .rational_linalg import integer_vector, rref
 
 
@@ -97,12 +99,18 @@ class MomentTable:
             self._rows = (transform, top, rows)
         return rows
 
-    def values(self, terms: Sequence[tuple[Exponent, Fraction]]) -> list[Fraction]:
-        """mu_i(f) for every span functional, f = sum c x^alpha over ``terms``: V times c."""
-        self.extend(max(sum(alpha) for alpha, _ in terms))
-        weights, common = integer_vector([c / self.scales[sum(alpha)] for alpha, c in terms])
-        return [Fraction(sum(map(mul, weights, row)), common)
-                for row in zip(*(self.columns[alpha] for alpha, _ in terms))]
+    def values(self, f: Polynomial) -> tuple[list[int], int]:
+        """V f = (mu_i(f)) as integer numerators over one denominator: each term of f's integer
+        form lifted by its degree's scale to their lcm."""
+        _require_moment_cap(self.cap, f.degree, "evaluating the span functionals")
+        if f.is_zero:
+            return [0] * len(self.span), 1
+        self.extend(f.degree)
+        form, denominator = f._integer_form()
+        scale = lcm(*{self.scales[sum(alpha)] for alpha, _ in form})
+        weights = [c * (scale // self.scales[sum(alpha)]) for alpha, c in form]
+        columns = [self.columns[alpha] for alpha, _ in form]
+        return [sum(map(mul, weights, row)) for row in zip(*columns)], denominator * scale
 
 
 class MomentRow(dict):

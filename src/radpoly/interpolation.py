@@ -33,8 +33,9 @@ back-substitution from the highest order down: row i's entries above the blocks
 times the solved c_j sum to lambda_i(F), F = sum c_j p_j so far, and after the
 last block F is the interpolant (in hull coordinates for a degenerate point set,
 mapped to x by one ``substitute_affine``); the sweeps' integer pairs build F with no
-``Fraction``.  The data of a target p are V p, and
-the certificate mu_i(f) - b_i = V f - b reads only V.
+``Fraction``.  The data of a target p are V p, and the certificate mu_i(f) - b_i = V f - b
+reads only V; both are integer numerators over one denominator, and ``Fraction``s are
+built only for the report.
 
 Either interpolant matches every functional in M exactly and never raises
 the degree of its argument.
@@ -132,7 +133,7 @@ class _Basis:
 
     @classmethod
     def _of(cls, graded: GradedBasis, rows: Sequence[MomentRow], polys: tuple[Polynomial, ...]):
-        forms = tuple(map(_integer_form, polys))
+        forms = tuple(p._integer_form() for p in polys)
         return cls(graded, polys, _gramian(rows, forms, graded.blocks()), forms)
 
     @cached_property
@@ -166,12 +167,6 @@ class LeastBasis(_Basis):
 
     _method, _sign = "least", 1
     g = cached_property(_Basis._in_x)
-
-
-def _integer_form(p: Polynomial) -> tuple[list[tuple[Exponent, int]], int]:
-    """p's terms as (alpha, integer numerator) pairs over p's own denominator."""
-    numerators, denominator = linalg.integer_vector(list(p._terms.values()))
-    return list(zip(p._terms, numerators)), denominator
 
 
 def _gramian(rows: Sequence[MomentRow], forms, blocks: Sequence[Sequence[int]]):
@@ -241,23 +236,18 @@ class InterpolantReport:
     basis: SchabackBasis | LeastBasis
 
 
-def _data_vector(graded: GradedBasis, data, target) -> list[Fraction]:
+def _data_vector(graded: GradedBasis, data, target) -> tuple[list[int], int]:
+    """The data b as integer numerators over one denominator: V times the target, or the values."""
     if (data is None) == (target is None):
         raise ValueError("supply exactly one of data or target")
     if target is not None:
         if target.dimension != graded.dimension:
             raise DimensionMismatchError("target dimension differs from the span's")
-        return _span_values(graded, target)
+        return graded.moments.values(target)
     values = [as_fraction(v) for v in data]
     if len(values) != graded.size:
         raise ValueError(f"expected {graded.size} data values, got {len(values)}")
-    return values
-
-
-def _span_values(graded: GradedBasis, f: Polynomial) -> list[Fraction]:
-    """mu_i(f) for every span functional, as V times the coefficients of f."""
-    _require_moment_cap(graded.moments.cap, f.degree, "evaluating the span functionals")
-    return graded.moments.values(list(f._terms.items()) or [((0,) * graded.dimension, Fraction(0))])
+    return linalg.integer_vector(values)
 
 
 def _renormalize(sums: dict[Exponent, int], scale: int) -> tuple[dict[Exponent, int], int]:
@@ -271,8 +261,7 @@ def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -
     sums / scale, f so far in the frame, reduces row i by lambda_i(F) and takes c_j / den_j by a
     gcd and an lcm.  A gcd pass per block costs more than it saves; one runs past 2 * bits + 64."""
     graded = basis.source
-    b = _data_vector(graded, data, target)
-    values, common = linalg.integer_vector(b)
+    values, common = _data_vector(graded, data, target)
     lam_values = [(sum(map(mul, row, values)), denominator * common)  # lambda_i(f), unreduced
                   for row, denominator in graded.integer_transform]
     try:
@@ -303,18 +292,18 @@ def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -
     interpolant = Polynomial._of(len(linear) if linear else graded.dimension, terms)
     if linear:
         interpolant = substitute_affine([interpolant], linear)[0]
-    residuals = tuple(v - value for v, value in zip(_span_values(graded, interpolant), b))
+    measured, vf_den = graded.moments.values(interpolant)
+    residuals = [v * common - b * vf_den for v, b in zip(measured, values)]  # V f - b over vf_den * common
     j = next((j for j, r in enumerate(residuals) if r), None)
     if j is not None:
-        raise AssertionError(
-            f"{method}_interpolate: residual mu_{j}(f) - data_{j} = {residuals[j]} is not zero"
-        )
+        raise AssertionError(f"{method}_interpolate: residual mu_{j}(f) - data_{j} = "
+                             f"{Fraction(residuals[j], vf_den * common)} is not zero")
     return InterpolantReport(
         method=method,
         interpolant=interpolant,
         coefficients=tuple(Fraction(num, den) for num, den in coeffs),
-        data=tuple(b),
-        residuals=residuals,
+        data=tuple(Fraction(v, common) for v in values),
+        residuals=tuple(Fraction(r, vf_den * common) for r in residuals),
         basis=basis,
     )
 

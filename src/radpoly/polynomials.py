@@ -18,6 +18,11 @@ pivot choices in the graded-basis construction depend on the column order.
 ``substitute_affine`` is the one affine substitution p |-> p(A x + b): it
 serves ``Polynomial.compose_affine`` and ``translate`` and maps both bases
 and the interpolants of degenerate point sets from hull coordinates to x.
+
+Exponents from outside pass one check, ``_checked_exponent``, shared with the
+functionals' moments and derivative orders; terms radpoly's own arithmetic made
+are taken as they are (``Polynomial._of``), since re-checking every length-d
+exponent made wide problems quadratic in d.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import DimensionMismatchError
+from .errors import DegreeCapError, DimensionMismatchError
 from .rational_linalg import identity, integer_vector
 
 Exponent = tuple[int, ...]
@@ -99,6 +104,30 @@ def monomial_sequence(d: int, max_degree: int) -> list[Exponent]:
     return out
 
 
+def _checked_exponent(alpha: Iterable[int], dimension: int, cap: int | None = None) -> Exponent:
+    """alpha as an int tuple of length ``dimension``, with no negative entry and, given a
+    ``cap``, total degree at most the cap: the one check of every exponent from outside."""
+    key = tuple(map(int, alpha))
+    if len(key) != dimension:
+        raise DimensionMismatchError(f"exponent {key} does not have length {dimension}")
+    if any(e < 0 for e in key):
+        raise ValueError(f"negative exponent in {key}")
+    if cap is not None and sum(key) > cap:
+        raise DegreeCapError(f"exponent {key} has degree {sum(key)}, past the cap {cap}")
+    return key
+
+
+def _canonical_terms(terms: Mapping | Iterable, dimension: int,
+                     cap: int | None = None) -> dict[Exponent, Fraction]:
+    """(alpha, value) pairs, or a mapping, as checked exponents to exact nonzero values:
+    repeated exponents summed, zero sums dropped."""
+    clean: dict[Exponent, Fraction] = {}
+    for alpha, value in terms.items() if isinstance(terms, Mapping) else terms:
+        key, value = _checked_exponent(alpha, dimension, cap), as_fraction(value)
+        clean[key] = clean[key] + value if key in clean else value
+    return {key: value for key, value in clean.items() if value}
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -107,26 +136,9 @@ class Polynomial:
     def __init__(self, dimension: int, terms: Mapping | Iterable = ()):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Exponent, Fraction] = {}
-        for alpha, coeff in items:
-            key = tuple(int(e) for e in alpha)
-            if len(key) != dimension:
-                raise DimensionMismatchError(
-                    f"exponent {key} does not have length {dimension}"
-                )
-            if any(e < 0 for e in key):
-                raise ValueError(f"negative exponent in {key}")
-            value = as_fraction(coeff)
-            if key in clean:
-                value = value + clean[key]
-            if value == 0:
-                clean.pop(key, None)
-            else:
-                clean[key] = value
         self._dimension = dimension
-        self._terms = clean
-        self._degree = max((sum(a) for a in clean), default=-1)
+        self._terms = _canonical_terms(terms, dimension)
+        self._degree = max(map(sum, self._terms), default=-1)
 
     # -- constructors -------------------------------------------------
 
@@ -190,6 +202,11 @@ class Polynomial:
     def terms(self) -> list[tuple[Exponent, Fraction]]:
         """Term list in graded monomial order."""
         return sorted(self._terms.items(), key=lambda item: graded_key(item[0]))
+
+    def _integer_form(self) -> tuple[list[tuple[Exponent, int]], int]:
+        """The terms as (alpha, integer numerator) pairs over their least common denominator."""
+        numerators, denominator = integer_vector(list(self._terms.values()))
+        return list(zip(self._terms, numerators)), denominator
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         if self.is_zero:
@@ -378,9 +395,9 @@ def substitute_affine(polys: Sequence[Polynomial], matrix: Sequence[Sequence[Rat
 
     out = []
     for p in polys:
-        numerators, common = integer_vector(list(p._terms.values()))
+        form, common = p._integer_form()
         acc: dict[Exponent, int] = {}
-        for gamma, c in zip(p._terms, numerators):
+        for gamma, c in form:
             for alpha, v in power(gamma).items():
                 acc[alpha] = acc.get(alpha, 0) + c * v
         out.append(Polynomial._of(m, {alpha: Fraction(v, common * big) for alpha, v in acc.items() if v}))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -299,6 +300,28 @@ class TestEval:
                          "--precision", str(cli.MAX_PRECISION))
         assert code == 0
         assert json.loads(body)["decimals"] == ["0.1" + "6" * (cli.MAX_PRECISION - 2) + "7"]  # 1/6
+
+    def test_exact_values_past_the_digit_limit_are_written_but_not_read(self, tmp_path, capsys):
+        """x^2 at 10^2200 is 10^4400, past Python's 4300-digit limit on int-to-str conversion:
+        the output lifts the limit and puts it back, so input past it still exits 1."""
+        limit = sys.get_int_max_str_digits()
+        poly_file = tmp_path / "poly.json"
+        poly_file.write_text(json.dumps({"dimension": 1, "terms": [{"alpha": [2], "coeff": 1}]}))
+        code, body = run(tmp_path, "eval", "--input", str(poly_file), "--at", "1" + "0" * 2200)
+        assert code == 0
+        assert body.decode() == ('{\n  "points": [\n    [\n      1' + "0" * 2200 + '\n    ]\n  ],\n'
+                                 '  "values": [\n    1' + "0" * 4400 + "\n  ]\n}\n")
+        code, body = run(tmp_path, "eval", "--input", str(poly_file), "--at", "1" + "0" * 2200,
+                         "--precision", "2")
+        assert code == 0 and b'"1' + b"0" * 4400 + b'.00"' in body
+        assert sys.get_int_max_str_digits() == limit
+        problem = tmp_path / "problem.json"
+        problem.write_text('{"dimension": 1, "points": [[0], [1]], "values": [1, ' + "9" * 5000 + "]}")
+        capsys.readouterr()
+        code, body = run(tmp_path / "input", "interp", "--input", str(problem))
+        err = capsys.readouterr().err
+        assert (code, body) == (1, b"")
+        assert err.startswith("radpoly: ") and err.count("\n") == 1
 
     def test_basis_polynomial_value(self, tmp_path):
         poly_file = tmp_path / "poly.json"

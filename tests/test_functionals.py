@@ -579,3 +579,31 @@ def test_capped_combination_with_vanishing_moments_is_zero(d, data):
     assert lam.degree_cap == 1
     assert lam.is_zero
     assert order(lam) == -1
+
+
+# Each entry point that takes exponents from outside, and the type a degree past its cap
+# raises there (None: no cap); the types are the ones each raised before the check was shared.
+CHECKED_ENTRY_POINTS = {
+    "Polynomial": (lambda alpha: Polynomial(2, [(alpha, 1)]), None),
+    "MomentFunctional": (lambda alpha: MomentFunctional(2, 2, [(alpha, 1), (alpha, 2)]), DegreeCapError),
+    "moment of a MomentFunctional": (lambda alpha: MomentFunctional(2, 2).moment(alpha), DegreeCapError),
+    "moment of a point evaluation": (lambda alpha: point_evaluation((2, 3)).moment(alpha), None),
+    "moment of a derivative": (lambda alpha: from_derivative((1, 0), (2, 3), 2).moment(alpha),
+                               DegreeCapError),
+    "from_derivative": (lambda alpha: from_derivative(alpha, (2, 3), 2), ValueError),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED_ENTRY_POINTS)
+def test_every_exponent_from_outside_passes_one_check(name):
+    """A wrong length, a negative entry and a degree past the cap raise exactly
+    DimensionMismatchError, ValueError and the entry point's cap error."""
+    make, past_cap = CHECKED_ENTRY_POINTS[name]
+    cases = [((1, 0, 0), DimensionMismatchError), ((1,), DimensionMismatchError),
+             ((-1, 0), ValueError), ((0, -2), ValueError)]
+    for alpha, error in cases + ([((2, 1), past_cap)] if past_cap else []):
+        with pytest.raises(error) as info:
+            make(alpha)
+        assert type(info.value) is error, alpha
+    make((1, 1))
+    make([True, 1])  # exponents are taken as ints

@@ -13,6 +13,7 @@ from radpoly import (
     DegreeCapError,
     MomentFunctional,
     PointFunctional,
+    Polynomial,
     RankDeficientError,
     build_graded_basis,
     combine,
@@ -400,3 +401,57 @@ def test_only_a_hull_smaller_than_r_d_is_kept(monkeypatch):
     assert build_graded_basis(differences).hull is None and len(calls) == 1
     line = build_graded_basis(evaluations([(0, 1), (1, 3), (2, 5)]))
     assert line.hull == (((1, 2),), (5,)) and len(calls) == 2
+
+
+def complete_homogeneous(k, xs):
+    """h_k(xs), the sum of every monomial of degree k in xs (0 for k < 0), by
+    h_j(x_1..x_m) = h_j(x_1..x_{m-1}) + x_m h_{j-1}(x_1..x_m)."""
+    if k < 0:
+        return 0
+    h = [Fraction(1)] + [Fraction(0)] * k
+    for x in xs:
+        for j in range(1, k + 1):
+            h[j] += x * h[j - 1]
+    return h[k]
+
+
+LINE_SITES = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+
+
+@given(st.lists(LINE_SITES, min_size=1, max_size=7, unique=True))
+@settings(deadline=None, max_examples=60)
+def test_d1_transform_and_rows_of_l_have_closed_forms(xs):
+    """At d=1, with distinct points and no row swap, row i of T is the divided-difference
+    weights on x_1..x_{i+1} in input order, T[i][j] = 1 / prod_{l <= i, l != j} (x_j - x_l),
+    and lambda_i(x^m) is the complete homogeneous sum h_{m-i}(x_1..x_{i+1}) up to 2 kappa_i."""
+    n = len(xs)
+    graded = build_graded_basis(evaluations([(x,) for x in xs]))
+    assert graded.kappas == tuple(range(n))
+    assert graded.transform == tuple(
+        tuple(1 / Fraction(math.prod(xs[j] - xs[l] for l in range(i + 1) if l != j)) if j <= i else 0
+              for j in range(n))
+        for i in range(n))
+    for i, row in enumerate(graded.rows(2 * (n - 1))):
+        for m in range(2 * i + 1):
+            assert Fraction(row[(m,)], row.denominator) == complete_homogeneous(m - i, xs[:i + 1])
+
+
+@given(spans(kinds=("points", "weighted", "derivatives", "collinear")), st.data())
+@settings(deadline=None, max_examples=60)
+def test_moment_table_values_match_each_functional(case, data):
+    """V f, integer numerators over one positive denominator, is mu_i(f) for every span
+    functional: f zero, or with terms of mixed degrees up to the table's cap; past the
+    cap it raises."""
+    span, _, _ = case
+    d, table = span[0].dimension, MomentTable(span)
+    top = 3 if table.cap is None else min(3, table.cap)
+    alpha = st.tuples(*[st.integers(0, top)] * d).filter(lambda a: sum(a) <= top)
+    f = Polynomial(d, data.draw(st.lists(st.tuples(alpha, RATIONALS), max_size=5)))
+    for p in (f, Polynomial.zero(d)):
+        numerators, denominator = table.values(p)
+        assert all(type(v) is int for v in numerators) and type(denominator) is int and denominator > 0
+        assert [Fraction(v, denominator) for v in numerators] == [mu(p) for mu in span]
+    assert table.values(Polynomial.zero(d)) == ([0] * len(span), 1)
+    if table.cap is not None:
+        with pytest.raises(DegreeCapError):
+            table.values(Polynomial.monomial(d, (table.cap + 1,) + (0,) * (d - 1)))

@@ -932,3 +932,41 @@ def test_polynomials_built_unchecked_are_canonical(case):
         assert p == copy and p.degree == copy.degree
         assert all(c != 0 and type(c) is Fraction for _, c in p.terms())
         assert all(len(alpha) == p.dimension and all(type(e) is int for e in alpha) for alpha, _ in p.terms())
+
+
+def newton_interpolant(ts, values):
+    """The interpolant of degree < n in one variable t, in Newton form from the divided
+    differences f[t_1..t_{i+1}]: sum_i f[t_1..t_{i+1}] prod_{l <= i} (t - t_l)."""
+    differences = [Fraction(v) for v in values]
+    for level in range(1, len(ts)):
+        for i in range(len(ts) - 1, level - 1, -1):
+            differences[i] = (differences[i] - differences[i - 1]) / (ts[i] - ts[i - level])
+    t, newton = Polynomial.variable(1, 0), Polynomial.zero(1)
+    for s, c in reversed(list(zip(ts, differences))):
+        newton = newton * (t - Polynomial.constant(1, s)) + Polynomial.constant(1, c)
+    return newton
+
+
+@given(st.integers(1, 3), st.data())
+@settings(deadline=None, max_examples=60)
+def test_both_interpolants_are_the_newton_interpolant_on_a_line(d, data):
+    """At d=1 both interpolants are the Newton interpolant N; on a collinear set in d=2 or
+    d=3 both are N(t(x)), N in the frame's line coordinate t = A x.  No elimination of
+    the oracle's own: the divided differences."""
+    sites = data.draw(st.lists(st.fractions(-6, 6, max_denominator=3), min_size=1 if d == 1 else 2,
+                               max_size=7, unique=True))
+    base = data.draw(st.tuples(*[RATIONALS] * d))
+    direction = (1,) if d == 1 else data.draw(st.tuples(*[RATIONALS] * d).filter(any))
+    values = data.draw(st.lists(st.integers(-9, 9), min_size=len(sites), max_size=len(sites)))
+    points = [tuple(b + s * v for b, v in zip(base, direction)) for s in sites]
+    graded = graded_on(points)
+    linear = graded.frame.linear
+    if d == 1:
+        assert linear is None
+        ts, to_x = [p[0] for p in points], [[1]]
+    else:
+        assert len(linear) == 1
+        ts, to_x = [sum(a * c for a, c in zip(linear[0], p)) for p in points], linear
+    expected = newton_interpolant(ts, values).compose_affine(to_x)
+    for interpolate in (schaback_interpolate, least_interpolate):
+        assert interpolate(graded, data=values).interpolant == expected
