@@ -20,7 +20,7 @@ from functools import cache
 from typing import Callable, Sequence
 
 from .errors import RadpolyError
-from .functionals import expansion_polynomial, radial_power_expansion
+from .functionals import _radial_kernel, expansion_polynomial, radial_power_expansion
 from .graded import build_graded_basis
 from .interpolation import compare_interpolants, least_interpolate, schaback_interpolate
 from .polynomials import Polynomial
@@ -225,14 +225,9 @@ def _cmd_expand(args) -> int:
     if args.k > 8 or args.d > 4:
         raise _UsageError("listing guard: k <= 8 and d <= 4")
     reassembled = expansion_polynomial(args.k, args.d)
-    # independent reassembly check: expand (sum_i (x_i - y_i)^2)^k directly
-    squared_distance = Polynomial(2 * args.d, {})
-    for i in range(args.d):
-        x = Polynomial.variable(2 * args.d, i)
-        y = Polynomial.variable(2 * args.d, args.d + i)
-        diff = x - y
-        squared_distance = squared_distance + diff * diff
-    direct = squared_distance**args.k
+    # the direct expansion every radial image is built from, K t^gamma s^delta read as K x^gamma y^delta
+    kernel = _radial_kernel(args.k, (1,) * args.d)
+    direct = Polynomial(2 * args.d, {gamma + delta: c for delta, terms in kernel for gamma, c in terms})
     match = reassembled == direct
     _emit(lambda: {
         "k": args.k,

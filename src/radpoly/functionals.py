@@ -10,7 +10,8 @@ by both representations:
 * ``MomentFunctional`` -- a table of literal moments up to a degree cap.
   Applying either past its cap raises, never silently truncates: silent
   truncation would corrupt the exact-identity checks built on top of these
-  objects.
+  objects.  ``_require_moment_cap`` is the one guard that raises it, here and
+  in the graded elimination, the radial images and V f.
 
 Both answer ``_integer_moments``, the moments of one degree as integers over
 one denominator.  Every atom moment comes from one integer kernel, and a
@@ -64,15 +65,20 @@ from .rational_linalg import integer_vector
 _ZERO = Fraction(0)
 
 
+def _require_moment_cap(cap: int | None, needed: int, operation: str) -> None:
+    """Raise unless moments up to degree ``needed`` exist under ``cap``: the one guard on a moment
+    cap, for applying a functional, searching its order, eliminating a span, radial images and V f."""
+    if cap is not None and cap < needed:
+        raise DegreeCapError(
+            f"{operation} needs moments up to degree {needed}, functional cap is {cap}"
+        )
+
+
 def _apply(functional: "Functional", p: Polynomial) -> Fraction:
     """lambda(p) = sum over the terms of p of p_alpha * lambda(x^alpha)."""
     if p.dimension != functional.dimension:
         raise DimensionMismatchError("functional and polynomial dimensions differ")
-    cap = functional.degree_cap
-    if cap is not None and p.degree > cap:
-        raise DegreeCapError(
-            f"polynomial of degree {p.degree} applied to a functional capped at {cap}"
-        )
+    _require_moment_cap(functional.degree_cap, p.degree, "applying a functional")
     moment = functional._moment
     total = _ZERO
     for alpha, coeff in p._terms.items():
@@ -326,8 +332,7 @@ def order(functional: Functional, search_cap: int | None = None) -> int | None:
     stored = functional.degree_cap
     if search_cap is None:
         search_cap = len(functional.points) - 1 if stored is None else stored
-    elif stored is not None and search_cap > stored:
-        raise DegreeCapError(f"search cap {search_cap} exceeds the stored moment cap {stored}")
+    _require_moment_cap(stored, search_cap, "order search")
     for k in range(search_cap + 1):
         for alpha in monomials_of_degree(functional.dimension, k):
             if functional.moment(alpha) != 0:
@@ -434,14 +439,6 @@ def expansion_polynomial(k: int, d: int) -> Polynomial:
                 else:
                     acc[key] = value
     return Polynomial(2 * d, acc)
-
-
-def _require_moment_cap(cap: int | None, needed: int, operation: str) -> None:
-    """Raise unless moments up to degree ``needed`` exist under ``cap``."""
-    if cap is not None and cap < needed:
-        raise DegreeCapError(
-            f"{operation} needs moments up to degree {needed}, functional cap is {cap}"
-        )
 
 
 def tensor_apply_radial(lam: Functional, mu: Functional, k: int) -> Fraction:

@@ -48,7 +48,7 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import DegreeCapError, DimensionMismatchError, RankDeficientError
+from .errors import DimensionMismatchError, RankDeficientError
 from .functionals import Functional, PointFunctional, _require_moment_cap, combine
 from .polynomials import Exponent, Polynomial, monomials_of_degree
 from .rational_linalg import integer_vector, rref
@@ -264,8 +264,7 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
         degree_cap = max(n - 1, 0)
     if degree_cap < 0:
         raise ValueError("degree cap must be >= 0")
-    if table.cap is not None and degree_cap > table.cap:
-        raise DegreeCapError(f"degree cap {degree_cap} exceeds a stored moment cap {table.cap}")
+    _require_moment_cap(table.cap, degree_cap, "graded elimination")
 
     search_cap, support = degree_cap, ()
     if table.cap is None:  # a nonzero point combination on m distinct points has order <= m - 1

@@ -39,6 +39,10 @@ built only for the report.
 
 Either interpolant matches every functional in M exactly and never raises
 the degree of its argument.
+
+The four-point diagnostic of ``compare_interpolants`` is read off the same graded basis, with
+no second elimination: for evaluations at four points affinely spanning the plane, its order-2
+member lambda_4 spans the annihilator of the affine functions.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from typing import Sequence
 from . import rational_linalg as linalg
 from .errors import DimensionMismatchError, SingularGramianError, SingularMatrixError
 from .functionals import (
-    PointFunctional,
     _require_moment_cap,
     image_from_moments,
     least_part_from_moments,
@@ -186,8 +189,7 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
     The basis keeps W_j, read off the rows of L up to 2 kappa_j in the frame, and
     its Gramian (lambda_i W_j) is taken there too.
     """
-    for kappa in graded.kappas:
-        _require_moment_cap(graded.moments.cap, 2 * kappa, "radial image")
+    _require_moment_cap(graded.moments.cap, 2 * graded.kappas[-1], "radial image")
     frame, rows = graded.frame, graded.rows(2 * max(graded.kappas))
     images = tuple(image_from_moments(row.__getitem__, row.denominator, frame.weights, kappa)
                    for row, kappa in zip(rows, graded.kappas))
@@ -367,6 +369,17 @@ def span_dimension_below(polys: Sequence[Polynomial], k: int) -> int:
 # The four-point diagnostic and interpolant comparison
 
 
+def _four_point_moment(graded: GradedBasis) -> Fraction | None:
+    """lambda_4 ||.||^2 for evaluations at four planar points with kappas (0, 1, 1, 2), lambda_4
+    weighted so that its last nonzero weight is 1: the tail {lambda_i : kappa_i >= 2} is a basis of
+    the annihilator of the affine functions, one-dimensional exactly then.  Else None."""
+    if graded.dimension != 2 or graded.kappas != (0, 1, 1, 2):
+        return None
+    weights = graded.integer_transform[3][0]
+    norms = [sum(c * c for c in f.points[0]) for f in graded.span]
+    return sum(map(mul, weights, norms)) / next(w for w in reversed(weights) if w)
+
+
 def four_point_radial_moment(points: Sequence[Sequence[Rational]]) -> Fraction | None:
     """lambda ||.||^2 for the essentially unique annihilator of a planar 4-set.
 
@@ -374,22 +387,13 @@ def four_point_radial_moment(points: Sequence[Sequence[Rational]]) -> Fraction |
     sum_j a_j = 0 and sum_j a_j x_j = 0 determine a one-dimensional space of
     weight vectors; the representative is normalized so the last point with
     a nonzero weight gets weight 1 (for points ordered 0, i1, i2, z this is
-    the weight of z, forcing weight z(1)+z(2)-1 at the origin).  Returns
-    None when the configuration is not of this kind.
+    the weight of z, forcing weight z(1)+z(2)-1 at the origin): the graded
+    basis's order-2 member.  Returns None for any other configuration.
     """
     pts = [as_point(p) for p in points]
     if len(pts) != 4 or any(len(p) != 2 for p in pts) or len(set(pts)) != 4:
         return None
-    rows = [[Fraction(1)] * 4, [p[0] for p in pts], [p[1] for p in pts]]
-    kernel = linalg.nullspace(rows)
-    if len(kernel) != 1:
-        return None
-    weights = kernel[0]
-    last_nonzero = max(i for i, w in enumerate(weights) if w != 0)
-    scale = weights[last_nonzero]
-    weights = [w / scale for w in weights]
-    lam = PointFunctional(pts, weights)
-    return lam(Polynomial.squared_norm(2))
+    return _four_point_moment(build_graded_basis([point_evaluation(p) for p in pts]))
 
 
 @dataclass(frozen=True)
@@ -439,5 +443,5 @@ def compare_interpolants(points: Sequence[Sequence[Rational]], probe_degree: int
         probe_degree=probe_degree,
         interpolants_agree=first_difference is None,
         first_difference=first_difference,
-        four_point_radial_moment=four_point_radial_moment(pts),
+        four_point_radial_moment=_four_point_moment(graded),
     )

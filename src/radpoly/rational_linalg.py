@@ -12,6 +12,9 @@ L D L^T on each symmetric diagonal block's upper triangle instead; each caller
 reduces a block's right-hand side by the blocks solved, for ``sweep`` to solve it.
 Both run on (numerator, denominator) integer pairs, each step reduced to lowest terms
 with a positive denominator by ``_sub_mul``'s gcds: ``Fraction``'s values and heights.
+
+There is no kernel routine: the one annihilator read (of the affine functions on a planar
+4-set) is the order-2 member of the graded basis that ``graded``'s elimination finds.
 """
 
 from __future__ import annotations
@@ -123,23 +126,6 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
                 for c, v in support:
                     row[c] -= factor * v
     return a, pivots
-
-
-def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
-    """Basis of the right nullspace, one vector per free column."""
-    if not matrix:
-        return []
-    reduced, pivots = rref(matrix)
-    n_cols = len(matrix[0])
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        basis.append(v)
-    return basis
 
 
 def _sub_mul(n: int, d: int, a: int, b: int, p: int, q: int) -> tuple[int, int]:

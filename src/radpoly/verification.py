@@ -20,6 +20,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache
+from typing import Callable
 from . import rational_linalg as linalg
 from .functionals import (
     Functional,
@@ -83,12 +84,13 @@ class _Recorder:
         self.failures: list[VerificationFailure] = []
         self.start = time.perf_counter()
 
-    def check(self, condition: bool, case: str, functional: str = "",
-              k: int | None = None, ell: int | None = None, discrepancy: str = "") -> None:
+    def check(self, condition: bool, case: str, functional: Callable[[], str] = str,
+              k: int | None = None, ell: int | None = None, discrepancy: Callable[[], str] = str) -> None:
+        """Count one check; ``functional`` and ``discrepancy`` build its text, only if it fails."""
         self.cases += 1
         if not condition:
             self.failures.append(
-                VerificationFailure(self.suite, case, functional, k, ell, discrepancy)
+                VerificationFailure(self.suite, case, functional(), k, ell, discrepancy())
             )
 
     def report(self, seed: int, trials: int) -> VerificationReport:
@@ -169,14 +171,14 @@ def _check_order_characterization(rec: _Recorder, lam: Functional, kappa: int,
             rec.check(
                 signed >= 0,
                 "signed quadratic form is nonnegative on functionals of order >= k",
-                functional=repr(lam), k=k,
-                discrepancy=f"(-1)^{k} * Q = {signed}",
+                functional=lambda: repr(lam), k=k,
+                discrepancy=lambda: f"(-1)^{k} * Q = {signed}",
             )
             rec.check(
                 (q == 0) == (kappa >= k + 1),
                 "quadratic form vanishes exactly on functionals of order >= k+1",
-                functional=repr(lam), k=k,
-                discrepancy=f"Q = {q}, order = {kappa}",
+                functional=lambda: repr(lam), k=k,
+                discrepancy=lambda: f"Q = {q}, order = {kappa}",
             )
     for k in (0, 1, 2):
         if lam.degree_cap is None or lam.degree_cap >= 2 * (k + 1):
@@ -184,8 +186,8 @@ def _check_order_characterization(rec: _Recorder, lam: Functional, kappa: int,
             rec.check(
                 all_vanish == (kappa >= k + 1),
                 "order >= k+1 iff the form vanishes for every exponent r <= k",
-                functional=repr(lam), k=k,
-                discrepancy=f"vanish through {k}: {all_vanish}, order = {kappa}",
+                functional=lambda: repr(lam), k=k,
+                discrepancy=lambda: f"vanish through {k}: {all_vanish}, order = {kappa}",
             )
 
 
@@ -205,8 +207,8 @@ def run_micchelli(seed: int, trials: int, corrupt: bool = False) -> Verification
             rec.check(
                 tensor == direct,
                 "tensor application equals the point double sum",
-                functional=f"{lam!r}, {mu!r}", k=k,
-                discrepancy=f"expansion {tensor} vs double sum {direct}",
+                functional=lambda: f"{lam!r}, {mu!r}", k=k,
+                discrepancy=lambda: f"expansion {tensor} vs double sum {direct}",
             )
 
         graded = _random_graded_basis(rng, d)
@@ -215,8 +217,8 @@ def run_micchelli(seed: int, trials: int, corrupt: bool = False) -> Verification
             rec.check(
                 found == kappa,
                 "pivot degree of a graded member equals its order",
-                functional=repr(lam),
-                discrepancy=f"order {found} vs pivot degree {kappa}",
+                functional=lambda: repr(lam),
+                discrepancy=lambda: f"order {found} vs pivot degree {kappa}",
             )
             _check_order_characterization(rec, lam, kappa, corrupt)
 
@@ -225,8 +227,8 @@ def run_micchelli(seed: int, trials: int, corrupt: bool = False) -> Verification
         rec.check(
             order(deriv) == total_order,
             "a derivative functional has order equal to its total order",
-            functional=repr(deriv),
-            discrepancy=f"order {order(deriv)} vs {total_order}",
+            functional=lambda: repr(deriv),
+            discrepancy=lambda: f"order {order(deriv)} vs {total_order}",
         )
         _check_order_characterization(rec, deriv, total_order, corrupt)
     return rec.report(seed, trials)
@@ -257,23 +259,23 @@ def _check_image_degrees(rec: _Recorder, lam: Functional, kappa: int, max_ell: i
         rec.check(
             degree <= 2 * ell - kappa if 2 * ell >= kappa else degree == -1,
             "image degree bound for functionals annihilating low degrees",
-            functional=repr(lam), k=kappa - 1, ell=ell,
-            discrepancy=f"degree {degree} not below {2 * ell - kappa + 1}",
+            functional=lambda: repr(lam), k=kappa - 1, ell=ell,
+            discrepancy=lambda: f"degree {degree} not below {2 * ell - kappa + 1}",
         )
         if ell >= kappa:
             rec.check(
                 degree == 2 * ell - kappa,
                 "image degree is exactly 2*ell - order once ell reaches the order",
-                functional=repr(lam), ell=ell,
-                discrepancy=f"degree {degree}, expected {2 * ell - kappa}",
+                functional=lambda: repr(lam), ell=ell,
+                discrepancy=lambda: f"degree {degree}, expected {2 * ell - kappa}",
             )
         strongest = min(ell, 2 * ell - degree - 1)
         if strongest >= 0:
             rec.check(
                 kappa >= strongest + 1,
                 "a low image degree forces a high order",
-                functional=repr(lam), k=strongest, ell=ell,
-                discrepancy=f"degree {degree} but order {kappa} <= {strongest}",
+                functional=lambda: repr(lam), k=strongest, ell=ell,
+                discrepancy=lambda: f"degree {degree} but order {kappa} <= {strongest}",
             )
 
 
@@ -310,8 +312,8 @@ def run_projector(seed: int, trials: int, corrupt: bool = False) -> Verification
             rec.check(
                 w.degree == kappa,
                 "radial basis polynomial degree equals the order",
-                functional=repr(graded.lambdas[j]),
-                discrepancy=f"deg w = {w.degree}, order = {kappa}",
+                functional=lambda: repr(graded.lambdas[j]),
+                discrepancy=lambda: f"deg w = {w.degree}, order = {kappa}",
             )
         lambdas, kappas = graded.lambdas, graded.kappas  # sb stores the diagonal blocks alone
         dense = [[sb.gramian[i][j] if kappas[i] == kappas[j] else lambdas[i](sb.w[j]) for j in range(n)]
@@ -320,8 +322,8 @@ def run_projector(seed: int, trials: int, corrupt: bool = False) -> Verification
             rec.check(
                 dense[i][j] == 0,
                 "Gramian vanishes below the block diagonal",
-                functional=repr(graded.lambdas[i]),
-                discrepancy=f"entry ({i},{j}) = {dense[i][j]}",
+                functional=lambda: repr(graded.lambdas[i]),
+                discrepancy=lambda: f"entry ({i},{j}) = {dense[i][j]}",
             )
         for block in graded.blocks():
             diag = [[sb.gramian[i][j] for j in block] for i in block]
@@ -329,7 +331,7 @@ def run_projector(seed: int, trials: int, corrupt: bool = False) -> Verification
                 linalg.determinant(diag) != 0,
                 "diagonal Gramian block is invertible",
                 k=graded.kappas[block[0]],
-                discrepancy=f"block {block} is singular",
+                discrepancy=lambda: f"block {block} is singular",
             )
 
         for _ in range(2):
@@ -346,18 +348,18 @@ def run_projector(seed: int, trials: int, corrupt: bool = False) -> Verification
                 rec.check(
                     all(r == 0 for r in residuals),
                     f"{method}: interpolation residuals vanish",
-                    discrepancy=f"residuals {residuals}",
+                    discrepancy=lambda: f"residuals {residuals}",
                 )
                 rec.check(
                     f.degree <= target.degree,
                     f"{method}: interpolation does not raise the degree",
-                    discrepancy=f"deg in {target.degree}, deg out {f.degree}",
+                    discrepancy=lambda: f"deg in {target.degree}, deg out {f.degree}",
                 )
                 again = interpolate(f)
                 rec.check(
                     again.interpolant == f,
                     f"{method}: interpolating the interpolant changes nothing",
-                    discrepancy="projector is not idempotent here",
+                    discrepancy=lambda: "projector is not idempotent here",
                 )
 
         coeff_block = schaback_interpolate(sb, target=_random_polynomial(rng, d, 4))
@@ -365,7 +367,7 @@ def run_projector(seed: int, trials: int, corrupt: bool = False) -> Verification
         rec.check(
             coeff_block.coefficients == tuple(coeff_dense),
             "block back-substitution matches the dense solve",
-            discrepancy="solver disagreement",
+            discrepancy=lambda: "solver disagreement",
         )
 
         degrees = {"schaback": _pivot_degrees(sb.w), "least": _pivot_degrees(lb.g)}
@@ -377,7 +379,7 @@ def run_projector(seed: int, trials: int, corrupt: bool = False) -> Verification
                     low + tail == n,
                     f"{name}: range and annihilator dimensions add up",
                     k=k,
-                    discrepancy=f"dim(range ∩ deg<{k}) = {low}, tail = {tail}, n = {n}",
+                    discrepancy=lambda: f"dim(range ∩ deg<{k}) = {low}, tail = {tail}, n = {n}",
                 )
     return rec.report(seed, trials)
 
@@ -436,7 +438,7 @@ def run_invariance(seed: int, trials: int, corrupt: bool = False) -> Verificatio
             rec.check(
                 left == right,
                 f"{method}: interpolation commutes with translation",
-                discrepancy=f"difference {left - right}",
+                discrepancy=lambda: f"difference {left - right}",
             )
 
         axes = (0, 1) if d == 2 else tuple(sorted(rng.sample(range(3), 2)))
@@ -448,23 +450,23 @@ def run_invariance(seed: int, trials: int, corrupt: bool = False) -> Verificatio
             rec.check(
                 left == right,
                 f"{method}: interpolation commutes with an exact rotation",
-                discrepancy=f"difference {left - right}",
+                discrepancy=lambda: f"difference {left - right}",
             )
 
         shear = linalg.identity(d)
         shear[0][1] = Fraction(rng.randint(1, 3))
         shear[0][0] = Fraction(rng.choice((1, 2)))
-        sheared = _bases([linalg.mat_vec(shear, p) for p in points])["least"]
+        sheared = least_basis(build_graded_basis([point_evaluation(linalg.mat_vec(shear, p)) for p in points]))
         composed_range = [g.compose_affine(linalg.transpose(shear)) for g in original["least"].g]
         rec.check(
             polynomial_span_equal(sheared.g, composed_range),
             "least: the range transforms by the transpose under any invertible map",
-            discrepancy=f"shear {shear}",
+            discrepancy=lambda: f"shear {shear}",
         )
         rec.check(
             _interpolant(sheared, composed_range[-1]) == composed_range[-1],
             "least: transformed range elements are reproduced at the moved sites",
-            discrepancy=f"shear {shear}",
+            discrepancy=lambda: f"shear {shear}",
         )
 
         line = _collinear_points(rng, d, rng.randint(2, 4))
@@ -476,13 +478,13 @@ def run_invariance(seed: int, trials: int, corrupt: bool = False) -> Verificatio
             rec.check(
                 f(off_flat) == f(projection(off_flat)),
                 f"{method}: interpolant is constant perpendicular to the affine hull",
-                discrepancy=f"at {off_flat}: {f(off_flat)} vs {f(projection(off_flat))}",
+                discrepancy=lambda: f"at {off_flat}: {f(off_flat)} vs {f(projection(off_flat))}",
             )
         one, other = on_line.values()
         rec.check(
             one == other,
             "both interpolants coincide on collinear points",
-            discrepancy=f"difference {one - other}",
+            discrepancy=lambda: f"difference {one - other}",
         )
 
         # points confined to a tilted plane inside R^3
@@ -499,7 +501,7 @@ def run_invariance(seed: int, trials: int, corrupt: bool = False) -> Verificatio
             rec.check(
                 f(off_plane) == f(plane_projection(off_plane)),
                 f"{method}: interpolant is constant perpendicular to a planar hull",
-                discrepancy=f"at {off_plane}",
+                discrepancy=lambda: f"at {off_plane}",
             )
     return rec.report(seed, trials)
 

@@ -381,6 +381,43 @@ class TestDegreeCap:
         for method in ("schaback", "least", "both"):
             assert main(["interp", "--input", str(problem), "--method", method]) == 2
 
+    def test_cap_past_a_derivatives_cap_is_two_with_one_line(self, tmp_path, capsys):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "dimension": 1,
+            "degree_cap": 3,
+            "functionals": [
+                {"type": "derivative", "alpha": [0], "at": [0], "cap": 4},
+                {"type": "derivative", "alpha": [1], "at": [0], "cap": 2},
+            ],
+            "values": [1, 2],
+        }))
+        capsys.readouterr()
+        assert main(["interp", "--input", str(problem)]) == 2
+        assert capsys.readouterr().err == (
+            "radpoly: graded elimination needs moments up to degree 3, functional cap is 2\n")
+
+
+class TestExpand:
+    @pytest.mark.parametrize("k,d", [(k, d) for d in (1, 2) for k in range(9)]
+                             + [(k, d) for d in (3, 4) for k in range(5)])
+    def test_separated_expansion_matches_the_direct_kernel(self, tmp_path, k, d):
+        code, body = run(tmp_path, "expand", "--k", str(k), "--d", str(d))
+        assert code == 0
+        assert json.loads(body)["oracle_match"] is True
+
+    def test_a_wrong_kernel_coefficient_exits_two(self, tmp_path, monkeypatch):
+        kernel = cli._radial_kernel
+
+        def off_by_one(ell, weights):
+            (delta, ((gamma, coeff), *rest)), *groups = kernel(ell, weights)
+            return ((delta, ((gamma, coeff + 1), *rest)), *groups)
+
+        monkeypatch.setattr(cli, "_radial_kernel", off_by_one)
+        code, body = run(tmp_path, "expand", "--k", "2", "--d", "2")
+        assert code == 2
+        assert json.loads(body)["oracle_match"] is False
+
 
 class TestStdout:
     def test_default_output_goes_to_stdout(self, capsys):

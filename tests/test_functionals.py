@@ -19,6 +19,7 @@ from radpoly import (
     MomentFunctional,
     PointFunctional,
     Polynomial,
+    build_graded_basis,
     combine,
     expansion_polynomial,
     from_derivative,
@@ -29,6 +30,7 @@ from radpoly import (
     point_evaluation,
     radial_image,
     radial_power_expansion,
+    schaback_basis,
     tensor_apply_radial,
 )
 from radpoly.functionals import image_from_moments, radial_monomial
@@ -607,3 +609,23 @@ def test_every_exponent_from_outside_passes_one_check(name):
         assert type(info.value) is error, alpha
     make((1, 1))
     make([True, 1])  # exponents are taken as ints
+
+
+# Each entry point past a moment cap of 3: the degree it needed and the operation it names.
+CAPPED = from_derivative((2, 0), (0, 0), 3)
+CAP_GUARDS = {
+    "lam(p)": (lambda: CAPPED(Polynomial.monomial(2, (4, 0))), 4, "applying a functional"),
+    "order": (lambda: order(CAPPED, 5), 5, "order search"),
+    "build_graded_basis": (lambda: build_graded_basis([point_evaluation((0, 0)), CAPPED], 4), 4,
+                           "graded elimination"),
+    "schaback_basis": (lambda: schaback_basis(build_graded_basis([point_evaluation((0, 0)), CAPPED], 3)), 4,
+                       "radial image"),
+}
+
+
+@pytest.mark.parametrize("name", CAP_GUARDS)
+def test_every_moment_cap_guard_raises_the_shared_message(name):
+    call, needed, operation = CAP_GUARDS[name]
+    with pytest.raises(DegreeCapError) as info:
+        call()
+    assert str(info.value) == f"{operation} needs moments up to degree {needed}, functional cap is 3"

@@ -378,6 +378,21 @@ class TestFlatProjector:
                 assert proj(p) == p
 
 
+def four_point_kernel_moment(points):
+    """Oracle: the kernel of [[1, 1, 1, 1], xs, ys] read off its rref; when it is one-dimensional,
+    its vector weighted so that the last nonzero weight is 1, and sum_j w_j ||x_j||^2 (else None)."""
+    points = [tuple(map(Fraction, p)) for p in points]
+    reduced, pivots = rref([[Fraction(1)] * 4, [x for x, _ in points], [y for _, y in points]])
+    free = [c for c in range(4) if c not in pivots]
+    if len(free) != 1:
+        return None
+    weights = [Fraction(int(c == free[0])) for c in range(4)]
+    for row, p in zip(reduced, pivots):
+        weights[p] = -row[free[0]]
+    last = next(w for w in reversed(weights) if w)
+    return sum(w / last * (x * x + y * y) for w, (x, y) in zip(weights, points))
+
+
 class TestComparison:
     def test_gridded_case(self):
         report = compare_interpolants(GRID, probe_degree=3)
@@ -398,9 +413,23 @@ class TestComparison:
 
     def test_four_point_diagnostic_guard(self):
         assert four_point_radial_moment([(0, 0), (1, 1)]) is None
+        assert four_point_radial_moment([(0, 0), (1, 0), (0, 1)]) is None
+        assert four_point_radial_moment([*SKEW, (2, 3)]) is None
         assert four_point_radial_moment([(0, 0), (1, 1), (2, 2), (3, 3)]) is None
         assert four_point_radial_moment([(0, 0, 0)]) is None
+        assert four_point_radial_moment([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]) is None
         assert four_point_radial_moment([(0, 0), (0, 0), (1, 0), (0, 1)]) is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(
+        st.lists(st.tuples(RATIONALS, RATIONALS), min_size=4, max_size=4, unique=True),
+        st.builds(lambda base, direction, ts: [tuple(b + t * v for b, v in zip(base, direction)) for t in ts],
+                  st.tuples(RATIONALS, RATIONALS), st.tuples(RATIONALS, RATIONALS).filter(any),
+                  st.lists(RATIONALS, min_size=4, max_size=4, unique=True))))
+    def test_four_point_moment_matches_the_kernel_oracle(self, points):
+        expected = four_point_kernel_moment(points)
+        assert four_point_radial_moment(points) == expected
+        assert compare_interpolants(points, probe_degree=0).four_point_radial_moment == expected
 
 
 class TestProjectorLaws:

@@ -15,7 +15,6 @@ from radpoly.rational_linalg import (
     factor_block_upper,
     identity,
     mat_vec,
-    nullspace,
     pivot_columns,
     rref,
     solve,
@@ -179,17 +178,6 @@ def test_rref_is_canonical(a, rng):
     assert rref(mixed) == (reduced, pivots)
 
 
-@settings(max_examples=60, deadline=None)
-@given(rectangular(4, 6))
-def test_nullspace_vectors_are_annihilated(a):
-    kernel = nullspace(a)
-    assert len(kernel) == len(a[0]) - len(pivot_columns(a))
-    for v in kernel:
-        assert all(x == 0 for x in mat_vec(a, v))
-    if kernel:
-        assert len(pivot_columns(kernel)) == len(kernel)
-
-
 def dense_echelon(matrix):
     """Oracle: forward elimination over every entry of every row below the pivot."""
     a = [list(row) for row in matrix]
@@ -261,7 +249,6 @@ def test_sparse_elimination_matches_the_dense_loops(a):
 def test_empty_inputs():
     assert pivot_columns([]) == []
     assert rref([]) == ([], [])
-    assert nullspace([]) == []
     assert solve([], []) == []
     assert determinant([]) == 1
 
