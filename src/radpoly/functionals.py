@@ -1,8 +1,8 @@
 """Linear functionals on polynomials, with exactly computable moments.
 
-A functional is its moments lambda(x^alpha).  Applying it is one sum,
-lambda(p) = sum over the terms of p of p_alpha * lambda(x^alpha), shared
-by both representations:
+A functional is its moments lambda(x^alpha); the base class ``Functional`` holds the
+dimension, the degree cap, the checked ``moment``, equality and the hash.  Applying one
+is one sum, lambda(p) = sum over the terms of p of p_alpha * lambda(x^alpha), in both:
 
 * ``PointFunctional`` -- a weighted combination of atoms c (D^alpha p)(x),
   alpha = 0 being a point evaluation.  Point evaluations apply to
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DegreeCapError, DimensionMismatchError
 from .polynomials import (
@@ -124,11 +124,38 @@ def _atom_kernel(points, weights, orders) -> Callable:
     return moments
 
 
-def _checked_moment(functional: "Functional", alpha: Iterable[int]) -> Fraction:
-    return functional._moment(_checked_exponent(alpha, functional.dimension, functional.degree_cap))
+class Functional:
+    """A linear functional known by its moments: the protocol both representations share.
+
+    A subclass holds its own data and gives ``is_zero``, ``_moment`` (lambda(x^alpha) for a
+    checked key), ``_integer_moments``, ``_key`` (what equality of the same type compares)
+    and ``__call__ = _apply`` in its own body, where the benchmark tracer wraps it."""
+
+    __slots__ = ("_dimension", "_degree_cap")
+
+    @property
+    def dimension(self) -> int:
+        return self._dimension
+
+    @property
+    def degree_cap(self) -> int | None:
+        """The largest degree the moments reach; None for point evaluations (any degree)."""
+        return self._degree_cap
+
+    def moment(self, alpha: Iterable[int]) -> Fraction:
+        """lambda(x^alpha); alpha is checked against the dimension and the cap."""
+        return self._moment(_checked_exponent(alpha, self._dimension, self._degree_cap))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-class PointFunctional:
+class PointFunctional(Functional):
     """Weighted combination of atoms c (D^alpha p)(x); alpha = 0 evaluates at x.
 
     The constructor takes point evaluations at pairwise distinct points,
@@ -137,8 +164,7 @@ class PointFunctional:
 
     # _orders: each atom's derivative order; _kernel and _table: integer tables and
     # computed moments, built on demand and ignored by equality, hash and repr.
-    __slots__ = ("_dimension", "_points", "_weights", "_orders", "_degree_cap", "_kernel",
-                 "_table")
+    __slots__ = ("_points", "_weights", "_orders", "_kernel", "_table")
 
     def __init__(self, points: Iterable[Sequence[Rational]], weights: Iterable[Rational],
                  *, dimension: int | None = None):
@@ -172,10 +198,6 @@ class PointFunctional:
         self._table: dict[Exponent, Fraction] = {}
 
     @property
-    def dimension(self) -> int:
-        return self._dimension
-
-    @property
     def points(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._points
 
@@ -186,13 +208,6 @@ class PointFunctional:
     @property
     def is_zero(self) -> bool:
         return not self._weights
-
-    @property
-    def degree_cap(self) -> int | None:
-        """None for point evaluations, which apply to polynomials of any degree."""
-        return self._degree_cap
-
-    moment = _checked_moment
 
     def _moment(self, key: Exponent) -> Fraction:
         """lambda(x^key) for a checked key, computed once per functional."""
@@ -214,14 +229,6 @@ class PointFunctional:
         atoms = frozenset(zip(zip(self._points, self._orders), self._weights))
         return self._dimension, self._degree_cap, atoms
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PointFunctional):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         parts = " ".join(
             f"{w}{f'*D{alpha}' if any(alpha) else ''}@{tuple(map(str, x))}"
@@ -231,10 +238,10 @@ class PointFunctional:
         return f"PointFunctional({parts or '0'}{cap})"
 
 
-class MomentFunctional:
+class MomentFunctional(Functional):
     """Functional given by its moments lambda(x^alpha) up to a degree cap."""
 
-    __slots__ = ("_dimension", "_degree_cap", "_moments")
+    __slots__ = ("_moments",)
 
     def __init__(self, dimension: int, degree_cap: int,
                  moments: Mapping | Iterable = ()):
@@ -245,14 +252,6 @@ class MomentFunctional:
         self._dimension = dimension
         self._degree_cap = degree_cap
         self._moments = _canonical_terms(moments, dimension, degree_cap)
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
-
-    @property
-    def degree_cap(self) -> int:
-        return self._degree_cap
 
     @property
     def is_zero(self) -> bool:
@@ -267,8 +266,6 @@ class MomentFunctional:
         """Nonzero moments in graded order."""
         return sorted(self._moments.items(), key=lambda item: graded_key(item[0]))
 
-    moment = _checked_moment
-
     def _moment(self, key: Exponent) -> Fraction:
         """Table lookup for a checked key."""
         return self._moments.get(key, _ZERO)
@@ -279,24 +276,12 @@ class MomentFunctional:
 
     __call__ = _apply
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MomentFunctional):
-            return NotImplemented
-        return (
-            self._dimension == other._dimension
-            and self._degree_cap == other._degree_cap
-            and self._moments == other._moments
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._dimension, self._degree_cap, frozenset(self._moments.items())))
+    def _key(self) -> tuple:
+        return self._dimension, self._degree_cap, frozenset(self._moments.items())
 
     def __repr__(self) -> str:
         body = ", ".join(f"{a}:{v}" for a, v in self.moments())
         return f"MomentFunctional(cap={self._degree_cap}, {{{body}}})"
-
-
-Functional = Union[PointFunctional, MomentFunctional]
 
 
 def point_evaluation(point: Sequence[Rational]) -> PointFunctional:
@@ -426,19 +411,15 @@ def expansion_polynomial(k: int, d: int) -> Polynomial:
     Variables 1..d are the x block and d+1..2d the y block; the result must
     equal the direct expansion of (sum_i (x_i - y_i)^2)^k.
     """
-    acc: dict[Exponent, Fraction] = {}
+    acc: dict[Exponent, int] = {}  # the p_{a,beta} have integer coefficients
     for term in radial_power_expansion(k, d):
-        px = radial_monomial(d, term.a, term.beta)
-        py = radial_monomial(d, term.c, term.beta)
-        for ax, cx in px.terms():
-            for ay, cy in py.terms():
+        py = [(ay, cy.numerator) for ay, cy in radial_monomial(d, term.c, term.beta)._terms.items()]
+        for ax, cx in radial_monomial(d, term.a, term.beta)._terms.items():
+            cx = term.coeff * cx.numerator
+            for ay, cy in py:
                 key = ax + ay
-                value = acc.get(key, Fraction(0)) + term.coeff * cx * cy
-                if value == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = value
-    return Polynomial(2 * d, acc)
+                acc[key] = acc.get(key, 0) + cx * cy
+    return Polynomial._of(2 * d, {alpha: Fraction(v) for alpha, v in acc.items() if v})
 
 
 def tensor_apply_radial(lam: Functional, mu: Functional, k: int) -> Fraction:

@@ -49,13 +49,13 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError
-from .functionals import Functional, PointFunctional, _require_moment_cap, combine
+from .functionals import Functional, PointFunctional, _require_moment_cap, combine, order
 from .polynomials import Exponent, Polynomial, monomials_of_degree
 from .rational_linalg import integer_vector, rref
 
 
 class MomentTable:
-    """Integer moment columns of a span, built one degree at a time.
+    """Integer moment columns of a span, built one whole degree at a time when first asked for.
 
     mu_i(x^alpha) = columns[alpha][i] / scales[|alpha|].  Each functional
     gives its moments of one degree as integers over one denominator of its
@@ -70,20 +70,20 @@ class MomentTable:
         caps = [f.degree_cap for f in self.span if f.degree_cap is not None]
         self.cap = min(caps) if caps else None
         self.columns: dict[Exponent, tuple[int, ...]] = {}
-        self.monomials: list[list[Exponent]] = []
-        self.scales: list[int] = []
+        self.monomials: dict[int, list[Exponent]] = {}
+        self.scales: dict[int, int] = {}
         self._rows: tuple = (None, -1, ())
 
-    def extend(self, degree: int) -> None:
-        """Build every column of degree <= ``degree`` not built yet."""
-        for k in range(len(self.scales), degree + 1):
+    def extend(self, *degrees: int) -> None:
+        """Build every column of each of ``degrees`` not built yet."""
+        for k in sorted(set(degrees) - self.scales.keys()):
             alphas = list(monomials_of_degree(self.dimension, k))
             parts = [f._integer_moments(k, alphas) for f in self.span]
             scale = lcm(*(den for _, den in parts))
             lifted = [[num * (scale // den) for num in nums] for nums, den in parts]
             self.columns.update(zip(alphas, zip(*lifted)))
-            self.monomials.append(alphas)
-            self.scales.append(scale)
+            self.monomials[k] = alphas
+            self.scales[k] = scale
 
     def rows(self, transform: Sequence[tuple[Sequence[int], int]], top: int) -> tuple[MomentRow, ...]:
         """The rows of T V at least up to degree ``top``, for lambda_i = sum_j T[i][j] mu_j
@@ -92,23 +92,25 @@ class MomentTable:
         the largest ``top`` asked of the same ``transform`` object."""
         held, done, rows = self._rows
         if held is not transform or done < top:
-            self.extend(top)
-            scale = lcm(*self.scales[: top + 1])
-            lifts = [scale // s for s in self.scales[: top + 1]]
+            self.extend(*range(top + 1))
+            scale = lcm(*(self.scales[k] for k in range(top + 1)))
+            lifts = [scale // self.scales[k] for k in range(top + 1)]
             rows = tuple(MomentRow(self.columns, lifts, ints, den * scale) for ints, den in transform)
             self._rows = (transform, top, rows)
         return rows
 
     def values(self, f: Polynomial) -> tuple[list[int], int]:
         """V f = (mu_i(f)) as integer numerators over one denominator: each term of f's integer
-        form lifted by its degree's scale to their lcm."""
+        form lifted by its degree's scale to their lcm.  Only the degrees f has are built."""
         _require_moment_cap(self.cap, f.degree, "evaluating the span functionals")
         if f.is_zero:
             return [0] * len(self.span), 1
-        self.extend(f.degree)
         form, denominator = f._integer_form()
-        scale = lcm(*{self.scales[sum(alpha)] for alpha, _ in form})
-        weights = [c * (scale // self.scales[sum(alpha)]) for alpha, c in form]
+        degrees = [sum(alpha) for alpha, _ in form]
+        self.extend(*degrees)
+        scales = [self.scales[k] for k in degrees]
+        scale = lcm(*set(scales))
+        weights = [c * (scale // s) for (_, c), s in zip(form, scales)]
         columns = [self.columns[alpha] for alpha, _ in form]
         return [sum(map(mul, weights, row)) for row in zip(*columns)], denominator * scale
 
@@ -333,14 +335,9 @@ def verify_graded(basis: GradedBasis, k: int) -> bool:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    d = basis.dimension
     for i, lam in enumerate(basis.lambdas):
-        if basis.kappas[i] < k:
-            continue
-        for degree in range(k):
-            for alpha in monomials_of_degree(d, degree):
-                if lam.moment(alpha) != 0:
-                    return False
+        if basis.kappas[i] >= k and order(lam, k - 1) not in (None, -1):
+            return False
     head = [i for i in range(basis.size) if basis.kappas[i] < k]
     for row, i in enumerate(head):
         for col, j in enumerate(head):

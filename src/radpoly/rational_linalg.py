@@ -182,8 +182,8 @@ def factor_block_upper(matrix: Sequence[Sequence[Fraction]],
     """Factor each diagonal block once, ``blocks`` listing index groups in order.  The
     blocks must be symmetric; only their upper triangles are read.  L D L^T with no row
     swap: row r of U = D L^T is the block's row r after step r, whose multipliers are
-    L[i][r] = U[r][i] / U[r][r].  SingularMatrixError when a block lacks a pivot or
-    needs a swap (a zero leading minor), named from its echelon form."""
+    L[i][r] = U[r][i] / U[r][r].  SingularMatrixError when step r of a block meets a zero
+    pivot (a zero leading minor): with no row swap, that column has no pivot."""
     blocks = tuple(map(tuple, blocks))
     diagonal = []
     for bi, block in enumerate(blocks):
@@ -194,11 +194,7 @@ def factor_block_upper(matrix: Sequence[Sequence[Fraction]],
         for r, head in enumerate(a):
             pn, pd = head[r]
             if not pn:
-                pivots = pivot_columns([[matrix[block[min(p, q)]][block[max(p, q)]] for q in range(m)]
-                                        for p in range(m)])
-                missing = [block[c] for c in range(m) if c not in pivots]
-                raise SingularMatrixError(f"no pivot in column {missing[0]}" if missing
-                                          else f"diagonal block {bi} needs a row swap")
+                raise SingularMatrixError(f"diagonal block {bi}: no pivot in column {block[r]}")
             for i in range(r + 1, m):
                 if head[i][0]:
                     fn, fd = _quotient(*head[i], pn, pd)

@@ -16,6 +16,7 @@ import radpoly
 from radpoly import (
     DegreeCapError,
     DimensionMismatchError,
+    Functional,
     MomentFunctional,
     PointFunctional,
     Polynomial,
@@ -80,6 +81,38 @@ def _point_functional_and_polynomial(draw):
                                  st.fractions(min_value=-9, max_value=9, max_denominator=4),
                                  max_size=8))
     return PointFunctional(points, weights, dimension=d), Polynomial(d, terms)
+
+
+class TestFunctionalProtocol:
+    def test_every_constructor_gives_a_functional(self):
+        point, derivative = point_evaluation((1, 2)), from_derivative((1, 0), (1, 2), 3)
+        made = [
+            point,
+            derivative,
+            MomentFunctional(2, 2, {(0, 1): 3}),
+            PointFunctional([(0, 0), (1, 1)], [1, -1]),
+            combine([point, point_evaluation((0, 0))], [2, -1]),
+            combine([point, derivative], [1, 1]),
+        ]
+        assert [type(f) for f in made[-2:]] == [PointFunctional, MomentFunctional]
+        assert all(isinstance(f, Functional) for f in made)
+
+    def test_equality_needs_the_same_type_and_equal_hashes_follow(self):
+        point = PointFunctional([(0,)], [1])
+        table = MomentFunctional(1, 0, {(0,): 1})
+        assert point.moment((0,)) == table.moment((0,)) == 1 and point.degree_cap is None
+        same_moments = MomentFunctional(1, 0, {(0,): 1})  # point's one moment up to degree 0
+        assert point != table and table != point and point != same_moments
+        assert point != "point" and table != (1, 0, {(0,): 1}) and not (table == 1)
+        assert table == same_moments and hash(table) == hash(same_moments)
+        twin = PointFunctional([(0,)], [Fraction(2, 2)])
+        assert point == twin and hash(point) == hash(twin)
+        assert len({point, twin, table, same_moments}) == 2
+
+    def test_each_class_keeps_its_own_call(self):
+        """The benchmark tracer wraps ``cls.__dict__["__call__"]`` of each class."""
+        assert "__call__" in PointFunctional.__dict__
+        assert "__call__" in MomentFunctional.__dict__
 
 
 class TestApply:

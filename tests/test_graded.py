@@ -93,6 +93,23 @@ class TestVerifyGraded:
         for k in range(max(graded.kappas) + 2):
             assert verify_graded(graded, k)
 
+    def test_holds_on_a_derivative_span_for_every_k(self):
+        span = [from_derivative(alpha, site, 5) for site in ((0, 0), (1, 2))
+                for alpha in ((0, 0), (1, 0), (0, 1))]
+        graded = build_graded_basis(span, degree_cap=4)
+        assert graded.lambdas[0].degree_cap == 5
+        for k in range(max(graded.kappas) + 2):
+            assert verify_graded(graded, k)
+
+    def test_corrupted_capped_span_fails(self):
+        span = [from_derivative(alpha, (0, 0), 4) for alpha in ((0, 0), (1, 0), (0, 1), (2, 0))]
+        graded = build_graded_basis(span, degree_cap=4)
+        assert graded.kappas == (0, 1, 1, 2)
+        swapped = list(graded.integer_transform)
+        swapped[3], swapped[0] = swapped[0], swapped[3]
+        corrupt = replace(graded, integer_transform=tuple(swapped))
+        assert verify_graded(graded, 2) and not verify_graded(corrupt, 2)
+
 
 class TestErrors:
     def test_duplicate_functionals_are_rank_deficient(self):
@@ -455,3 +472,15 @@ def test_moment_table_values_match_each_functional(case, data):
     if table.cap is not None:
         with pytest.raises(DegreeCapError):
             table.values(Polynomial.monomial(d, (table.cap + 1,) + (0,) * (d - 1)))
+
+
+def test_moment_table_values_builds_only_the_degrees_of_f():
+    """V f of one term of degree 40 builds the columns of degree 40 and of no other degree."""
+    span = evaluations([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 0, 1)])
+    table = MomentTable(span)
+    f = Polynomial.monomial(3, (40, 0, 0))
+    numerators, denominator = table.values(f)
+    assert [Fraction(v, denominator) for v in numerators] == [mu(f) for mu in span]
+    assert set(table.scales) == set(table.monomials) == {40}
+    assert {sum(alpha) for alpha in table.columns} == {40}
+    assert len(table.columns) == math.comb(42, 2)
