@@ -14,8 +14,11 @@ is one sum, lambda(p) = sum over the terms of p of p_alpha * lambda(x^alpha), in
   in the graded elimination, the radial images and V f.
 
 Both answer ``_integer_moments``, the moments of one degree as integers over
-one denominator.  Every atom moment comes from one integer kernel, and a
-point combination keeps each moment it has computed as a fraction.
+one denominator.  Every atom moment comes from one columnar integer kernel,
+``_atom_kernel``, which gives the moment of x^gamma at all of its atoms as one
+tuple of C-level products.  A point combination sums that column and keeps
+each moment it has computed as a fraction; the moment table of a span builds
+one kernel over the atoms of all its point functionals.
 
 Radial images x |-> lambda ||x - .||_D^(2l), ||x||_D^2 = sum_k D_k x_k^2, come
 from the direct expansion sum over |m| = l of l!/m! D^m prod_k (x_k - y_k)^(2 m_k),
@@ -43,7 +46,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
+from operator import mul, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DegreeCapError, DimensionMismatchError
@@ -88,40 +92,40 @@ def _apply(functional: "Functional", p: Polynomial) -> Fraction:
     return total
 
 
-def _atom_kernel(points, weights, orders) -> Callable:
-    """Integer moments of sum_i c_i (D^alpha_i p)(x_i) of one degree k, over r q^k.
+def _atom_kernel(dimension: int, points, weights, orders) -> Callable:
+    """Integer moments of the atoms c_i (D^alpha_i p)(x_i) of one degree k, each a tuple over the atoms.
 
     With r and q the lcms of the weights' and the coordinates' denominators,
     r q^|gamma| c (D^alpha x^gamma)(x) = r c gamma!/(gamma-alpha)! (q x)^(gamma-alpha) q^|alpha|,
-    or 0 unless gamma >= alpha.  Each atom keeps its integer weight r c and,
-    per coordinate with derivative order a, the table g |-> g!/(g-a)! q^a (q x)^(g-a).
-    Returns moments(degree, gammas) -> (numerators, r q^degree).
+    or 0 unless gamma >= alpha.  Per coordinate j the kernel grows T_j[g], one tuple over the atoms
+    of g!/(g-a)! q^a (q x_j)^(g-a), 0 for g < a, with a the atom's order in j.  The column of gamma
+    is the weights r c times T_j[gamma_j] for each j in the support of gamma or in S, the coordinates
+    in which some atom has a nonzero order (T_j[0] zeroes the atoms differentiated in j): products of
+    whole tuples.  Returns columns(degree, gammas) -> (one tuple per gamma, r q^degree).
     """
     r = math.lcm(*(w.denominator for w in weights))
     q = math.lcm(*(c.denominator for x in points for c in x))
-    growth: list[tuple[list[int], int, int]] = []  # (table, q x, a) for every table
-    atoms: list[tuple[int, list[list[int]]]] = []
-    for x, w, alpha in zip(points, weights, orders):
-        tables = [[0] * a + [math.factorial(a) * q**a] for a in alpha]
-        for table, c, a in zip(tables, x, alpha):
-            growth.append((table, c.numerator * (q // c.denominator), a))
-        atoms.append((w.numerator * (r // w.denominator), tables))
+    start = tuple(w.numerator * (r // w.denominator) for w in weights)
+    bases = [tuple(x[j].numerator * (q // x[j].denominator) for x in points) for j in range(dimension)]
+    by_coordinate = [tuple(alpha[j] for alpha in orders) for j in range(dimension)]
+    tables = [[tuple(int(not a) for a in orders_j)] for orders_j in by_coordinate]
+    s_mask = tuple(map(any, by_coordinate)) if any(map(any, orders)) else None  # None when S is empty
 
-    def moments(degree: int, gammas: Sequence[Exponent]) -> tuple[list[int], int]:
-        for table, base, a in growth:
+    def columns(degree: int, gammas: Sequence[Exponent]) -> tuple[list[tuple[int, ...]], int]:
+        for table, base, orders_j in zip(tables, bases, by_coordinate):
             for g in range(len(table), degree + 1):
-                table.append(table[-1] * base * g // (g - a))  # an exact division
-        numerators = []
+                table.append(tuple(map(mul, table[-1], base)) if not any(orders_j) else tuple(
+                    t * b * g // (g - a) if g > a else math.factorial(a) * q**a if g == a else 0
+                    for t, b, a in zip(table[-1], base, orders_j)))  # an exact division
+        out = []
         for gamma in gammas:
-            total = 0
-            for weight, tables in atoms:
-                for table, e in zip(tables, gamma):
-                    weight *= table[e]
-                total += weight
-            numerators.append(total)
-        return numerators, r * q**degree
+            column = start
+            for j in compress(range(dimension), gamma if s_mask is None else map(or_, gamma, s_mask)):
+                column = map(mul, column, tables[j][gamma[j]])
+            out.append(tuple(column))
+        return out, r * q**degree
 
-    return moments
+    return columns
 
 
 class Functional:
@@ -218,10 +222,12 @@ class PointFunctional(Functional):
         return total
 
     def _integer_moments(self, degree: int, gammas: Sequence[Exponent]) -> tuple[list[int], int]:
-        """The moments of ``gammas``, all of total ``degree``, over one denominator."""
+        """The moments of ``gammas``, all of total ``degree``, over one denominator: each
+        column of the atom kernel summed."""
         if self._kernel is None:
-            self._kernel = _atom_kernel(self._points, self._weights, self._orders)
-        return self._kernel(degree, gammas)
+            self._kernel = _atom_kernel(self._dimension, self._points, self._weights, self._orders)
+        columns, scale = self._kernel(degree, gammas)
+        return list(map(sum, columns)), scale
 
     __call__ = _apply
 

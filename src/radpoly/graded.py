@@ -3,10 +3,11 @@
 Everything is computed from one integer moment table per span: the columns
 V_alpha = (mu_1(x^alpha), ..., mu_n(x^alpha)) of the moment matrix, built
 once per monomial in graded order and extended one degree at a time.  The
-table only tabulates: each functional hands over its moments of one degree
-as integers over one denominator, however it computes them, and each column
-is kept as integers over one positive scale for its degree, so rational
-points and rational moments need no fractions inside the table.
+point functionals of a span share one atom kernel, which gives the point part
+of a whole column at once; moment functionals hand over their stored moments
+of one degree as integers over one denominator.  Each column is kept as
+integers over one positive scale for its degree, so rational points and
+rational moments need no fractions inside the table.
 
 Gauss elimination with row interchanges on that table (de Boor and Ron's
 elimination by segments) turns an independent family mu_1..mu_n into a
@@ -44,12 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError
-from .functionals import Functional, PointFunctional, _require_moment_cap, combine, order
+from .functionals import Functional, PointFunctional, _atom_kernel, _require_moment_cap, combine, order
 from .polynomials import Exponent, Polynomial, monomials_of_degree
 from .rational_linalg import integer_vector, rref
 
@@ -57,11 +59,12 @@ from .rational_linalg import integer_vector, rref
 class MomentTable:
     """Integer moment columns of a span, built one whole degree at a time when first asked for.
 
-    mu_i(x^alpha) = columns[alpha][i] / scales[|alpha|].  Each functional
-    gives its moments of one degree as integers over one denominator of its
-    own (``_integer_moments``); the scale of a degree is the lcm of those
-    denominators.  ``cap`` is the smallest moment cap of the span (None when
-    no functional has one); callers never extend the table past it.
+    mu_i(x^alpha) = columns[alpha][i] / scales[|alpha|].  One atom kernel over the atoms of all
+    point functionals gives the point part of a column over r q^k, r and q the lcms of the atoms'
+    weight and coordinate denominators; a functional of several atoms sums its segment.  Moment
+    functionals add their stored moments (``_integer_moments``), and the scale is the lcm of r q^k
+    and their denominators.  ``cap`` is the smallest moment cap of the span (None when no
+    functional has one); callers never extend the table past it.
     """
 
     def __init__(self, span: Sequence[Functional]):
@@ -73,15 +76,29 @@ class MomentTable:
         self.monomials: dict[int, list[Exponent]] = {}
         self.scales: dict[int, int] = {}
         self._rows: tuple = (None, -1, ())
+        points = [f for f in self.span if isinstance(f, PointFunctional)]
+        self._kernel = _atom_kernel(self.dimension, [x for f in points for x in f.points],
+                                    [w for f in points for w in f.weights],
+                                    [a for f in points for a in f._orders])
+        ends = list(accumulate(len(f.points) for f in points))
+        self._segments = None if all(len(f.points) == 1 for f in points) else list(zip([0, *ends], ends))
+        self._stored = [(i, f) for i, f in enumerate(self.span) if not isinstance(f, PointFunctional)]
 
     def extend(self, *degrees: int) -> None:
         """Build every column of each of ``degrees`` not built yet."""
         for k in sorted(set(degrees) - self.scales.keys()):
             alphas = list(monomials_of_degree(self.dimension, k))
-            parts = [f._integer_moments(k, alphas) for f in self.span]
-            scale = lcm(*(den for _, den in parts))
-            lifted = [[num * (scale // den) for num in nums] for nums, den in parts]
-            self.columns.update(zip(alphas, zip(*lifted)))
+            columns, scale = self._kernel(k, alphas)
+            if self._segments:
+                columns = [tuple(sum(column[a:b]) for a, b in self._segments) for column in columns]
+            if self._stored:  # lift both parts to one scale and put each stored row in its place
+                parts = [f._integer_moments(k, alphas) for _, f in self._stored]
+                total = lcm(scale, *(den for _, den in parts))
+                rows = [[v * (total // scale) for v in row] for row in zip(*columns)]
+                for (i, _), (nums, den) in zip(self._stored, parts):
+                    rows.insert(i, [v * (total // den) for v in nums])
+                columns, scale = zip(*rows), total
+            self.columns.update(zip(alphas, columns))
             self.monomials[k] = alphas
             self.scales[k] = scale
 

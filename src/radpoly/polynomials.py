@@ -73,8 +73,9 @@ def monomials_of_degree(d: int, degree: int) -> Iterator[Exponent]:
 
     The order within a degree is the canonical one (larger first coordinate
     first).  One vector is edited in place, with no recursion, so any d
-    works.  With u the last nonzero entry before the final one t, the
-    successor of (.., u, 0..0, t) is (.., u - 1, t + 1, 0..0).
+    works.  With u = a[r] the last nonzero entry before the final one t, the
+    successor of (.., u, 0..0, t) is (.., u - 1, t + 1, 0..0), whose r is r + 1
+    unless t + 1 is the final entry; only then does r step back over zeros.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -82,16 +83,17 @@ def monomials_of_degree(d: int, degree: int) -> Iterator[Exponent]:
         return
     a = [0] * d
     a[0] = degree
+    r = 0 if degree and d > 1 else -1
     while True:
         yield tuple(a)
-        tail, a[-1] = a[-1], 0
-        r = d - 2
-        while r >= 0 and not a[r]:
-            r -= 1
         if r < 0:  # the last vector: (0..0, degree)
             return
+        tail, a[-1] = a[-1], 0
         a[r] -= 1
         a[r + 1] = tail + 1
+        r += 1
+        while r == d - 1 or r >= 0 and not a[r]:  # t + 1 is the final entry: step back
+            r -= 1
 
 
 def monomial_sequence(d: int, max_degree: int) -> list[Exponent]:

@@ -344,6 +344,9 @@ def test_criterion_10_cli_golden_files(tmp_path):
         (["expand", "--k", "2", "--d", "1"], "expand_k2_d1.json"),
         (["compare", "--input", str(GOLDEN / "grid.problem.json")], "compare_grid.json"),
         (["compare", "--input", str(GOLDEN / "skew.problem.json")], "compare_skew.json"),
+        (["interp", "--input", str(GOLDEN / "mixed.problem.json"), "--method", "both"],
+         "interp_mixed_both.json"),
+        (["basis", "--input", str(GOLDEN / "mixed.problem.json")], "basis_mixed.json"),
     ]
     for i, (argv, expected) in enumerate(cases):
         first = tmp_path / f"{i}_a.json"
@@ -359,6 +362,9 @@ def test_criterion_10_cli_golden_files(tmp_path):
     assert grid_obj["difference"]["terms"] == []
     skew_obj = json.loads((GOLDEN / "interp_skew_both.json").read_text())
     assert skew_obj["difference"]["terms"] != []
+    # points of unlike denominators, a three-atom combination, derivatives and stored moments in one span
+    assert json.loads((GOLDEN / "basis_mixed.json").read_text())["kappas"] == [0, 1, 1, 2, 2, 2, 3]
+    assert len(json.loads((GOLDEN / "interp_mixed_both.json").read_text())["difference"]["terms"]) == 10
 
     dup = tmp_path / "dup.json"
     dup.write_text(json.dumps({"dimension": 2, "points": [[0, 0], [0, 0], [1, 1]]}))

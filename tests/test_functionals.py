@@ -27,6 +27,7 @@ from radpoly import (
     inner_product,
     least_part,
     monomial_sequence,
+    monomials_of_degree,
     order,
     point_evaluation,
     radial_image,
@@ -597,6 +598,20 @@ def test_atom_moments_match_the_derivative_formula(case):
     if all(lam.moment(gamma) == 0 for gamma in monomial_sequence(d, cap)):
         assert lam.is_zero
         assert order(lam) == -1
+
+
+@given(_atom_combinations())
+@settings(deadline=None, max_examples=60)
+def test_integer_moments_match_the_derivative_formula(case):
+    """Each point combination's moments of one degree, integers over one positive denominator, are the
+    Fraction formula; degrees are asked highest first, so lower ones read tables already grown."""
+    cap, members, _, atoms = case
+    for k in range(cap, -1, -1):
+        gammas = list(monomials_of_degree(members[0].dimension, k))
+        for f, part in zip(members, atoms):
+            numerators, denominator = f._integer_moments(k, gammas)
+            assert all(type(v) is int for v in numerators) and type(denominator) is int and denominator > 0
+            assert [Fraction(v, denominator) for v in numerators] == [_oracle_moment(part, g) for g in gammas]
 
 
 @given(st.integers(1, 3), st.data())

@@ -27,6 +27,7 @@ from radpoly import (
 import radpoly.graded as graded_module
 from radpoly.graded import MomentTable
 from radpoly.rational_linalg import determinant, integer_vector
+from test_functionals import _atom_combinations, _oracle_moment
 
 
 def evaluations(points):
@@ -472,6 +473,55 @@ def test_moment_table_values_match_each_functional(case, data):
     if table.cap is not None:
         with pytest.raises(DegreeCapError):
             table.values(Polynomial.monomial(d, (table.cap + 1,) + (0,) * (d - 1)))
+
+
+@st.composite
+def mixed_spans(draw):
+    """(span, each member's moment oracle, cap): derivatives at rational sites, whose orders are
+    nonzero where gamma may be zero, a weighted combination of several atoms, point evaluations at
+    points of unlike denominators and stored moments, in drawn order."""
+    cap, members, _, atoms = draw(_atom_combinations())
+    d = members[0].dimension
+    coordinate = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    for x in draw(st.lists(st.tuples(*[coordinate] * d), max_size=3)):
+        members.append(point_evaluation(x))
+        atoms.append([(1, (0,) * d, x)])
+    oracles = [lambda gamma, part=part: _oracle_moment(part, gamma) for part in atoms]
+    exponent = st.tuples(*[st.integers(0, cap)] * d).filter(lambda a: sum(a) <= cap)
+    for _ in range(draw(st.integers(0, 2))):
+        moments = draw(st.dictionaries(exponent, RATIONALS, max_size=4))
+        members.append(MomentFunctional(d, cap, moments))
+        oracles.append(lambda gamma, moments=moments: Fraction(moments.get(gamma, 0)))
+    shuffled = draw(st.permutations(range(len(members))))
+    return [members[i] for i in shuffled], [oracles[i] for i in shuffled], cap
+
+
+@given(mixed_spans())
+@settings(deadline=None, max_examples=80)
+def test_moment_table_columns_match_a_fraction_oracle(case):
+    """columns[alpha][i] / scales[|alpha|] is mu_i(x^alpha) through the cap, for every member of a
+    span mixing one-atom, several-atom and zero point combinations with stored moments."""
+    span, oracles, cap = case
+    table = MomentTable(span)
+    table.extend(*range(cap + 1))
+    assert list(table.columns) == monomial_sequence(span[0].dimension, cap)
+    for alpha, column in table.columns.items():
+        scale = table.scales[sum(alpha)]
+        assert type(scale) is int and scale > 0 and all(type(v) is int for v in column)
+        assert [Fraction(v, scale) for v in column] == [oracle(alpha) for oracle in oracles]
+
+
+def test_two_points_in_dimension_200_through_degree_2():
+    """Each of the 20301 columns of two rational points in d=200 is x^alpha at both."""
+    rng = random.Random(5)
+    points = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(200)) for _ in range(2)]
+    table = MomentTable(evaluations(points))
+    table.extend(0, 1, 2)
+    assert len(table.columns) == math.comb(202, 2)
+    for alpha, column in table.columns.items():
+        support = [(j, e) for j, e in enumerate(alpha) if e]
+        expected = [math.prod((x[j] ** e for j, e in support), start=Fraction(1)) for x in points]
+        assert [Fraction(v, table.scales[sum(alpha)]) for v in column] == expected
 
 
 def test_moment_table_values_builds_only_the_degrees_of_f():
