@@ -13,12 +13,11 @@ is one sum, lambda(p) = sum over the terms of p of p_alpha * lambda(x^alpha), in
   objects.  ``_require_moment_cap`` is the one guard that raises it, here and
   in the graded elimination, the radial images and V f.
 
-Both answer ``_integer_moments``, the moments of one degree as integers over
-one denominator.  Every atom moment comes from one columnar integer kernel,
-``_atom_kernel``, which gives the moment of x^gamma at all of its atoms as one
-tuple of C-level products.  A point combination sums that column and keeps
-each moment it has computed as a fraction; the moment table of a span builds
-one kernel over the atoms of all its point functionals.
+Every atom moment comes from one columnar integer kernel, ``_atom_kernel``,
+which gives the moment of x^gamma at all of its atoms as one tuple of C-level
+products.  A point combination sums that column and keeps each moment it has
+computed as a fraction; the moment table of a span builds one kernel over the
+atoms of all its point functionals and reads a moment functional's stored moments.
 
 Radial images x |-> lambda ||x - .||_D^(2l), ||x||_D^2 = sum_k D_k x_k^2, come
 from the direct expansion sum over |m| = l of l!/m! D^m prod_k (x_k - y_k)^(2 m_k),
@@ -32,8 +31,9 @@ separated expansion, with p_{a,beta}(x) = ||x||^(2a) x^beta and ||.|| Euclidean,
 is the identity the images are tested against (``radial_power_expansion``).
 Radial images and lowest-degree parts of the moment series
 need nothing but a moment lookup: ``image_from_moments`` and
-``least_part_from_moments`` take one, so the same bodies serve a functional
-(its ``_moment``) and a row of a graded basis's integer moment table.
+``least_part_from_moments`` take one and return the polynomial's coefficient sums
+over one denominator, so the same bodies serve a functional (its ``_moment``, as a
+``Polynomial``) and a row of a graded basis's integer moment table (in integers).
 
 The order of a functional is the smallest total degree carrying a nonzero
 moment (equivalently, the largest k with lambda vanishing on all polynomials
@@ -64,7 +64,6 @@ from .polynomials import (
     monomials_of_degree,
     multi_factorial,
 )
-from .rational_linalg import integer_vector
 
 _ZERO = Fraction(0)
 
@@ -132,7 +131,7 @@ class Functional:
     """A linear functional known by its moments: the protocol both representations share.
 
     A subclass holds its own data and gives ``is_zero``, ``_moment`` (lambda(x^alpha) for a
-    checked key), ``_integer_moments``, ``_key`` (what equality of the same type compares)
+    checked key), ``_key`` (what equality of the same type compares)
     and ``__call__ = _apply`` in its own body, where the benchmark tracer wraps it."""
 
     __slots__ = ("_dimension", "_degree_cap")
@@ -216,18 +215,12 @@ class PointFunctional(Functional):
     def _moment(self, key: Exponent) -> Fraction:
         """lambda(x^key) for a checked key, computed once per functional."""
         total = self._table.get(key)
-        if total is None:
-            (numerator,), denominator = self._integer_moments(sum(key), (key,))
-            total = self._table[key] = Fraction(numerator, denominator)
+        if total is None:  # the column of the atom kernel, summed
+            if self._kernel is None:
+                self._kernel = _atom_kernel(self._dimension, self._points, self._weights, self._orders)
+            (column,), scale = self._kernel(sum(key), (key,))
+            total = self._table[key] = Fraction(sum(column), scale)
         return total
-
-    def _integer_moments(self, degree: int, gammas: Sequence[Exponent]) -> tuple[list[int], int]:
-        """The moments of ``gammas``, all of total ``degree``, over one denominator: each
-        column of the atom kernel summed."""
-        if self._kernel is None:
-            self._kernel = _atom_kernel(self._dimension, self._points, self._weights, self._orders)
-        columns, scale = self._kernel(degree, gammas)
-        return list(map(sum, columns)), scale
 
     __call__ = _apply
 
@@ -275,10 +268,6 @@ class MomentFunctional(Functional):
     def _moment(self, key: Exponent) -> Fraction:
         """Table lookup for a checked key."""
         return self._moments.get(key, _ZERO)
-
-    def _integer_moments(self, degree: int, gammas: Sequence[Exponent]) -> tuple[list[int], int]:
-        """The stored moments of ``gammas`` over their lcm denominator."""
-        return integer_vector([self._moments.get(gamma, _ZERO) for gamma in gammas])
 
     __call__ = _apply
 
@@ -425,7 +414,7 @@ def expansion_polynomial(k: int, d: int) -> Polynomial:
             for ay, cy in py:
                 key = ax + ay
                 acc[key] = acc.get(key, 0) + cx * cy
-    return Polynomial._of(2 * d, {alpha: Fraction(v) for alpha, v in acc.items() if v})
+    return _polynomial(2 * d, acc, 1)
 
 
 def tensor_apply_radial(lam: Functional, mu: Functional, k: int) -> Fraction:
@@ -467,14 +456,19 @@ def _radial_kernel(ell: int, weights: tuple[int, ...]) -> tuple[tuple[Exponent, 
     return tuple((delta, tuple(terms)) for delta, terms in grouped.items())
 
 
+def _polynomial(dimension: int, sums: Mapping[Exponent, int | Fraction], denominator: int) -> Polynomial:
+    """The polynomial with coefficients sums[alpha] / denominator, zero sums dropped."""
+    return Polynomial._of(dimension, {alpha: Fraction(v, denominator) for alpha, v in sums.items() if v})
+
+
 def image_from_moments(moment: Callable[[Exponent], int | Fraction], denominator: int,
-                       weights: tuple[int, ...], ell: int) -> Polynomial:
-    """The radial image t |-> lambda ||t - .||_D^(2 ell) of a functional given by its moments.
+                       weights: tuple[int, ...], ell: int) -> tuple[dict[Exponent, int | Fraction], int]:
+    """The radial image t |-> lambda ||t - .||_D^(2 ell) of a functional given by its moments,
+    as coefficient sums over ``denominator`` (some sums may be zero).
 
     lambda(t^alpha) = moment(alpha) / denominator; every moment up to degree
     2 ell may be looked up.  ||t||_D^2 = sum_k D_k t_k^2 (unit weights: the
-    Euclidean image).  With integer moments all arithmetic before the final
-    division is in integers.
+    Euclidean image).  With integer moments the sums are integers.
     """
     acc: dict[Exponent, int] = {}
     for delta, terms in _radial_kernel(ell, weights):
@@ -482,22 +476,22 @@ def image_from_moments(moment: Callable[[Exponent], int | Fraction], denominator
         if value:
             for gamma, coeff in terms:
                 acc[gamma] = acc.get(gamma, 0) + coeff * value
-    return Polynomial._of(len(weights), {alpha: Fraction(v, denominator) for alpha, v in acc.items() if v})
+    return acc, denominator
 
 
 def least_part_from_moments(moment: Callable[[Exponent], int | Fraction], denominator: int,
-                            weights: tuple[int, ...], kappa: int) -> Polynomial:
-    """sum over |alpha| = kappa of D^alpha lambda(t^alpha) t^alpha / alpha!.
+                            weights: tuple[int, ...], kappa: int) -> tuple[dict, int]:
+    """sum over |alpha| = kappa of D^alpha lambda(t^alpha) t^alpha / alpha!, as the sums
+    D^alpha moment(alpha) kappa!/alpha! over denominator * kappa! (alpha! divides kappa!).
 
     lambda(t^alpha) = moment(alpha) / denominator, as for ``image_from_moments``,
     and D the weights (unit weights: the least part lambda((t . .)^kappa) / kappa!);
     a zero moment costs no alpha! and no term.
     """
+    top = math.factorial(kappa)
     values = ((alpha, moment(alpha)) for alpha in monomials_of_degree(len(weights), kappa))
-    return Polynomial._of(len(weights), {
-        alpha: Fraction(value * math.prod(map(pow, weights, alpha)), denominator * multi_factorial(alpha))
-        for alpha, value in values if value
-    })
+    return {alpha: value * math.prod(map(pow, weights, alpha)) * (top // multi_factorial(alpha))
+            for alpha, value in values if value}, denominator * top
 
 
 def radial_image(lam: Functional, ell: int) -> Polynomial:
@@ -510,7 +504,7 @@ def radial_image(lam: Functional, ell: int) -> Polynomial:
     if ell < 0:
         raise ValueError("ell must be >= 0")
     _require_moment_cap(lam.degree_cap, 2 * ell, "radial image")
-    return image_from_moments(lam._moment, 1, (1,) * lam.dimension, ell)
+    return _polynomial(lam.dimension, *image_from_moments(lam._moment, 1, (1,) * lam.dimension, ell))
 
 
 def least_part(lam: Functional, search_cap: int | None = None) -> Polynomial:
@@ -525,4 +519,4 @@ def least_part(lam: Functional, search_cap: int | None = None) -> Polynomial:
         return Polynomial.zero(lam.dimension)
     if kappa is None:
         raise DegreeCapError("order not determined within the search cap")
-    return least_part_from_moments(lam._moment, 1, (1,) * lam.dimension, kappa)
+    return _polynomial(lam.dimension, *least_part_from_moments(lam._moment, 1, (1,) * lam.dimension, kappa))

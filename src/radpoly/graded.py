@@ -4,8 +4,8 @@ Everything is computed from one integer moment table per span: the columns
 V_alpha = (mu_1(x^alpha), ..., mu_n(x^alpha)) of the moment matrix, built
 once per monomial in graded order and extended one degree at a time.  The
 point functionals of a span share one atom kernel, which gives the point part
-of a whole column at once; moment functionals hand over their stored moments
-of one degree as integers over one denominator.  Each column is kept as
+of a whole column at once; the stored moments of a moment functional are lifted,
+one degree at a time, to integers over one denominator.  Each column is kept as
 integers over one positive scale for its degree, so rational points and
 rational moments need no fractions inside the table.
 
@@ -62,8 +62,8 @@ class MomentTable:
     mu_i(x^alpha) = columns[alpha][i] / scales[|alpha|].  One atom kernel over the atoms of all
     point functionals gives the point part of a column over r q^k, r and q the lcms of the atoms'
     weight and coordinate denominators; a functional of several atoms sums its segment.  Moment
-    functionals add their stored moments (``_integer_moments``), and the scale is the lcm of r q^k
-    and their denominators.  ``cap`` is the smallest moment cap of the span (None when no
+    functionals add their stored moments over their lcm denominator, and the scale is the lcm of
+    r q^k and those denominators.  ``cap`` is the smallest moment cap of the span (None when no
     functional has one); callers never extend the table past it.
     """
 
@@ -92,7 +92,8 @@ class MomentTable:
             if self._segments:
                 columns = [tuple(sum(column[a:b]) for a, b in self._segments) for column in columns]
             if self._stored:  # lift both parts to one scale and put each stored row in its place
-                parts = [f._integer_moments(k, alphas) for _, f in self._stored]
+                parts = [integer_vector([f._moment(alpha) for alpha in alphas])
+                         for _, f in self._stored]
                 total = lcm(scale, *(den for _, den in parts))
                 rows = [[v * (total // scale) for v in row] for row in zip(*columns)]
                 for (i, _), (nums, den) in zip(self._stored, parts):

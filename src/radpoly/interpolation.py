@@ -16,14 +16,15 @@ kappa_1 <= ... <= kappa_n) of the span M of the input functionals.
   lambda_j moment series.  That span depends only on M, not on the graded
   basis chosen.
 
-Both bases keep their polynomials in their graded basis's ``frame``: x, or for a
-degenerate point set the coordinates t = A x of the hull the elimination found, where
-w_j = W_j(t(x)), W_j the D-weighted radial image in r = dim(hull) variables, and, as
-lambda_j annihilates degrees below kappa_j, g_j = G_j(t(x)) with G_j = sum over
-|e| = kappa_j of D^e lambda_j(t^e) t^e / e!.  ``w`` and ``g`` map them to x when first
-read, which no solve and no range comparison does.  Everything is read off the frame's
-rows of L = T V: W_j up to degree 2 kappa_j, G_j at kappa_j, and lambda_i p as
-sum_alpha p[alpha] L_i[alpha] over the integer form of p each basis keeps.
+Both bases keep each polynomial once, as its integer form in lowest terms, in their graded
+basis's ``frame``: x, or for a degenerate point set the coordinates t = A x of the hull the
+elimination found, where w_j = W_j(t(x)), W_j the D-weighted radial image in r = dim(hull)
+variables, and, as lambda_j annihilates degrees below kappa_j, g_j = G_j(t(x)) with G_j = sum
+over |e| = kappa_j of D^e lambda_j(t^e) t^e / e!.  ``polys`` builds them as polynomials in the
+frame and ``w`` and ``g`` map them to x, each when first read: no solve reads either, and the
+range comparison reads only ``polys``.  Everything is read off the frame's rows of L = T V:
+W_j up to degree 2 kappa_j, G_j at kappa_j, and lambda_i p as sum_alpha p[alpha] L_i[alpha]
+over the integer form of p.
 Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular, as
 lambda_i annihilates degrees below kappa_i, and only their diagonal blocks are
 computed.  The block of order kappa is symmetric, (-1)^kappa-definite for w
@@ -48,7 +49,7 @@ member lambda_4 spans the annihilator of the affine functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -58,6 +59,7 @@ from typing import Sequence
 from . import rational_linalg as linalg
 from .errors import DimensionMismatchError, SingularGramianError, SingularMatrixError
 from .functionals import (
+    _polynomial,
     _require_moment_cap,
     image_from_moments,
     least_part_from_moments,
@@ -125,19 +127,20 @@ def flat_projector(points: Sequence[Sequence[Rational]]) -> AffineProjection:
 
 @dataclass(frozen=True)
 class _Basis:
-    """Basis polynomials in their graded basis's ``frame``, their Gramian's diagonal blocks (zeros
-    outside them) and their integer ``forms``.  The Gramian's factors, which every solve reuses,
-    and the basis in x are cached outside the fields (``==`` ignores them)."""
+    """Basis polynomials in their graded basis's ``frame``, each held once as its lowest-terms
+    integer form ((alpha, numerator) pairs over a denominator), and their Gramian's diagonal blocks
+    (zeros outside them).  The Gramian's factors and the polynomials (``polys`` in the frame, the
+    basis in x) are built when first read and cached outside the fields (``==`` ignores them)."""
 
     source: GradedBasis
-    polys: tuple[Polynomial, ...]
+    forms: tuple[tuple[tuple[tuple[Exponent, int], ...], int], ...]
     gramian: tuple[tuple[Fraction, ...], ...]
-    forms: tuple = field(compare=False, repr=False)
 
-    @classmethod
-    def _of(cls, graded: GradedBasis, rows: Sequence[MomentRow], polys: tuple[Polynomial, ...]):
-        forms = tuple(p._integer_form() for p in polys)
-        return cls(graded, polys, _gramian(rows, forms, graded.blocks()), forms)
+    @cached_property
+    def polys(self) -> tuple[Polynomial, ...]:
+        """The basis polynomials in the frame, built from their forms."""
+        r = len(self.source.frame.weights)
+        return tuple(_polynomial(r, dict(nums), den) for nums, den in self.forms)
 
     @cached_property
     def factors(self) -> linalg.BlockUpperFactors:
@@ -159,14 +162,14 @@ class _Basis:
 
 
 class SchabackBasis(_Basis):
-    """Radial images: ``polys`` holds the W_j and ``w`` the w_j = W_j(A x)."""
+    """Radial images: ``polys`` are the W_j and ``w`` the w_j = W_j(A x), both built when first read."""
 
     _method, _sign = "schaback", -1  # not fields: they carry no annotation
     w = cached_property(_Basis._in_x)
 
 
 class LeastBasis(_Basis):
-    """Least parts: ``polys`` holds the G_j and ``g`` the g_j = G_j(A x)."""
+    """Least parts: ``polys`` are the G_j and ``g`` the g_j = G_j(A x), both built when first read."""
 
     _method, _sign = "least", 1
     g = cached_property(_Basis._in_x)
@@ -186,30 +189,32 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
     """Radial images w_j = lambda_j ||Px - .||^(2 kappa_j) and their Gramian.
 
     P projects onto the affine hull of an all-point span's support (else P = I).
-    The basis keeps W_j, read off the rows of L up to 2 kappa_j in the frame, and
-    its Gramian (lambda_i W_j) is taken there too.
+    The basis keeps the integer forms of the W_j, read off the rows of L up to
+    2 kappa_j in the frame, and its Gramian (lambda_i W_j) is taken there too.
     """
     _require_moment_cap(graded.moments.cap, 2 * graded.kappas[-1], "radial image")
-    frame, rows = graded.frame, graded.rows(2 * max(graded.kappas))
-    images = tuple(image_from_moments(row.__getitem__, row.denominator, frame.weights, kappa)
-                   for row, kappa in zip(rows, graded.kappas))
-    for j, (p, kappa) in enumerate(zip(images, graded.kappas)):
-        if p.degree != kappa:  # t(x) is onto the hull, so w_j = W_j(t(x)) has W_j's degree
+    rows, weights = graded.rows(2 * max(graded.kappas)), graded.frame.weights
+    forms = tuple(_renormalize(*image_from_moments(row.__getitem__, row.denominator, weights, kappa))
+                  for row, kappa in zip(rows, graded.kappas))
+    for j, ((nums, _), kappa) in enumerate(zip(forms, graded.kappas)):
+        degree = max((sum(alpha) for alpha, _ in nums), default=-1)
+        if degree != kappa:  # t(x) is onto the hull, so w_j = W_j(t(x)) has W_j's degree
             raise AssertionError(
-                f"schaback_basis: radial image w_{j} has degree {p.degree}, not its order {kappa}")
-    return SchabackBasis._of(graded, rows, images)
+                f"schaback_basis: radial image w_{j} has degree {degree}, not its order {kappa}")
+    return SchabackBasis(graded, forms, _gramian(rows, forms, graded.blocks()))
 
 
 def least_basis(graded: GradedBasis) -> LeastBasis:
     """Lowest-degree homogeneous parts g_j and the Gramian (lambda_i g_j), both
-    as G_j and (lambda_i G_j) in the frame, read off the rows of L at degree kappa_j."""
-    frame, rows = graded.frame, graded.rows(max(graded.kappas))
-    parts = tuple(least_part_from_moments(row.__getitem__, row.denominator, frame.weights, kappa)
+    as the integer forms of the G_j and (lambda_i G_j) in the frame, read off the
+    rows of L at degree kappa_j."""
+    rows, weights = graded.rows(max(graded.kappas)), graded.frame.weights
+    forms = tuple(_renormalize(*least_part_from_moments(row.__getitem__, row.denominator, weights, kappa))
                   for row, kappa in zip(rows, graded.kappas))
-    for j, (g, kappa) in enumerate(zip(parts, graded.kappas)):
-        if g.degree != kappa or not g.is_homogeneous(kappa):  # A is onto R^r: g_j = G_j(A x) is too
+    for j, ((nums, _), kappa) in enumerate(zip(forms, graded.kappas)):
+        if {sum(alpha) for alpha, _ in nums} != {kappa}:  # A is onto R^r: g_j = G_j(A x) is too
             raise AssertionError(f"least_basis: least part g_{j} is not homogeneous of degree {kappa}")
-    return LeastBasis._of(graded, rows, parts)
+    return LeastBasis(graded, forms, _gramian(rows, forms, graded.blocks()))
 
 
 def range_basis(basis: SchabackBasis | LeastBasis) -> tuple[Polynomial, ...]:
@@ -252,10 +257,11 @@ def _data_vector(graded: GradedBasis, data, target) -> tuple[list[int], int]:
     return linalg.integer_vector(values)
 
 
-def _renormalize(sums: dict[Exponent, int], scale: int) -> tuple[dict[Exponent, int], int]:
-    """sums / scale in lowest terms."""
+def _renormalize(sums: dict[Exponent, int], scale: int) -> tuple[tuple[tuple[Exponent, int], ...], int]:
+    """sums / scale in lowest terms, as the (alpha, numerator) pairs of the nonzero sums: with g the
+    gcd of scale and the sums, scale / g is the lcm of the reduced denominators of the sums / scale."""
     common = math.gcd(scale, *sums.values())
-    return {alpha: v // common for alpha, v in sums.items()}, scale // common
+    return tuple((alpha, v // common) for alpha, v in sums.items() if v), scale // common
 
 
 def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -> InterpolantReport:
@@ -288,10 +294,9 @@ def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -
                 sums[alpha] = sums.get(alpha, 0) + weight * v
         scale = lifted
         if scale.bit_length() > 2 * bits + 64:
-            sums, scale = _renormalize(sums, scale)
-            bits = scale.bit_length()
-    terms = {alpha: Fraction(v, scale) for alpha, v in sums.items() if v}
-    interpolant = Polynomial._of(len(linear) if linear else graded.dimension, terms)
+            form, scale = _renormalize(sums, scale)
+            sums, bits = dict(form), scale.bit_length()
+    interpolant = _polynomial(len(linear) if linear else graded.dimension, sums, scale)
     if linear:
         interpolant = substitute_affine([interpolant], linear)[0]
     measured, vf_den = graded.moments.values(interpolant)
@@ -345,8 +350,6 @@ def _union_monomials(*poly_sets: Sequence[Polynomial]) -> list[Exponent]:
 def polynomial_span_equal(first: Sequence[Polynomial], second: Sequence[Polynomial]) -> bool:
     """Exact span equality via canonical row reduction in graded order."""
     monomials = _union_monomials(first, second)
-    if not monomials:
-        return True
     rows_a, _ = linalg.rref(_coefficient_rows(first, monomials))
     rows_b, _ = linalg.rref(_coefficient_rows(second, monomials))
     return rows_a == rows_b

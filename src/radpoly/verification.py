@@ -251,8 +251,6 @@ def _check_image_degrees(rec: _Recorder, lam: Functional, kappa: int, max_ell: i
     further (the gridded four-point annihilator at ell=1 is an example).
     """
     for ell in range(max_ell + 1):
-        if lam.degree_cap is not None and lam.degree_cap < 2 * ell:
-            continue
         degree = radial_image(lam, ell).degree
         if corrupt:
             degree = degree + 1

@@ -1,5 +1,7 @@
 """Golden-file tests for the command-line tool, plus the exit-status contract."""
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -166,6 +168,22 @@ class TestMalformedProblems:
         "derivative_cap_true": {
             "dimension": 1, "degree_cap": 0, "values": [1],
             "functionals": [{"type": "derivative", "alpha": [0], "at": [0], "cap": True}]},
+        "not_an_object": [POINTS, [1, 2, 3]],
+        "points_and_functionals": {
+            "dimension": 2, "points": POINTS, "values": [1, 2, 3],
+            "functionals": [{"type": "points", "points": POINTS, "weights": [1, 2, 3]}]},
+        "neither_points_nor_functionals": {"dimension": 2, "values": [1, 2, 3]},
+        "no_functionals": {"dimension": 2, "functionals": [], "values": []},
+        "functional_of_another_dimension": {
+            "dimension": 2, "values": [1],
+            "functionals": [{"type": "points", "points": [[0, 0, 0]], "weights": [1]}]},
+        "target_of_another_dimension": {
+            "dimension": 2, "points": POINTS,
+            "target": {"dimension": 1, "terms": [{"alpha": [1], "coeff": 1}]}},
+        "zero_denominator": {"dimension": 2, "points": POINTS, "values": [1, "1/0", 3]},
+        "alpha_of_strings": {
+            "dimension": 2, "points": POINTS,
+            "target": {"dimension": 2, "terms": [{"alpha": ["1", "0"], "coeff": 1}]}},
     }
 
     @pytest.mark.parametrize("name", DOCUMENTS)
@@ -176,6 +194,20 @@ class TestMalformedProblems:
                      "--output", str(tmp_path / "out.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("radpoly: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "0"],
+    ["compare", "--input", str(GOLDEN / "grid.problem.json"), "--probe-degree", "-1"],
+    ["expand", "--k", "-1", "--d", "1"],
+    ["eval", "--input", str(GOLDEN / "interp_grid_both.json"), "--method", "least", "--at", "1,,2"],
+    ["basis", "--input", str(GOLDEN / "no-such-problem.json")],
+], ids=["no-trials", "negative-probe-degree", "negative-k", "empty-coordinate", "unreadable-input"])
+def test_guards_exit_one_with_one_line(tmp_path, capsys, argv):
+    assert main([*argv, "--output", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("radpoly: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
 
 
 class TestMalformedReports:
@@ -252,11 +284,54 @@ def problem_documents(draw):
 ]))
 @settings(deadline=None, max_examples=150)
 def test_any_document_ends_in_a_documented_exit_status(document, command):
-    with tempfile.TemporaryDirectory() as directory:
+    with tempfile.TemporaryDirectory() as directory, contextlib.redirect_stderr(io.StringIO()) as err:
         problem = Path(directory) / "problem.json"
         problem.write_text(json.dumps(document))
         code = main([*command, "--input", str(problem), "--output", str(Path(directory) / "out.json")])
+    assert_one_line_exit(code, err.getvalue())
+
+
+def assert_one_line_exit(code, err):
+    """A documented exit status: 0 with nothing on stderr, or else one ``radpoly: `` line."""
     assert code in (0, 1, 2, 3)
+    if code:
+        assert err.startswith("radpoly: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+@st.composite
+def eval_documents(draw):
+    """Polynomial files, single and both-method reports, and junk where any of them belongs."""
+    d = draw(st.integers(1, 2))
+    coeff = st.sampled_from([0, 1, -3, "1/2", "-2/3"])
+    polynomial = st.builds(lambda terms: {"dimension": d, "terms": terms}, st.lists(st.builds(
+        lambda alpha, c: {"alpha": alpha, "coeff": c},
+        st.lists(st.integers(0, 3), min_size=d, max_size=d), coeff), max_size=3))
+    junk = st.sampled_from([5, "x", None, [], {}, {"dimension": 0, "terms": []},
+                            {"dimension": d, "terms": [{"alpha": [1] * (d + 1), "coeff": 1}]},
+                            {"dimension": d, "terms": [{"alpha": [-1] * d, "coeff": 1}]},
+                            {"dimension": d, "terms": [{"alpha": [0] * d, "coeff": 1.5}]},
+                            {"interpolant": 5}])
+    side = polynomial.map(lambda p: {"interpolant": p}) | junk
+    return draw(st.one_of(polynomial, side, st.builds(lambda a, b: {"schaback": a, "least": b}, side, side),
+                          junk))
+
+
+@given(eval_documents(),
+       st.lists(st.lists(st.sampled_from(["0", "2", "-1", "3/4", "", "1/0", "1.5", "x", "1/-2"]),
+                         min_size=1, max_size=3).map(",".join), min_size=1, max_size=2),
+       st.sampled_from([None, "schaback", "least"]), st.sampled_from([None, -1, 0, 3, 1001]))
+@settings(deadline=None, max_examples=150)
+def test_any_eval_ends_in_a_documented_exit_status(document, at, method, precision):
+    argv = ["eval", *(f"--at={text}" for text in at)]
+    argv += [f"--method={method}"] * (method is not None)
+    argv += [f"--precision={precision}"] * (precision is not None)
+    with tempfile.TemporaryDirectory() as directory, contextlib.redirect_stderr(io.StringIO()) as err:
+        report = Path(directory) / "report.json"
+        report.write_text(json.dumps(document))
+        code = main([*argv, "--input", str(report), "--output", str(Path(directory) / "out.json")])
+    assert_one_line_exit(code, err.getvalue())
 
 
 class TestEval:

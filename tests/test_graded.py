@@ -112,6 +112,22 @@ class TestVerifyGraded:
         assert verify_graded(graded, 2) and not verify_graded(corrupt, 2)
 
 
+    @pytest.mark.parametrize("order, expected, row, col", [
+        ((0, 2, 1, 3, 4, 5), [True, True, False, False], 1, 1),
+        ((0, 1, 1, 3, 4, 5), [True, True, False, False], 2, 2),
+        ((0, 1, 2, 4, 3, 5), [True, True, True, False], 4, 3),
+    ], ids=["swapped-in-block", "repeated-pivot", "swapped-below-diagonal"])
+    def test_broken_pivot_pattern_fails(self, order, expected, row, col):
+        """Pivots that break the triangular pattern fail from the degree past their block on.  The
+        first broken entry (row, col) is a zero on the diagonal or a nonzero below it."""
+        graded = build_graded_basis(evaluations([(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (3, 3)]))
+        assert graded.kappas == (0, 1, 1, 2, 2, 2)
+        assert [verify_graded(graded, k) for k in range(4)] == [True] * 4
+        corrupt = replace(graded, pivots=tuple(graded.pivots[i] for i in order))
+        assert [verify_graded(corrupt, k) for k in range(4)] == expected
+        value = corrupt.lambdas[row].moment(corrupt.pivots[col])
+        assert value == 0 if row == col else value != 0
+
 class TestErrors:
     def test_duplicate_functionals_are_rank_deficient(self):
         with pytest.raises(RankDeficientError) as info:

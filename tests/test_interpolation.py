@@ -1,5 +1,6 @@
 """Both interpolants: structure, projector laws, comparison, invariances."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -228,7 +229,7 @@ class TestSchabackInterpolation:
     def test_basis_invariant_failures_name_the_index(self, monkeypatch, make_basis, image, message):
         import radpoly.interpolation as interpolation
 
-        monkeypatch.setattr(interpolation, image, lambda *args: Polynomial.variable(1, 0))
+        monkeypatch.setattr(interpolation, image, lambda *args: ({(1,): 1}, 1))  # the sums of x
         with pytest.raises(AssertionError, match=message):
             make_basis(graded_on([(0,), (1,)]))
 
@@ -328,6 +329,15 @@ class TestRangeBasis:
     def test_single_point_span_is_constants(self):
         sb = schaback_basis(graded_on([(7, -2)]))
         assert range_basis(sb) == (Polynomial.constant(2, 1),)
+
+
+def test_span_equality_of_empty_and_zero_spans():
+    """With no monomial at all both row reductions are empty: the empty and the all-zero
+    spans are equal to each other and unequal to a nonzero span."""
+    zero, x = Polynomial.zero(2), Polynomial.variable(2, 0)
+    assert polynomial_span_equal([], []) and polynomial_span_equal([], [zero])
+    assert polynomial_span_equal([zero, zero], [zero])
+    assert not polynomial_span_equal([zero], [x]) and not polynomial_span_equal([], [x])
 
 
 class TestFlatProjector:
@@ -535,6 +545,46 @@ def test_table_built_bases_match_the_functional_path(case):
     lb = least_basis(graded)
     assert lb.g == tuple(parts)
     lambda_gramian(lb, parts)
+
+
+@given(spans(kinds=("points", "collinear", "coplanar", "derivatives")))
+@settings(deadline=None, max_examples=60)
+def test_each_basis_polynomial_is_held_once_as_its_integer_form(case):
+    """Each form is the integer form of its polynomial in the frame, in lowest terms with nonzero
+    numerators; on full-dimensional spans that polynomial is the Fraction path's radial image
+    lambda_j ||x - .||^(2 kappa_j) or least part of lambda_j."""
+    span, degree_cap, ascending_ties = case
+    try:
+        graded = build_with_ties(span, degree_cap, ascending_ties)
+    except RankDeficientError:
+        return
+    for method, make_basis, _ in METHODS:
+        try:
+            basis = make_basis(graded)
+        except DegreeCapError:  # a moment cap below 2 kappa: no radial images
+            continue
+        assert "polys" not in vars(basis) and len(basis.forms) == graded.size
+        for (nums, den), p in zip(basis.forms, basis.polys):
+            assert (list(nums), den) == p._integer_form()
+            assert all(type(v) is int and v for _, v in nums) and type(den) is int and den > 0
+            assert math.gcd(den, *(v for _, v in nums)) == 1
+        if graded.frame.linear is None:
+            expected = [radial_image(lam, kappa) if method == "schaback" else least_part(lam)
+                        for lam, kappa in zip(graded.lambdas, graded.kappas)]
+            assert basis.polys == tuple(expected)
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (1, 0), (0, 1), (2, 3), (-1, 2), (3, -2), (1, 1)],
+    [(t, 2 * t + 1) for t in (-3, -1, 0, 2, 5, 6)],
+], ids=["generic", "collinear"])
+def test_solves_build_no_basis_polynomial(points):
+    """Both solves read only the forms: neither basis builds its polynomials, in the frame or in x."""
+    graded = graded_on(points)
+    for _, make_basis, interpolate in METHODS:
+        basis = make_basis(graded)
+        interpolate(basis, data=list(range(len(points))))
+        assert not {"polys", "w", "g"} & vars(basis).keys()
 
 
 def plane_points(n, denominator=1):
