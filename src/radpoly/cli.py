@@ -5,9 +5,9 @@ Subcommands: ``basis``, ``interp``, ``eval``, ``expand``, ``verify``,
 (integers or "p/q" strings); decimal output is presentation-only and opt-in
 via ``--precision``.
 
-Exit status: 0 success, 1 usage or parse error, 2 mathematical failure
-(rank deficiency, moment cap exceeded, dimension mismatch), 3 verification
-failures.
+Exit status: 0 success, 1 usage or parse error (whatever parsing an input
+file raises), 2 mathematical failure of a well-formed input (rank deficiency,
+moment cap exceeded, dimension mismatch), 3 verification failures.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .graded import build_graded_basis
 from .interpolation import compare_interpolants, least_interpolate, schaback_interpolate
 from .polynomials import Polynomial
 from .serialization import (
-    ProblemFile,
     comparison_to_obj,
     dumps,
     format_rational,
@@ -93,18 +92,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_json(path: str):
+def _load(path: str, parse: Callable):
+    """``parse`` of the JSON document at ``path``.  Whatever reading or parsing raises exits 1, a
+    shape error inside the file (an exponent of the wrong length, a moment past its cap) included:
+    exit 2 is left for the mathematics of a well-formed input."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            obj = json.load(handle)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _load_problem(path: str) -> ProblemFile:
-    return problem_from_obj(_load_json(path))
+    try:
+        return parse(obj)
+    except RadpolyError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def _emit(build: Callable[[], object], output: str | None) -> None:
@@ -156,14 +158,14 @@ def _render_decimal(value: Fraction, digits: int) -> str:
 
 
 def _cmd_basis(args) -> int:
-    problem = _load_problem(args.input)
+    problem = _load(args.input, problem_from_obj)
     graded = build_graded_basis(problem.functionals, problem.degree_cap)
     _emit(lambda: graded_basis_to_obj(graded), args.output)
     return 0
 
 
 def _cmd_interp(args) -> int:
-    problem = _load_problem(args.input)
+    problem = _load(args.input, problem_from_obj)
     if (problem.values is None) == (problem.target is None):
         raise ValueError("interpolation needs exactly one of 'values' or 'target'")
     graded = build_graded_basis(problem.functionals, problem.degree_cap)
@@ -202,7 +204,7 @@ def _extract_polynomial(obj, method: str | None) -> Polynomial:
 def _cmd_eval(args) -> int:
     if args.precision is not None and not 0 <= args.precision <= MAX_PRECISION:
         raise _UsageError(f"precision guard: 0 <= precision <= {MAX_PRECISION}")
-    polynomial = _extract_polynomial(_load_json(args.input), args.method)
+    polynomial = _load(args.input, lambda obj: _extract_polynomial(obj, args.method))
     points = [_parse_query_point(text) for text in args.at]
     values = [polynomial(p) for p in points]
 
@@ -256,7 +258,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    problem = _load_problem(args.input)
+    problem = _load(args.input, problem_from_obj)
     if problem.points is None:
         raise ValueError("compare needs a problem file with 'points'")
     if args.probe_degree < 0:

@@ -33,9 +33,11 @@ For a span of point combinations the elimination also finds the support's affine
 hull, once (``Hull``).  Its dimension r bounds the pivots through degree k by
 C(k + r, r), past which the rest of degree k goes unread, and a hull smaller than R^d
 is the ``Frame`` of both interpolation bases: the coordinates t = A x of their
-polynomials.  The rows of L = T V, the moments of the lambda_i in the frame, are
-integer numerators over one denominator per row, each entry computed from its table
-column the first time it is read, up to degree max(2 kappa_i, kappa_max) for row i.
+polynomials.  The rows of L = T V, the moments of the lambda_i in the frame, are built
+once per graded basis (``rows``), up to 2 kappa_max or the span's moment cap when that
+is lower: integer numerators over one denominator per row, each entry computed from its
+table column the first time it is read, up to degree max(2 kappa_i, kappa_max) for row i.
+A capped span's lambda_i are read off the table too, as rows of T V up to the cap.
 The product V f with a polynomial f, the span's values on f, is read off the table in
 integers too: f's integer form, each term lifted by its degree's scale.
 """
@@ -51,8 +53,9 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError
-from .functionals import Functional, PointFunctional, _atom_kernel, _require_moment_cap, combine, order
-from .polynomials import Exponent, Polynomial, monomials_of_degree
+from .functionals import (Functional, MomentFunctional, PointFunctional, _atom_kernel, _require_moment_cap,
+                          combine, order)
+from .polynomials import Exponent, Polynomial, monomial_sequence, monomials_of_degree
 from .rational_linalg import integer_vector, rref
 
 
@@ -75,7 +78,6 @@ class MomentTable:
         self.columns: dict[Exponent, tuple[int, ...]] = {}
         self.monomials: dict[int, list[Exponent]] = {}
         self.scales: dict[int, int] = {}
-        self._rows: tuple = (None, -1, ())
         points = [f for f in self.span if isinstance(f, PointFunctional)]
         self._kernel = _atom_kernel(self.dimension, [x for f in points for x in f.points],
                                     [w for f in points for w in f.weights],
@@ -104,18 +106,13 @@ class MomentTable:
             self.scales[k] = scale
 
     def rows(self, transform: Sequence[tuple[Sequence[int], int]], top: int) -> tuple[MomentRow, ...]:
-        """The rows of T V at least up to degree ``top``, for lambda_i = sum_j T[i][j] mu_j
-        with T in integer rows (numerators, denominator): the moments of the
-        lambda_i, each over one denominator and filled where read.  Built once for
-        the largest ``top`` asked of the same ``transform`` object."""
-        held, done, rows = self._rows
-        if held is not transform or done < top:
-            self.extend(*range(top + 1))
-            scale = lcm(*(self.scales[k] for k in range(top + 1)))
-            lifts = [scale // self.scales[k] for k in range(top + 1)]
-            rows = tuple(MomentRow(self.columns, lifts, ints, den * scale) for ints, den in transform)
-            self._rows = (transform, top, rows)
-        return rows
+        """The rows of T V up to degree ``top``, for lambda_i = sum_j T[i][j] mu_j with T in integer
+        rows (numerators, denominator): the moments of the lambda_i, each over one denominator and
+        filled where read."""
+        self.extend(*range(top + 1))
+        scale = lcm(*(self.scales[k] for k in range(top + 1)))
+        lifts = [scale // self.scales[k] for k in range(top + 1)]
+        return tuple(MomentRow(self.columns, lifts, ints, den * scale) for ints, den in transform)
 
     def values(self, f: Polynomial) -> tuple[list[int], int]:
         """V f = (mu_i(f)) as integer numerators over one denominator: each term of f's integer
@@ -223,8 +220,15 @@ class GradedBasis:
 
     @cached_property
     def lambdas(self) -> tuple[Functional, ...]:
-        """lambda_i = sum_j T[i][j] mu_j as functionals of their own."""
-        return tuple(combine(self.span, row) for row in self.transform)
+        """lambda_i = sum_j T[i][j] mu_j as functionals of their own: a point combination, or for a
+        span with a moment cap the moments of lambda_i up to the cap, read off the rows of T V."""
+        cap = self.moments.cap
+        if cap is None:
+            return tuple(combine(self.span, row) for row in self.transform)
+        monomials = monomial_sequence(self.dimension, cap)
+        return tuple(MomentFunctional(self.dimension, cap, {alpha: Fraction(row[alpha], row.denominator)
+                                                            for alpha in monomials if row[alpha]})
+                     for row in self.moments.rows(self.integer_transform, cap))
 
     @cached_property
     def transform(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -242,10 +246,13 @@ class GradedBasis:
         linear = tuple(tuple(Fraction(c, w) for c in u) for u, w in zip(directions, weights))
         return Frame(MomentTable(mapped), weights, linear)
 
-    def rows(self, top: int) -> tuple[MomentRow, ...]:
-        """The rows of L = T V in the frame, built once for the largest ``top`` asked: radial
-        images read row i up to 2 kappa_i, least parts, Gramians and solves up to kappa_max."""
-        return self.frame.moments.rows(self.integer_transform, top)
+    @cached_property
+    def rows(self) -> tuple[MomentRow, ...]:
+        """The rows of L = T V in the frame, built once, up to 2 kappa_max or the span's moment cap
+        when that is lower: radial images read row i up to 2 kappa_i, least parts, Gramians and
+        solves up to kappa_max."""
+        moments, top = self.frame.moments, 2 * self.kappas[-1]
+        return moments.rows(self.integer_transform, top if moments.cap is None else min(top, moments.cap))
 
     def blocks(self) -> list[list[int]]:
         """Indices grouped by order; contiguous since kappa is nondecreasing."""

@@ -22,7 +22,8 @@ elimination found, where w_j = W_j(t(x)), W_j the D-weighted radial image in r =
 variables, and, as lambda_j annihilates degrees below kappa_j, g_j = G_j(t(x)) with G_j = sum
 over |e| = kappa_j of D^e lambda_j(t^e) t^e / e!.  ``polys`` builds them as polynomials in the
 frame and ``w`` and ``g`` map them to x, each when first read: no solve reads either, and the
-range comparison reads only ``polys``.  Everything is read off the frame's rows of L = T V:
+range comparison reads only ``polys``.  Everything is read off the frame's rows of L = T V,
+which the graded basis builds once, whichever basis reads them first (``GradedBasis.rows``):
 W_j up to degree 2 kappa_j, G_j at kappa_j, and lambda_i p as sum_alpha p[alpha] L_i[alpha]
 over the integer form of p.
 Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular, as
@@ -193,7 +194,7 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
     2 kappa_j in the frame, and its Gramian (lambda_i W_j) is taken there too.
     """
     _require_moment_cap(graded.moments.cap, 2 * graded.kappas[-1], "radial image")
-    rows, weights = graded.rows(2 * max(graded.kappas)), graded.frame.weights
+    rows, weights = graded.rows, graded.frame.weights
     forms = tuple(_renormalize(*image_from_moments(row.__getitem__, row.denominator, weights, kappa))
                   for row, kappa in zip(rows, graded.kappas))
     for j, ((nums, _), kappa) in enumerate(zip(forms, graded.kappas)):
@@ -208,7 +209,7 @@ def least_basis(graded: GradedBasis) -> LeastBasis:
     """Lowest-degree homogeneous parts g_j and the Gramian (lambda_i g_j), both
     as the integer forms of the G_j and (lambda_i G_j) in the frame, read off the
     rows of L at degree kappa_j."""
-    rows, weights = graded.rows(max(graded.kappas)), graded.frame.weights
+    rows, weights = graded.rows, graded.frame.weights
     forms = tuple(_renormalize(*least_part_from_moments(row.__getitem__, row.denominator, weights, kappa))
                   for row, kappa in zip(rows, graded.kappas))
     for j, ((nums, _), kappa) in enumerate(zip(forms, graded.kappas)):
@@ -276,7 +277,7 @@ def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -
         factors = basis.factors
     except SingularMatrixError as exc:
         raise SingularGramianError(f"{method} Gramian is singular") from exc
-    rows, forms, linear = graded.rows(max(graded.kappas)), basis.forms, graded.frame.linear
+    rows, forms, linear = graded.rows, basis.forms, graded.frame.linear
     sums: dict[Exponent, int] = {}
     coeffs, scale, bits = [(0, 1)] * graded.size, 1, 1
     for bi, block in reversed(list(enumerate(factors.blocks))):

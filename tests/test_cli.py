@@ -184,6 +184,24 @@ class TestMalformedProblems:
         "alpha_of_strings": {
             "dimension": 2, "points": POINTS,
             "target": {"dimension": 2, "terms": [{"alpha": ["1", "0"], "coeff": 1}]}},
+        # shape errors inside the file are parse errors too, wherever they sit
+        "target_alpha_of_another_length": {
+            "dimension": 2, "points": POINTS,
+            "target": {"dimension": 2, "terms": [{"alpha": [1, 0, 0], "coeff": 1}]}},
+        "moment_past_its_cap": {
+            "dimension": 1, "degree_cap": 0, "values": [1],
+            "functionals": [{"type": "moments", "d": 1, "cap": 1,
+                             "moments": [{"alpha": [2], "value": 1}]}]},
+        "moment_alpha_of_another_length": {
+            "dimension": 1, "degree_cap": 0, "values": [1],
+            "functionals": [{"type": "moments", "d": 1, "cap": 2,
+                             "moments": [{"alpha": [0, 1], "value": 1}]}]},
+        "derivative_alpha_of_another_length": {
+            "dimension": 2, "degree_cap": 0, "values": [1],
+            "functionals": [{"type": "derivative", "alpha": [1], "at": [0, 0], "cap": 2}]},
+        "points_of_mixed_dimension": {
+            "dimension": 2, "values": [1],
+            "functionals": [{"type": "points", "points": [[0, 0], [1, 0, 0]], "weights": [1, 1]}]},
     }
 
     @pytest.mark.parametrize("name", DOCUMENTS)
@@ -429,6 +447,17 @@ class TestEval:
             "terms": [{"alpha": [1, 0], "coeff": 1}],
         }))
         assert main(["eval", "--input", str(poly_file), "--at", "1"]) == 2
+
+    def test_exponent_of_another_length_in_the_file_is_one(self, tmp_path, capsys):
+        """A shape error inside the polynomial file is a parse error; a query point that
+        does not fit a well-formed polynomial stays a mathematical failure (above)."""
+        poly_file = tmp_path / "poly.json"
+        poly_file.write_text(json.dumps({
+            "dimension": 2,
+            "terms": [{"alpha": [1, 0, 0], "coeff": 1}],
+        }))
+        assert main(["eval", "--input", str(poly_file), "--at", "1,2"]) == 1
+        assert capsys.readouterr().err == "radpoly: exponent (1, 0, 0) does not have length 2\n"
 
 
 class TestDegreeCap:

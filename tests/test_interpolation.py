@@ -18,10 +18,12 @@ from radpoly import (
     compare_interpolants,
     flat_projector,
     four_point_radial_moment,
+    from_derivative,
     least_basis,
     least_part,
     least_interpolate,
     monomial_sequence,
+    monomials_of_degree,
     multi_factorial,
     point_evaluation,
     polynomial_span_equal,
@@ -31,6 +33,7 @@ from radpoly import (
     schaback_interpolate,
     span_dimension_below,
 )
+from radpoly.functionals import _radial_kernel
 from radpoly.rational_linalg import determinant, mat_vec, rref, solve, transpose
 from test_graded import RATIONALS, SPAN_KINDS, build_with_ties, spans
 from test_rational_linalg import invert, mat_mul
@@ -184,7 +187,7 @@ class TestSchabackInterpolation:
         broken = make_basis(graded_on([(0,), (1,), (3,)]))  # 1 x 1 blocks of orders 0, 1, 2
         # lambda_1(x^2): the Gramian entry (1, 2) above the blocks is read off it, and
         # the solve reads it to reduce row 1 by lambda_1(c_2 p_2); the factors are untouched
-        rows = broken.source.rows(max(broken.source.kappas))
+        rows = broken.source.rows
         rows[1][(2,)] += 1
         with pytest.raises(AssertionError, match=rf"^{method}_interpolate: residual mu_1\(f\)"):
             interpolate(broken, data=[0, 0, 1])
@@ -606,25 +609,34 @@ def test_rows_of_l_are_filled_only_where_read():
     schaback_basis(graded)
     least_basis(graded)
     kappa_max = max(graded.kappas)
-    rows = graded.rows(2 * kappa_max)
+    rows = graded.rows
     for i, (row, kappa) in enumerate(zip(rows, graded.kappas)):
         assert max(map(sum, row)) <= max(2 * kappa, kappa_max), i
     assert min(map(len, rows)) < len(monomial_sequence(2, 2 * kappa_max))
 
 
 @pytest.mark.parametrize("denominator", [1, 3])
-def test_bases_do_not_depend_on_which_is_built_first(denominator):
-    """least_basis reads the rows up to kappa_max, and a later schaback_basis
-    rebuilds them up to 2 kappa_max: w, g and both Gramians are those of the
-    other order.  Rational points give each degree its own table scale."""
+def test_bases_do_not_depend_on_which_is_built_first(denominator, monkeypatch):
+    """The rows of L are built once per graded basis, up to 2 kappa_max, whichever basis
+    reads them first: one object, with the same denominators either way, and w, g and both
+    Gramians those of the other order.  Rational points give each degree its own table scale."""
+    import radpoly.graded as graded_module
+
+    built, build = [], graded_module.MomentTable.rows
+    monkeypatch.setattr(graded_module.MomentTable, "rows",
+                        lambda table, transform, top: built.append(top) or build(table, transform, top))
     points = plane_points(12, denominator)
     least_first, schaback_first = graded_on(points), graded_on(points)
     lb = least_basis(least_first)
-    least_rows = least_first.rows(max(least_first.kappas))
+    rows = least_first.rows
     sb = schaback_basis(least_first)
-    assert least_first.rows(max(least_first.kappas)) is not least_rows
+    assert least_first.rows is rows
     other_sb = schaback_basis(schaback_first)
+    rows = schaback_first.rows
     other_lb = least_basis(schaback_first)
+    assert schaback_first.rows is rows
+    assert built == [2 * max(least_first.kappas)] * 2
+    assert [row.denominator for row in least_first.rows] == [row.denominator for row in rows]
     assert (sb.w, sb.gramian) == (other_sb.w, other_sb.gramian)
     assert (lb.g, lb.gramian) == (other_lb.g, other_lb.gramian)
 
@@ -645,6 +657,66 @@ def test_least_gramian_blocks_are_the_apolar_pairing(case):
         for i in block:
             for j in block:
                 assert lb.gramian[i][j] == apolar(lb.g[i], lb.g[j])
+
+
+def kernel_block(kappa, weights):
+    """The degree-kappa monomials and K_kappa, the coefficients of t^gamma s^delta with
+    |gamma| = |delta| = kappa in ||t - s||_D^(2 kappa), D the weights."""
+    monomials = list(monomials_of_degree(len(weights), kappa))
+    index = {alpha: k for k, alpha in enumerate(monomials)}
+    block = [[0] * len(monomials) for _ in monomials]
+    for delta, terms in _radial_kernel(kappa, weights):
+        if sum(delta) == kappa:  # then |gamma| = kappa too
+            for gamma, coeff in terms:
+                block[index[gamma]][index[delta]] = coeff
+    return monomials, block
+
+
+@st.composite
+def values_and_gradients(draw):
+    """Values and gradients at one to four sites of the plane, moment cap 8, degree cap 4."""
+    sites = draw(st.lists(st.tuples(RATIONALS, RATIONALS), min_size=1, max_size=4, unique=True))
+    span = [from_derivative(alpha, site, 8) for site in sites for alpha in ((0, 0), (1, 0), (0, 1))]
+    return span, 4, draw(st.booleans())
+
+
+@given(st.one_of(spans(kinds=("points", "collinear", "coplanar", "derivatives")), values_and_gradients()))
+@settings(deadline=None, max_examples=80)
+def test_diagonal_gramian_blocks_are_products_with_the_rows_of_l(case):
+    """On the block of order kappa, with M the block's degree-kappa moments in the frame (integers
+    over the row denominators D) and w the frame's weights, G_S = D^-1 M K_kappa M^T D^-1 and
+    G_L = D^-1 M diag(w^alpha / alpha!) M^T D^-1: no image and no form is read."""
+    span, degree_cap, ascending_ties = case
+    try:
+        graded = build_with_ties(span, degree_cap, ascending_ties)
+    except RankDeficientError:
+        return
+    weights, kappa_max, cap = graded.frame.weights, graded.kappas[-1], graded.moments.cap
+    rows = graded.frame.moments.rows(graded.integer_transform, kappa_max)  # a second build, of its own
+    sb = schaback_basis(graded) if cap is None or cap >= 2 * kappa_max else None
+    lb = least_basis(graded)
+    for block in graded.blocks():
+        monomials, kernel = kernel_block(graded.kappas[block[0]], weights)
+        pairing = [[Fraction(math.prod(map(pow, weights, alpha)), multi_factorial(alpha)) * (alpha == beta)
+                    for beta in monomials] for alpha in monomials]
+        m = [[rows[i][alpha] for alpha in monomials] for i in block]
+        for basis, middle in [(lb, pairing)] + [(sb, kernel)] * (sb is not None):
+            product = mat_mul(mat_mul(m, middle), transpose(m))
+            for (r, i), (c, j) in ((x, y) for x in enumerate(block) for y in enumerate(block)):
+                scale = rows[i].denominator * rows[j].denominator
+                assert basis.gramian[i][j] == Fraction(product[r][c], scale), (basis._method, i, j)
+
+
+@pytest.mark.parametrize("weights", [(1,), (3,), (1, 1), (2, 5), (1, 1, 1), (1, 2, 3)])
+def test_the_signed_kernel_blocks_are_positive_definite(weights):
+    """(-1)^kappa K_kappa has positive L D L^T pivots for kappa <= 5, the ratios of its leading
+    minors, so all of those are positive: with the Gramian blocks M K_kappa M^T (above), the
+    source of the sign law each factored block checks."""
+    for kappa in range(6):
+        _, block = kernel_block(kappa, weights)
+        signed = [[Fraction((-1) ** kappa * v) for v in row] for row in block]
+        minors = [determinant([row[:r] for row in signed[:r]]) for r in range(1, len(signed) + 1)]
+        assert all(minor > 0 for minor in minors), (kappa, minors)
 
 
 @pytest.mark.parametrize("points, calls", [
@@ -806,7 +878,7 @@ def test_both_bases_share_one_hull_frame(monkeypatch, points):
     seen, hull = [], graded_module._hull
     monkeypatch.setattr(graded_module, "_hull", lambda pts: seen.append(pts) or hull(pts))
     alone = least_basis(graded_on(points))
-    rows, linear = alone.source.rows(max(alone.source.kappas)), alone.source.frame.linear
+    rows, linear = alone.source.rows, alone.source.frame.linear
     assert len(seen) == 1 and linear is not None
     assert {len(alpha) for row in rows for alpha in row} == {len(linear)}  # no row of L in x
     least_first, schaback_first = graded_on(points), graded_on(points)
