@@ -101,7 +101,7 @@ def _load(path: str, parse: Callable):
             obj = json.load(handle)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep to decode
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return parse(obj)
@@ -110,17 +110,21 @@ def _load(path: str, parse: Callable):
 
 
 def _emit(build: Callable[[], object], output: str | None) -> None:
-    """Write ``build()`` as canonical JSON.  Exact values may pass Python's limit on int-to-str
-    conversion (4300 digits), so it is lifted while the output is built and written, and only
-    then: input keeps it, and the rest of the process gets the previous limit back."""
+    """Write ``build()`` as canonical JSON; a file that cannot be written exits 1.  Exact values may
+    pass Python's limit on int-to-str conversion (4300 digits), so it is lifted while the output is
+    built and written, and only then: input keeps it, and the rest of the process gets the previous
+    limit back."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if limit:
         sys.set_int_max_str_digits(0)
     try:
         text = dumps(build())
         if output:
-            with open(output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            try:
+                with open(output, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise _UsageError(f"cannot write {output}: {exc}") from exc
         else:
             sys.stdout.write(text)
     finally:

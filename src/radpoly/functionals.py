@@ -17,7 +17,8 @@ Every atom moment comes from one columnar integer kernel, ``_atom_kernel``,
 which gives the moment of x^gamma at all of its atoms as one tuple of C-level
 products.  A point combination sums that column and keeps each moment it has
 computed as a fraction; the moment table of a span builds one kernel over the
-atoms of all its point functionals and reads a moment functional's stored moments.
+atoms of all its point functionals, adds a moment functional's stored moments
+and keeps each column from the first time it is read.
 
 Radial images x |-> lambda ||x - .||_D^(2l), ||x||_D^2 = sum_k D_k x_k^2, come
 from the direct expansion sum over |m| = l of l!/m! D^m prod_k (x_k - y_k)^(2 m_k),
@@ -91,8 +92,8 @@ def _apply(functional: "Functional", p: Polynomial) -> Fraction:
     return total
 
 
-def _atom_kernel(dimension: int, points, weights, orders) -> Callable:
-    """Integer moments of the atoms c_i (D^alpha_i p)(x_i) of one degree k, each a tuple over the atoms.
+def _atom_kernel(dimension: int, points, weights, orders) -> tuple[Callable, Callable]:
+    """Integer moments of the atoms c_i (D^alpha_i p)(x_i), one tuple over the atoms per monomial.
 
     With r and q the lcms of the weights' and the coordinates' denominators,
     r q^|gamma| c (D^alpha x^gamma)(x) = r c gamma!/(gamma-alpha)! (q x)^(gamma-alpha) q^|alpha|,
@@ -100,7 +101,7 @@ def _atom_kernel(dimension: int, points, weights, orders) -> Callable:
     of g!/(g-a)! q^a (q x_j)^(g-a), 0 for g < a, with a the atom's order in j.  The column of gamma
     is the weights r c times T_j[gamma_j] for each j in the support of gamma or in S, the coordinates
     in which some atom has a nonzero order (T_j[0] zeroes the atoms differentiated in j): products of
-    whole tuples.  Returns columns(degree, gammas) -> (one tuple per gamma, r q^degree).
+    whole tuples, each T_j grown as far as it is read.  Returns column(gamma) and scale(k) = r q^k.
     """
     r = math.lcm(*(w.denominator for w in weights))
     q = math.lcm(*(c.denominator for x in points for c in x))
@@ -110,21 +111,18 @@ def _atom_kernel(dimension: int, points, weights, orders) -> Callable:
     tables = [[tuple(int(not a) for a in orders_j)] for orders_j in by_coordinate]
     s_mask = tuple(map(any, by_coordinate)) if any(map(any, orders)) else None  # None when S is empty
 
-    def columns(degree: int, gammas: Sequence[Exponent]) -> tuple[list[tuple[int, ...]], int]:
-        for table, base, orders_j in zip(tables, bases, by_coordinate):
-            for g in range(len(table), degree + 1):
+    def column(gamma: Exponent) -> tuple[int, ...]:
+        out = start
+        for j in compress(range(dimension), gamma if s_mask is None else map(or_, gamma, s_mask)):
+            table, base, orders_j = tables[j], bases[j], by_coordinate[j]
+            for g in range(len(table), gamma[j] + 1):
                 table.append(tuple(map(mul, table[-1], base)) if not any(orders_j) else tuple(
                     t * b * g // (g - a) if g > a else math.factorial(a) * q**a if g == a else 0
                     for t, b, a in zip(table[-1], base, orders_j)))  # an exact division
-        out = []
-        for gamma in gammas:
-            column = start
-            for j in compress(range(dimension), gamma if s_mask is None else map(or_, gamma, s_mask)):
-                column = map(mul, column, tables[j][gamma[j]])
-            out.append(tuple(column))
-        return out, r * q**degree
+            out = map(mul, out, table[gamma[j]])
+        return tuple(out)
 
-    return columns
+    return column, lambda k: r * q**k
 
 
 class Functional:
@@ -165,7 +163,7 @@ class PointFunctional(Functional):
     which apply to polynomials of any degree.
     """
 
-    # _orders: each atom's derivative order; _kernel and _table: integer tables and
+    # _orders: each atom's derivative order; _kernel and _table: the atom kernel and the
     # computed moments, built on demand and ignored by equality, hash and repr.
     __slots__ = ("_points", "_weights", "_orders", "_kernel", "_table")
 
@@ -218,8 +216,8 @@ class PointFunctional(Functional):
         if total is None:  # the column of the atom kernel, summed
             if self._kernel is None:
                 self._kernel = _atom_kernel(self._dimension, self._points, self._weights, self._orders)
-            (column,), scale = self._kernel(sum(key), (key,))
-            total = self._table[key] = Fraction(sum(column), scale)
+            column, scale = self._kernel
+            total = self._table[key] = Fraction(sum(column(key)), scale(sum(key)))
         return total
 
     __call__ = _apply

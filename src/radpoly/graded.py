@@ -1,13 +1,13 @@
 """Graded bases of finite-dimensional spaces of linear functionals.
 
 Everything is computed from one integer moment table per span: the columns
-V_alpha = (mu_1(x^alpha), ..., mu_n(x^alpha)) of the moment matrix, built
-once per monomial in graded order and extended one degree at a time.  The
-point functionals of a span share one atom kernel, which gives the point part
-of a whole column at once; the stored moments of a moment functional are lifted,
-one degree at a time, to integers over one denominator.  Each column is kept as
-integers over one positive scale for its degree, so rational points and
-rational moments need no fractions inside the table.
+V_alpha = (mu_1(x^alpha), ..., mu_n(x^alpha)) of the moment matrix, each built
+the first time it is read and then kept, so no reader builds a column it does
+not read.  The point functionals of a span share one atom kernel, which gives
+the point part of a whole column at once; the stored moments of a moment
+functional are lifted to the same denominator.  Each column is kept as integers
+over one positive scale for its degree, so rational points and rational moments
+need no fractions inside the table.
 
 Gauss elimination with row interchanges on that table (de Boor and Ron's
 elimination by segments) turns an independent family mu_1..mu_n into a
@@ -31,15 +31,16 @@ only the pivot value, which is divided back out: each row of ``integer_transform
 
 For a span of point combinations the elimination also finds the support's affine
 hull, once (``Hull``).  Its dimension r bounds the pivots through degree k by
-C(k + r, r), past which the rest of degree k goes unread, and a hull smaller than R^d
-is the ``Frame`` of both interpolation bases: the coordinates t = A x of their
+C(k + r, r), past which the rest of degree k is neither read nor built, and a hull smaller
+than R^d is the ``Frame`` of both interpolation bases: the coordinates t = A x of their
 polynomials.  The rows of L = T V, the moments of the lambda_i in the frame, are built
 once per graded basis (``rows``), up to 2 kappa_max or the span's moment cap when that
 is lower: integer numerators over one denominator per row, each entry computed from its
 table column the first time it is read, up to degree max(2 kappa_i, kappa_max) for row i.
 A capped span's lambda_i are read off the table too, as rows of T V up to the cap.
 The product V f with a polynomial f, the span's values on f, is read off the table in
-integers too: f's integer form, each term lifted by its degree's scale.
+integers too: f's integer form, each term lifted by its degree's scale, and only the
+columns of f's terms built.
 """
 
 from __future__ import annotations
@@ -59,74 +60,74 @@ from .polynomials import Exponent, Polynomial, monomial_sequence, monomials_of_d
 from .rational_linalg import integer_vector, rref
 
 
-class MomentTable:
-    """Integer moment columns of a span, built one whole degree at a time when first asked for.
+class MomentTable(dict):
+    """Integer moment columns of a span: self[alpha] is built the first time it is read, then kept.
 
-    mu_i(x^alpha) = columns[alpha][i] / scales[|alpha|].  One atom kernel over the atoms of all
-    point functionals gives the point part of a column over r q^k, r and q the lcms of the atoms'
-    weight and coordinate denominators; a functional of several atoms sums its segment.  Moment
-    functionals add their stored moments over their lcm denominator, and the scale is the lcm of
-    r q^k and those denominators.  ``cap`` is the smallest moment cap of the span (None when no
-    functional has one); callers never extend the table past it.
+    mu_i(x^alpha) = self[alpha][i] / scale(|alpha|).  One atom kernel over the atoms of all point
+    functionals gives the point part of a column over r q^k, r and q the lcms of the atoms' weight
+    and coordinate denominators; a functional of several atoms sums its segment.  Moment
+    functionals add their stored moments, and the scale of degree k is the lcm of r q^k and the
+    denominators of the stored moments of degree k.  ``cap`` is the smallest moment cap of the
+    span (None when no functional has one); callers never read the table past it.
     """
 
     def __init__(self, span: Sequence[Functional]):
+        super().__init__()
         self.span = tuple(span)
         self.dimension = self.span[0].dimension
         caps = [f.degree_cap for f in self.span if f.degree_cap is not None]
         self.cap = min(caps) if caps else None
-        self.columns: dict[Exponent, tuple[int, ...]] = {}
-        self.monomials: dict[int, list[Exponent]] = {}
-        self.scales: dict[int, int] = {}
         points = [f for f in self.span if isinstance(f, PointFunctional)]
-        self._kernel = _atom_kernel(self.dimension, [x for f in points for x in f.points],
-                                    [w for f in points for w in f.weights],
-                                    [a for f in points for a in f._orders])
+        self._column, self._point_scale = _atom_kernel(
+            self.dimension, [x for f in points for x in f.points], [w for f in points for w in f.weights],
+            [a for f in points for a in f._orders])
         ends = list(accumulate(len(f.points) for f in points))
         self._segments = None if all(len(f.points) == 1 for f in points) else list(zip([0, *ends], ends))
         self._stored = [(i, f) for i, f in enumerate(self.span) if not isinstance(f, PointFunctional)]
+        self._denominators: dict[int, list[int]] = {}  # the stored moments' denominators, by degree
+        for alpha, moment in (item for _, f in self._stored for item in f.moments()):
+            self._denominators.setdefault(sum(alpha), []).append(moment.denominator)
+        self._scales: dict[int, int] = {}
 
-    def extend(self, *degrees: int) -> None:
-        """Build every column of each of ``degrees`` not built yet."""
-        for k in sorted(set(degrees) - self.scales.keys()):
-            alphas = list(monomials_of_degree(self.dimension, k))
-            columns, scale = self._kernel(k, alphas)
-            if self._segments:
-                columns = [tuple(sum(column[a:b]) for a, b in self._segments) for column in columns]
-            if self._stored:  # lift both parts to one scale and put each stored row in its place
-                parts = [integer_vector([f._moment(alpha) for alpha in alphas])
-                         for _, f in self._stored]
-                total = lcm(scale, *(den for _, den in parts))
-                rows = [[v * (total // scale) for v in row] for row in zip(*columns)]
-                for (i, _), (nums, den) in zip(self._stored, parts):
-                    rows.insert(i, [v * (total // den) for v in nums])
-                columns, scale = zip(*rows), total
-            self.columns.update(zip(alphas, columns))
-            self.monomials[k] = alphas
-            self.scales[k] = scale
+    def scale(self, k: int) -> int:
+        """The positive denominator of every column of degree k, computed once per degree."""
+        if k not in self._scales:
+            self._scales[k] = lcm(self._point_scale(k), *self._denominators.get(k, ()))
+        return self._scales[k]
+
+    def __missing__(self, alpha: Exponent) -> tuple[int, ...]:
+        column = self._column(alpha)
+        if self._segments:
+            column = tuple(sum(column[a:b]) for a, b in self._segments)
+        if self._stored:  # lift the point part to the scale and put each stored moment in its row
+            scale = self.scale(sum(alpha))
+            lift = scale // self._point_scale(sum(alpha))
+            column = [v * lift for v in column]
+            for i, f in self._stored:
+                column.insert(i, (f._moment(alpha) * scale).numerator)
+        self[alpha] = column = tuple(column)
+        return column
 
     def rows(self, transform: Sequence[tuple[Sequence[int], int]], top: int) -> tuple[MomentRow, ...]:
         """The rows of T V up to degree ``top``, for lambda_i = sum_j T[i][j] mu_j with T in integer
         rows (numerators, denominator): the moments of the lambda_i, each over one denominator and
         filled where read."""
-        self.extend(*range(top + 1))
-        scale = lcm(*(self.scales[k] for k in range(top + 1)))
-        lifts = [scale // self.scales[k] for k in range(top + 1)]
-        return tuple(MomentRow(self.columns, lifts, ints, den * scale) for ints, den in transform)
+        scales = [self.scale(k) for k in range(top + 1)]
+        scale = lcm(*scales)
+        lifts = [scale // s for s in scales]
+        return tuple(MomentRow(self, lifts, ints, den * scale) for ints, den in transform)
 
     def values(self, f: Polynomial) -> tuple[list[int], int]:
         """V f = (mu_i(f)) as integer numerators over one denominator: each term of f's integer
-        form lifted by its degree's scale to their lcm.  Only the degrees f has are built."""
+        form lifted by its degree's scale to their lcm.  Only the columns of f's terms are built."""
         _require_moment_cap(self.cap, f.degree, "evaluating the span functionals")
         if f.is_zero:
             return [0] * len(self.span), 1
         form, denominator = f._integer_form()
-        degrees = [sum(alpha) for alpha, _ in form]
-        self.extend(*degrees)
-        scales = [self.scales[k] for k in degrees]
+        scales = [self.scale(sum(alpha)) for alpha, _ in form]
         scale = lcm(*set(scales))
         weights = [c * (scale // s) for (_, c), s in zip(form, scales)]
-        columns = [self.columns[alpha] for alpha, _ in form]
+        columns = [self[alpha] for alpha, _ in form]
         return [sum(map(mul, weights, row)) for row in zip(*columns)], denominator * scale
 
 
@@ -134,14 +135,13 @@ class MomentRow(dict):
     """lambda(x^alpha) = self[alpha] / denominator for every alpha up to the row's top
     degree; an entry is computed from its table column the first time it is read."""
 
-    def __init__(self, columns: dict[Exponent, tuple[int, ...]], lifts: list[int],
-                 ints: Sequence[int], denominator: int):
+    def __init__(self, table: MomentTable, lifts: list[int], ints: Sequence[int], denominator: int):
         super().__init__()
-        self._columns, self._lifts, self._ints = columns, lifts, ints
+        self._table, self._lifts, self._ints = table, lifts, ints
         self.denominator = denominator
 
     def __missing__(self, alpha: Exponent) -> int:
-        value = self[alpha] = sum(map(mul, self._ints, self._columns[alpha])) * self._lifts[sum(alpha)]
+        value = self[alpha] = sum(map(mul, self._ints, self._table[alpha])) * self._lifts[sum(alpha)]
         return value
 
 
@@ -306,13 +306,12 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
         if k == 2:  # the pivots through degree 1 are known
             hull = _support_hull(support, len(pivots), d)
             r = len(hull.weights) if hull else d
-        table.extend(k)
-        scale, full = table.scales[k], comb(k + r, r)
-        for alpha in table.monomials[k]:
+        scale, full = table.scale(k), comb(k + r, r)
+        for alpha in monomials_of_degree(d, k):
             rank = len(pivots)
             if rank == full:  # the remaining rows annihilate Pi_k on the hull: the rest of degree k is zero
                 break
-            column = table.columns[alpha]
+            column = table[alpha]
             values = [sum(map(mul, row, column)) for row in rows[rank:]]
             pivot = next((i for i, v in enumerate(values) if v), None)
             if pivot is None:

@@ -202,6 +202,16 @@ class TestMalformedProblems:
         "points_of_mixed_dimension": {
             "dimension": 2, "values": [1],
             "functionals": [{"type": "points", "points": [[0, 0], [1, 0, 0]], "weights": [1, 1]}]},
+        "two_points_and_one_weight": {
+            "dimension": 2, "values": [1],
+            "functionals": [{"type": "points", "points": [[0, 0], [1, 0]], "weights": [1]}]},
+        "empty_point": {"dimension": 2, "points": [[]], "values": [1]},
+        "moments_d_zero": {
+            "dimension": 1, "degree_cap": 0, "values": [1],
+            "functionals": [{"type": "moments", "d": 0, "cap": 2, "moments": []}]},
+        "moments_cap_negative": {
+            "dimension": 1, "degree_cap": 0, "values": [1],
+            "functionals": [{"type": "moments", "d": 1, "cap": -1, "moments": []}]},
     }
 
     @pytest.mark.parametrize("name", DOCUMENTS)
@@ -226,6 +236,30 @@ def test_guards_exit_one_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("radpoly: ") and err.count("\n") == 1
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["interp", "--input", str(GOLDEN / "grid.problem.json"), "--method", "both"],
+    ["basis", "--input", str(GOLDEN / "grid.problem.json")],
+    ["verify", "--suite", "micchelli", "--trials", "1"],
+], ids=["interp", "basis", "verify"])
+def test_unwritable_output_exits_one_with_one_line(tmp_path, capsys, argv):
+    """An --output in a missing directory fails after all the work: one line, no traceback."""
+    output = tmp_path / "missing" / "out.json"
+    assert main([*argv, "--output", str(output)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"radpoly: cannot write {output}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["interp"], ["eval", "--at", "0"]], ids=["interp", "eval"])
+def test_deeply_nested_input_exits_one_with_one_line(tmp_path, capsys, argv):
+    """A document nested past the decoder's recursion limit is not valid JSON."""
+    document = tmp_path / "deep.json"
+    document.write_text("[" * 100000 + "]" * 100000)
+    code = main([*argv, "--input", str(document), "--output", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert code == 1 and "is not valid JSON" in err
+    assert_one_line_exit(code, err)
 
 
 class TestMalformedReports:
