@@ -17,6 +17,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import RadpolyError
@@ -143,6 +144,27 @@ def _parse_query_point(text: str) -> tuple[Fraction, ...]:
 # rendering would fail only after all its arithmetic, and 10^7 decimals run for seconds.
 MAX_PRECISION = 1000
 
+# The largest value, in bits, that ``eval`` or an ``interp`` target may reach at its points:
+# int-to-str is quadratic, so a 4 * 10^6-bit value takes about 26 s to write on a 2-core Xeon,
+# and x1^(10^11) at 2 would run until killed.
+MAX_VALUE_BITS = 2**20
+
+
+def _bits(value: Fraction) -> int:
+    return abs(value.numerator).bit_length() + value.denominator.bit_length()
+
+
+def _require_value_size(polynomial: Polynomial, points) -> None:
+    """Exit 1 before any arithmetic if ``polynomial`` at ``points`` may pass ``MAX_VALUE_BITS``.
+    The estimate, the max over terms c x^alpha and points x of bits(c) + sum_k alpha_k bits(x_k),
+    bounds each term's size and is never below the degree."""
+    sizes = {tuple(map(_bits, x)) for x in points}
+    estimate = max((_bits(c) + sum(map(mul, alpha, size))
+                    for alpha, c in polynomial.terms() for size in sizes), default=0)
+    if estimate > MAX_VALUE_BITS:
+        raise _UsageError(f"size guard: values may need up to {estimate} bits, "
+                          f"the limit is {MAX_VALUE_BITS}")
+
 
 def _render_decimal(value: Fraction, digits: int) -> str:
     """Fixed-point rendering, round half away from zero.  Presentation only."""
@@ -172,6 +194,9 @@ def _cmd_interp(args) -> int:
     problem = _load(args.input, problem_from_obj)
     if (problem.values is None) == (problem.target is None):
         raise ValueError("interpolation needs exactly one of 'values' or 'target'")
+    if problem.target is not None:  # a capped member bounds the target's degree by its cap
+        _require_value_size(problem.target, [x for f in problem.functionals
+                                             if f.degree_cap is None for x in f.points])
     graded = build_graded_basis(problem.functionals, problem.degree_cap)
     kwargs = (
         {"data": list(problem.values)} if problem.values is not None
@@ -210,6 +235,7 @@ def _cmd_eval(args) -> int:
         raise _UsageError(f"precision guard: 0 <= precision <= {MAX_PRECISION}")
     polynomial = _load(args.input, lambda obj: _extract_polynomial(obj, args.method))
     points = [_parse_query_point(text) for text in args.at]
+    _require_value_size(polynomial, points)
     values = [polynomial(p) for p in points]
 
     def build() -> dict:

@@ -4,15 +4,17 @@ One data format for everything: rationals as JSON integers when the
 denominator is 1 and as "p/q" strings otherwise (integer strings are also
 accepted on input; floats never are).  Term and moment lists are emitted in
 graded monomial order, so serialization is deterministic and re-serializing
-a parsed document is byte-stable.
+a parsed document is byte-stable.  One writer, ``dumps``, renders every
+output: the bytes of ``json.dumps(obj, indent=2)``, with each list of plain
+ints joined in C.  No float is ever written.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Any
 
 from .functionals import (
@@ -123,7 +125,7 @@ def functional_to_obj(f: Functional) -> dict:
         "moments": [
             {"alpha": list(alpha), "value": format_rational(value)}
             for alpha in monomial_sequence(f.dimension, f.degree_cap)
-            if (value := f.moment(alpha))
+            if (value := f._moment(alpha))  # each alpha is a checked exponent already
         ],
     }
 
@@ -280,5 +282,42 @@ def comparison_to_obj(report: ComparisonReport) -> dict:
 
 
 def dumps(obj: Any) -> str:
-    """Canonical JSON rendering: two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2) + "\n"
+    """Canonical JSON rendering: the bytes of ``json.dumps(obj, indent=2)`` and a newline.
+
+    ``obj`` is a tree of dicts with string keys, lists, tuples, ints, strings, None and bools,
+    each of exactly that type; anything else raises ``TypeError``, a float too: radpoly writes
+    every rational as an int or a "p/q" string.  Ints obey the interpreter's limit on int-to-str
+    conversion, as in ``json``."""
+    return _render(obj, "") + "\n"
+
+
+def _render(obj: Any, pad: str) -> str:
+    """One value, its nested lines indented by ``pad``.  A list of plain ints, the bulk of every
+    output, is one join in C; ``type`` rather than ``isinstance`` keeps a bool out of it."""
+    kind = type(obj)
+    if kind is str:
+        return _escape(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is dict:
+        if not obj:
+            return "{}"
+        body = sep.join([f"{_escape(key)}: {_render(value, inner)}" for key, value in obj.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join([_render(item, inner) for item in obj])
+        return f"[\n{inner}{body}\n{pad}]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -494,6 +494,52 @@ class TestEval:
         assert capsys.readouterr().err == "radpoly: exponent (1, 0, 0) does not have length 2\n"
 
 
+class TestSizeGuard:
+    """A value that may pass ``cli.MAX_VALUE_BITS`` exits 1 with one line before any arithmetic.
+    The estimate is the max over terms and points of bits(c) + sum_k alpha_k bits(x_k), with
+    bits(p/q) = bit_length(|p|) + bit_length(q): 2 for 1, 3 for 2 and 3."""
+
+    @staticmethod
+    def _argv(tmp_path, command: str, exponent: int, coords) -> list[str]:
+        """``eval`` of x1^exponent at the first of ``coords``, or ``interp --method both`` with
+        target x1^exponent on all of them."""
+        target = {"dimension": 2, "terms": [{"alpha": [exponent, 0], "coeff": 1}]}
+        path = tmp_path / f"{command}{exponent}.json"
+        if command == "eval":
+            path.write_text(json.dumps(target))
+            return ["eval", "--input", str(path), "--at", ",".join(map(str, coords[0]))]
+        path.write_text(json.dumps({"dimension": 2, "points": coords, "target": target}))
+        return ["interp", "--input", str(path), "--method", "both"]
+
+    @pytest.mark.parametrize("command,exponent,coords,estimate", [
+        ("eval", 99_999_999_999, [[2, 1]], 2 + 3 * 99_999_999_999),
+        ("interp", 9_999_999, [[1, 2], [3, 4]], 2 + 3 * 9_999_999),
+    ])
+    def test_oversized_values_exit_one_with_one_line(self, tmp_path, capsys, command, exponent,
+                                                     coords, estimate):
+        """Both inputs ran until they were killed before the guard, with no output."""
+        code, body = run(tmp_path, *self._argv(tmp_path, command, exponent, coords))
+        assert (code, body) == (1, b"")
+        assert capsys.readouterr().err == (f"radpoly: size guard: values may need up to {estimate} "
+                                           f"bits, the limit is {cli.MAX_VALUE_BITS}\n")
+
+    @pytest.mark.parametrize("command", ["eval", "interp"])
+    def test_values_at_the_limit_are_computed(self, tmp_path, capsys, command):
+        """x1^e at points with coordinates 0 and 1 is estimated at 2 + 2e bits, 2^20 for
+        e = 2^19 - 1: it still runs, and the next exponent is refused."""
+        coords = [[1, 1], [0, 0], [0, 1]]
+        assert 2 + 2 * (2**19 - 1) == cli.MAX_VALUE_BITS
+        code, body = run(tmp_path / "at", *self._argv(tmp_path, command, 2**19 - 1, coords))
+        assert code == 0 and capsys.readouterr().err == ""
+        out = json.loads(body)
+        assert (out["values"] if command == "eval" else out["schaback"]["data"]) == (
+            [1] if command == "eval" else [1, 0, 0])
+        code, body = run(tmp_path / "past", *self._argv(tmp_path, command, 2**19, coords))
+        assert (code, body) == (1, b"")
+        err = capsys.readouterr().err
+        assert err.startswith("radpoly: size guard: ") and err.count("\n") == 1
+
+
 class TestDegreeCap:
     def test_explicit_cap_sets_the_elimination_cap(self, tmp_path):
         problem = tmp_path / "p.json"

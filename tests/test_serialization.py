@@ -1,8 +1,12 @@
-"""JSON round trips and input validation."""
+"""JSON round trips, input validation and the output writer."""
 
+import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radpoly import (
     MomentFunctional,
@@ -159,3 +163,63 @@ class TestResultObjects:
         p = Polynomial(1, {(0,): Fraction(1, 2)})
         assert dumps(polynomial_to_obj(p)) == dumps(polynomial_to_obj(p))
         assert dumps(polynomial_to_obj(p)).endswith("\n")
+
+
+# Trees of what radpoly writes: str-keyed dicts, lists, tuples, big ints, "p/q" strings, any text
+# (non-ASCII, quotes, control characters), None, bools and empty containers; lists of ints with
+# bools among them probe the one-join path for plain ints.
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-10**60, max_value=10**60),
+    st.builds("{}/{}".format, st.integers(-10**30, 10**30), st.integers(2, 10**30)),
+    st.text(max_size=12),
+    st.lists(st.integers(min_value=-10**60, max_value=10**60) | st.booleans(), max_size=6),
+)
+_TREES = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=5),
+    st.lists(children, max_size=5).map(tuple),
+    st.dictionaries(st.text(max_size=8), children, max_size=5),
+), max_leaves=40)
+
+
+class TestWriter:
+    """``dumps`` writes the bytes of ``json.dumps(obj, indent=2)`` and a newline."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(_TREES)
+    def test_bytes_equal_indented_json_dumps(self, obj):
+        assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).parent / "golden").iterdir()),
+                             ids=lambda path: path.name)
+    def test_golden_files_are_fixed_points(self, path):
+        """Every output golden is rewritten byte for byte; the hand-written problem files, which
+        are not indented that way, as ``json.dumps`` would write them."""
+        text = path.read_text(encoding="utf-8")
+        obj = json.loads(text)
+        assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
+        if not path.name.endswith(".problem.json"):
+            assert dumps(obj) == text
+
+    def test_an_int_past_the_digit_limit_raises_as_in_json(self):
+        """While the interpreter's limit on int-to-str conversion holds, an int of more than 4300
+        digits raises ``ValueError`` wherever it sits; ``cli._emit`` lifts the limit to write it."""
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for big in (10**4300, -(10**4300)):
+                for obj in (big, [big], [1, big], [big, "1/2"], {"value": big}):
+                    with pytest.raises(ValueError):
+                        json.dumps(obj, indent=2)
+                    with pytest.raises(ValueError):
+                        dumps(obj)
+            assert dumps([10**4299]) == "[\n  1" + "0" * 4299 + "\n]\n"
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    @pytest.mark.parametrize("obj", [0.5, [1, 2.0], {"x": {1, 2}}, {1: 2}, object()],
+                             ids=["float", "float_in_list", "set", "int_key", "object"])
+    def test_other_types_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            dumps(obj)
