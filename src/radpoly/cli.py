@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import cache
@@ -149,21 +150,36 @@ MAX_PRECISION = 1000
 # and x1^(10^11) at 2 would run until killed.
 MAX_VALUE_BITS = 2**20
 
+# The most bits the atom kernel's power tables may hold for the moment columns of an ``interp``
+# target: they grow quadratically in its degree, and x1^40000 at (5, 5) and (3, 4) peaked at 421 MB.
+MAX_TABLE_BITS = 2**30
+
 
 def _bits(value: Fraction) -> int:
     return abs(value.numerator).bit_length() + value.denominator.bit_length()
 
 
-def _require_value_size(polynomial: Polynomial, points) -> None:
+def _require_value_size(polynomial: Polynomial, points, tables: bool = False) -> None:
     """Exit 1 before any arithmetic if ``polynomial`` at ``points`` may pass ``MAX_VALUE_BITS``.
     The estimate, the max over terms c x^alpha and points x of bits(c) + sum_k alpha_k bits(x_k),
-    bounds each term's size and is never below the degree."""
+    bounds each term's size and is never below the degree.  With ``tables`` (a target), also exit 1
+    if the atom kernel's power tables, the powers of the q x_j up to e_j (q the lcm of the points'
+    denominators, e_j the largest exponent of x_j in the terms), may pass ``MAX_TABLE_BITS``, by
+    sum_j e_j (e_j + 1) / 2 * sum_x bits(q x_j) over the q x_j other than 0 and +-1."""
     sizes = {tuple(map(_bits, x)) for x in points}
     estimate = max((_bits(c) + sum(map(mul, alpha, size))
                     for alpha, c in polynomial.terms() for size in sizes), default=0)
     if estimate > MAX_VALUE_BITS:
         raise _UsageError(f"size guard: values may need up to {estimate} bits, "
                           f"the limit is {MAX_VALUE_BITS}")
+    if tables:
+        q = math.lcm(*(c.denominator for x in points for c in x))
+        tops = [max(column, default=0) for column in zip(*(alpha for alpha, _ in polynomial.terms()))]
+        estimate = sum(e * (e + 1) // 2 * sum(_bits(x[j] * q) for x in points if abs(x[j] * q) > 1)
+                       for j, e in enumerate(tops))
+        if estimate > MAX_TABLE_BITS:
+            raise _UsageError(f"size guard: power tables may need up to {estimate} bits, "
+                              f"the limit is {MAX_TABLE_BITS}")
 
 
 def _render_decimal(value: Fraction, digits: int) -> str:
@@ -196,7 +212,7 @@ def _cmd_interp(args) -> int:
         raise ValueError("interpolation needs exactly one of 'values' or 'target'")
     if problem.target is not None:  # a capped member bounds the target's degree by its cap
         _require_value_size(problem.target, [x for f in problem.functionals
-                                             if f.degree_cap is None for x in f.points])
+                                             if f.degree_cap is None for x in f.points], tables=True)
     graded = build_graded_basis(problem.functionals, problem.degree_cap)
     kwargs = (
         {"data": list(problem.values)} if problem.values is not None

@@ -31,10 +31,12 @@ separated expansion, with p_{a,beta}(x) = ||x||^(2a) x^beta and ||.|| Euclidean,
 
 is the identity the images are tested against (``radial_power_expansion``).
 Radial images and lowest-degree parts of the moment series
-need nothing but a moment lookup: ``image_from_moments`` and
-``least_part_from_moments`` take one and return the polynomial's coefficient sums
-over one denominator, so the same bodies serve a functional (its ``_moment``, as a
-``Polynomial``) and a row of a graded basis's integer moment table (in integers).
+need nothing but a lookup of integer moments over one denominator:
+``image_from_moments`` and ``least_part_from_moments`` take one and return the
+polynomial's integer coefficient sums over one denominator, so the same bodies serve
+a row of a graded basis's integer moment table and a functional, whose moments
+(its ``_moment``) ``radial_image`` and ``least_part`` read once and lift to integers
+over the lcm of their denominators.
 
 The order of a functional is the smallest total degree carrying a nonzero
 moment (equivalently, the largest k with lambda vanishing on all polynomials
@@ -454,19 +456,19 @@ def _radial_kernel(ell: int, weights: tuple[int, ...]) -> tuple[tuple[Exponent, 
     return tuple((delta, tuple(terms)) for delta, terms in grouped.items())
 
 
-def _polynomial(dimension: int, sums: Mapping[Exponent, int | Fraction], denominator: int) -> Polynomial:
+def _polynomial(dimension: int, sums: Mapping[Exponent, int], denominator: int) -> Polynomial:
     """The polynomial with coefficients sums[alpha] / denominator, zero sums dropped."""
     return Polynomial._of(dimension, {alpha: Fraction(v, denominator) for alpha, v in sums.items() if v})
 
 
-def image_from_moments(moment: Callable[[Exponent], int | Fraction], denominator: int,
-                       weights: tuple[int, ...], ell: int) -> tuple[dict[Exponent, int | Fraction], int]:
-    """The radial image t |-> lambda ||t - .||_D^(2 ell) of a functional given by its moments,
-    as coefficient sums over ``denominator`` (some sums may be zero).
+def image_from_moments(moment: Callable[[Exponent], int], denominator: int,
+                       weights: tuple[int, ...], ell: int) -> tuple[dict[Exponent, int], int]:
+    """The radial image t |-> lambda ||t - .||_D^(2 ell) of a functional given by its integer
+    moments, as integer coefficient sums over ``denominator`` (some sums may be zero).
 
-    lambda(t^alpha) = moment(alpha) / denominator; every moment up to degree
-    2 ell may be looked up.  ||t||_D^2 = sum_k D_k t_k^2 (unit weights: the
-    Euclidean image).  With integer moments the sums are integers.
+    lambda(t^alpha) = moment(alpha) / denominator; the moment of every power s^delta
+    of the kernel ``_radial_kernel(ell, weights)`` (|delta| <= 2 ell) may be looked up.
+    ||t||_D^2 = sum_k D_k t_k^2 (unit weights: the Euclidean image).
     """
     acc: dict[Exponent, int] = {}
     for delta, terms in _radial_kernel(ell, weights):
@@ -477,14 +479,14 @@ def image_from_moments(moment: Callable[[Exponent], int | Fraction], denominator
     return acc, denominator
 
 
-def least_part_from_moments(moment: Callable[[Exponent], int | Fraction], denominator: int,
-                            weights: tuple[int, ...], kappa: int) -> tuple[dict, int]:
-    """sum over |alpha| = kappa of D^alpha lambda(t^alpha) t^alpha / alpha!, as the sums
+def least_part_from_moments(moment: Callable[[Exponent], int], denominator: int,
+                            weights: tuple[int, ...], kappa: int) -> tuple[dict[Exponent, int], int]:
+    """sum over |alpha| = kappa of D^alpha lambda(t^alpha) t^alpha / alpha!, as the integer sums
     D^alpha moment(alpha) kappa!/alpha! over denominator * kappa! (alpha! divides kappa!).
 
-    lambda(t^alpha) = moment(alpha) / denominator, as for ``image_from_moments``,
-    and D the weights (unit weights: the least part lambda((t . .)^kappa) / kappa!);
-    a zero moment costs no alpha! and no term.
+    lambda(t^alpha) = moment(alpha) / denominator with integer moments, as for
+    ``image_from_moments``, and D the weights (unit weights: the least part
+    lambda((t . .)^kappa) / kappa!); a zero moment costs no alpha! and no term.
     """
     top = math.factorial(kappa)
     values = ((alpha, moment(alpha)) for alpha in monomials_of_degree(len(weights), kappa))
@@ -492,8 +494,17 @@ def least_part_from_moments(moment: Callable[[Exponent], int | Fraction], denomi
             for alpha, value in values if value}, denominator * top
 
 
+def _lifted_moments(moment: Callable[[Exponent], Fraction],
+                    exponents: Iterable[Exponent]) -> tuple[dict[Exponent, int], int]:
+    """moment(alpha) for each alpha, read once, as integers over one denominator, the lcm of theirs."""
+    values = {alpha: moment(alpha) for alpha in exponents}
+    denominator = math.lcm(*(v.denominator for v in values.values()))
+    return {alpha: v.numerator * (denominator // v.denominator) for alpha, v in values.items()}, denominator
+
+
 def radial_image(lam: Functional, ell: int) -> Polynomial:
-    """The polynomial x |-> lambda ||x - .||^(2 ell), lambda applied in y.
+    """The polynomial x |-> lambda ||x - .||^(2 ell), lambda applied in y, from lambda's moments
+    at the kernel's powers of y, read once and lifted to integers over one denominator.
 
     For a nonzero functional of order kappa the degree is exactly
     2 ell - kappa when kappa <= 2 ell, and the image vanishes identically
@@ -502,7 +513,9 @@ def radial_image(lam: Functional, ell: int) -> Polynomial:
     if ell < 0:
         raise ValueError("ell must be >= 0")
     _require_moment_cap(lam.degree_cap, 2 * ell, "radial image")
-    return _polynomial(lam.dimension, *image_from_moments(lam._moment, 1, (1,) * lam.dimension, ell))
+    weights = (1,) * lam.dimension
+    moments, denominator = _lifted_moments(lam._moment, (delta for delta, _ in _radial_kernel(ell, weights)))
+    return _polynomial(lam.dimension, *image_from_moments(moments.__getitem__, denominator, weights, ell))
 
 
 def least_part(lam: Functional, search_cap: int | None = None) -> Polynomial:
@@ -510,11 +523,14 @@ def least_part(lam: Functional, search_cap: int | None = None) -> Polynomial:
 
     With kappa the order of the functional, returns
     sum over |alpha| = kappa of lambda(x^alpha) x^alpha / alpha!,
-    and the zero polynomial for the zero functional.
+    and the zero polynomial for the zero functional; the moments of degree kappa are lifted as for
+    ``radial_image``.
     """
     kappa = order(lam, search_cap)
     if kappa == -1:
         return Polynomial.zero(lam.dimension)
     if kappa is None:
         raise DegreeCapError("order not determined within the search cap")
-    return _polynomial(lam.dimension, *least_part_from_moments(lam._moment, 1, (1,) * lam.dimension, kappa))
+    moments, denominator = _lifted_moments(lam._moment, monomials_of_degree(lam.dimension, kappa))
+    return _polynomial(lam.dimension, *least_part_from_moments(moments.__getitem__, denominator,
+                                                               (1,) * lam.dimension, kappa))

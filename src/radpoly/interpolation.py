@@ -24,8 +24,8 @@ over |e| = kappa_j of D^e lambda_j(t^e) t^e / e!.  ``polys`` builds them as poly
 frame and ``w`` and ``g`` map them to x, each when first read: no solve reads either, and the
 range comparison reads only ``polys``.  Everything is read off the frame's rows of L = T V,
 which the graded basis builds once, whichever basis reads them first (``GradedBasis.rows``):
-W_j up to degree 2 kappa_j, G_j at kappa_j, and lambda_i p as sum_alpha p[alpha] L_i[alpha]
-over the integer form of p.
+W_j from degree kappa_j up to 2 kappa_j, G_j at kappa_j, and lambda_i p as sum_alpha p[alpha]
+L_i[alpha] over the terms of p's integer form of degree at least kappa_i (L_i is zero below).
 Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular, as
 lambda_i annihilates degrees below kappa_i, and only their diagonal blocks are
 computed.  The block of order kappa is symmetric, (-1)^kappa-definite for w
@@ -66,7 +66,7 @@ from .functionals import (
     least_part_from_moments,
     point_evaluation,
 )
-from .graded import GradedBasis, MomentRow, _hull, build_graded_basis
+from .graded import GradedBasis, _hull, build_graded_basis
 from .polynomials import (
     Exponent,
     Polynomial,
@@ -176,13 +176,19 @@ class LeastBasis(_Basis):
     g = cached_property(_Basis._in_x)
 
 
-def _gramian(rows: Sequence[MomentRow], forms, blocks: Sequence[Sequence[int]]):
+def _gramian(graded: GradedBasis, forms):
     """The diagonal blocks of (lambda_i p_j), sum_alpha p_j[alpha] L_i[alpha] on each upper triangle,
-    mirrored.  Zeros elsewhere: lambda_i p_j vanishes below the blocks, and no solve reads above."""
+    mirrored, over the terms of p_j of degree at least the block's kappa: lambda_i annihilates the
+    lower ones.  Zeros elsewhere: lambda_i p_j vanishes below the blocks, and no solve reads above."""
+    rows = graded.rows
     gramian = [[Fraction(0)] * len(rows) for _ in rows]
-    for i, j in (pair for block in blocks for pair in combinations_with_replacement(block, 2)):
-        (nums, den), row = forms[j], rows[i]
-        gramian[i][j] = gramian[j][i] = Fraction(sum(c * row[a] for a, c in nums), den * row.denominator)
+    for block in graded.blocks():
+        kappa = graded.kappas[block[0]]
+        high = {j: [(a, c) for a, c in forms[j][0] if sum(a) >= kappa] for j in block}
+        for i, j in combinations_with_replacement(block, 2):
+            row = rows[i]
+            gramian[i][j] = gramian[j][i] = Fraction(sum(c * row[a] for a, c in high[j]),
+                                                     forms[j][1] * row.denominator)
     return tuple(map(tuple, gramian))
 
 
@@ -190,19 +196,22 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
     """Radial images w_j = lambda_j ||Px - .||^(2 kappa_j) and their Gramian.
 
     P projects onto the affine hull of an all-point span's support (else P = I).
-    The basis keeps the integer forms of the W_j, read off the rows of L up to
-    2 kappa_j in the frame, and its Gramian (lambda_i W_j) is taken there too.
+    The basis keeps the integer forms of the W_j, read off the rows of L in the
+    frame from degree kappa_j up to 2 kappa_j (lambda_j annihilates the lower
+    degrees, so those moments are 0 and not read), and its Gramian (lambda_i W_j)
+    is taken there too.
     """
     _require_moment_cap(graded.moments.cap, 2 * graded.kappas[-1], "radial image")
     rows, weights = graded.rows, graded.frame.weights
-    forms = tuple(_renormalize(*image_from_moments(row.__getitem__, row.denominator, weights, kappa))
-                  for row, kappa in zip(rows, graded.kappas))
+    forms = tuple(_renormalize(*image_from_moments(  # lambda_j annihilates degrees below kappa_j
+        lambda delta, row=row, kappa=kappa: row[delta] if sum(delta) >= kappa else 0,
+        row.denominator, weights, kappa)) for row, kappa in zip(rows, graded.kappas))
     for j, ((nums, _), kappa) in enumerate(zip(forms, graded.kappas)):
         degree = max((sum(alpha) for alpha, _ in nums), default=-1)
         if degree != kappa:  # t(x) is onto the hull, so w_j = W_j(t(x)) has W_j's degree
             raise AssertionError(
                 f"schaback_basis: radial image w_{j} has degree {degree}, not its order {kappa}")
-    return SchabackBasis(graded, forms, _gramian(rows, forms, graded.blocks()))
+    return SchabackBasis(graded, forms, _gramian(graded, forms))
 
 
 def least_basis(graded: GradedBasis) -> LeastBasis:
@@ -215,7 +224,7 @@ def least_basis(graded: GradedBasis) -> LeastBasis:
     for j, ((nums, _), kappa) in enumerate(zip(forms, graded.kappas)):
         if {sum(alpha) for alpha, _ in nums} != {kappa}:  # A is onto R^r: g_j = G_j(A x) is too
             raise AssertionError(f"least_basis: least part g_{j} is not homogeneous of degree {kappa}")
-    return LeastBasis(graded, forms, _gramian(rows, forms, graded.blocks()))
+    return LeastBasis(graded, forms, _gramian(graded, forms))
 
 
 def range_basis(basis: SchabackBasis | LeastBasis) -> tuple[Polynomial, ...]:

@@ -539,6 +539,28 @@ class TestSizeGuard:
         err = capsys.readouterr().err
         assert err.startswith("radpoly: size guard: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("exponent,estimate", [(40_000, 800_020_000 * 7), (20_000, 200_010_000 * 7)])
+    def test_oversized_power_tables_exit_one_with_one_line(self, tmp_path, capsys, exponent, estimate):
+        """A target x1^e on (5, 5) and (3, 4) passes the value guard (2 + 4e bits), but the atom
+        kernel's table of the powers of 5 and 3 up to e is estimated at e (e + 1) / 2 * (4 + 3)
+        bits: x1^40000 peaked at 421 MB before this guard."""
+        code, body = run(tmp_path, *self._argv(tmp_path, "interp", exponent, [[5, 5], [3, 4]]))
+        assert (code, body) == (1, b"")
+        assert capsys.readouterr().err == (f"radpoly: size guard: power tables may need up to "
+                                           f"{estimate} bits, the limit is {cli.MAX_TABLE_BITS}\n")
+
+    def test_a_degree_4000_target_on_six_points_is_computed(self, tmp_path, capsys):
+        """x1^4000 - x2 x3^2999 on six points with coordinates 0, 1 and 2: only the 2 adds to
+        the power tables' estimate (8002000 * 3 bits), so the target is measured as before."""
+        points = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [2, 0, 1]]
+        target = {"dimension": 3, "terms": [{"alpha": [4000, 0, 0], "coeff": 1},
+                                            {"alpha": [0, 1, 2999], "coeff": -1}]}
+        path = tmp_path / "sparse4000.json"
+        path.write_text(json.dumps({"dimension": 3, "points": points, "target": target}))
+        code, body = run(tmp_path, "interp", "--input", str(path), "--method", "both")
+        assert code == 0 and capsys.readouterr().err == ""
+        assert json.loads(body)["schaback"]["data"] == [x**4000 - y * z**2999 for x, y, z in points]
+
 
 class TestDegreeCap:
     def test_explicit_cap_sets_the_elimination_cap(self, tmp_path):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import radpoly
 from radpoly import (
@@ -35,7 +35,7 @@ from radpoly import (
     schaback_basis,
     tensor_apply_radial,
 )
-from radpoly.functionals import image_from_moments, radial_monomial
+from radpoly.functionals import _lifted_moments, image_from_moments, radial_monomial
 from radpoly.rational_linalg import integer_vector
 from radpoly.serialization import functional_from_obj, functional_to_obj
 
@@ -269,7 +269,8 @@ class TestRadialPowerExpansion:
     def test_integer_expansion_matches_the_fraction_terms(self, d):
         """Images from the direct integer expansion equal those from the separated
         expansion's Fraction terms, for unit and integer weights and integer,
-        rational and vanishing moments."""
+        rational and vanishing moments; rational moments reach the integer expansion
+        lifted to one denominator, as ``radial_image`` lifts a functional's."""
         rng = random.Random(d)
         for ell in range(21 if d == 1 else 9):
             assert all(t.coeff.denominator == 1 for t in radial_power_expansion(ell, d))
@@ -279,10 +280,11 @@ class TestRadialPowerExpansion:
                          for a in monomials}
             for weights in ((1,) * d, tuple(rng.randint(1, 7) for _ in range(d))):
                 for moments, denominator in ((integers, 1), (integers, 6), (rationals, 5)):
-                    args = moments.__getitem__, denominator, weights, ell
-                    sums, over = image_from_moments(*args)
+                    lifted, common = _lifted_moments(moments.__getitem__, monomials)
+                    assert all(type(v) is int for v in lifted.values())
+                    sums, over = image_from_moments(lifted.__getitem__, denominator * common, weights, ell)
                     image = Polynomial(d, {alpha: Fraction(v, over) for alpha, v in sums.items()})
-                    assert image == separated_image(*args)
+                    assert image == separated_image(moments.__getitem__, denominator, weights, ell)
 
     def test_basis_images_do_not_build_the_separated_expansion(self):
         """A fresh interpreter builds radial images without the separated expansion."""
@@ -512,6 +514,69 @@ def test_least_part_degree_equals_order(pair):
     else:
         assert part.degree == kappa
         assert part.is_homogeneous(kappa)
+
+
+@st.composite
+def _functional_of_any_kind(draw):
+    """(lambda, ell, x): lambda a point combination at rational points with rational weights, a
+    derivative atom, a combination of atoms (a moment table), a moment table with fractional
+    moments or a zero functional, with a moment cap of at least 2 ell where it has one, and x a
+    rational point.  Unlike denominators make the radial image lift its moments to one."""
+    d, ell = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    cap = 2 * ell + draw(st.integers(0, 1))
+    coordinate = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    weight = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    point = st.tuples(*[coordinate] * d)
+    alpha = st.tuples(*[st.integers(0, 2)] * d).filter(lambda a: sum(a) <= cap)
+    kind = draw(st.sampled_from(["points", "derivative", "atoms", "moments", "zero"]))
+    if kind == "points":
+        points = draw(st.lists(point, min_size=1, max_size=4, unique=True))
+        lam = PointFunctional(points, draw(st.lists(weight, min_size=len(points), max_size=len(points))))
+    elif kind == "derivative":
+        lam = from_derivative(draw(alpha), draw(point), cap)
+    elif kind == "atoms":
+        members = [from_derivative(draw(alpha), draw(point), cap) for _ in range(draw(st.integers(1, 3)))]
+        members += [point_evaluation(x) for x in draw(st.lists(point, max_size=2, unique=True))]
+        lam = combine(members, draw(st.lists(weight, min_size=len(members), max_size=len(members))))
+    elif kind == "moments":
+        lam = MomentFunctional(d, cap, draw(st.dictionaries(
+            st.sampled_from(monomial_sequence(d, cap)), weight, min_size=1, max_size=6)))
+    else:
+        lam = draw(st.sampled_from([PointFunctional([], [], dimension=d), MomentFunctional(d, cap)]))
+    return lam, ell, draw(point)
+
+
+# order 1, with the moments 1/2 and 1/3 of x1 and x2: unlike denominators in one degree
+UNLIKE = PointFunctional([(Fraction(1, 2), Fraction(1, 3)), (0, 0)], [1, -1])
+
+
+@given(_functional_of_any_kind())
+@example((UNLIKE, 1, (Fraction(1, 5), 2)))
+@settings(deadline=None, max_examples=100)
+def test_radial_image_is_the_functional_applied_in_y(case):
+    """radial_image(lambda, ell)(x) = lambda((sum_i (x_i - y_i)^2)^ell), lambda applied in y."""
+    lam, ell, x = case
+    d = lam.dimension
+    in_y = Polynomial(d, {})
+    for i in range(d):
+        diff = Polynomial.constant(d, x[i]) - Polynomial.variable(d, i)
+        in_y = in_y + diff * diff
+    assert radial_image(lam, ell)(x) == lam(in_y**ell)
+
+
+@given(_functional_of_any_kind())
+@example((UNLIKE, 0, (0, 0)))
+@settings(deadline=None, max_examples=100)
+def test_least_part_is_the_lowest_part_of_the_moment_series(case):
+    """least_part(lambda) = sum over |alpha| = kappa of lambda(x^alpha) x^alpha / alpha!, kappa the
+    order, built here in Fractions; zero for the zero functional."""
+    lam, _, _ = case
+    kappa = order(lam)
+    assert kappa is not None
+    expected = Polynomial(lam.dimension, {
+        alpha: Fraction(lam.moment(alpha), math.prod(map(math.factorial, alpha)))
+        for alpha in monomials_of_degree(lam.dimension, kappa)})
+    assert least_part(lam) == expected
 
 
 class TestQuadraticFormCharacterization:

@@ -707,6 +707,28 @@ def test_diagonal_gramian_blocks_are_products_with_the_rows_of_l(case):
                 assert basis.gramian[i][j] == Fraction(product[r][c], scale), (basis._method, i, j)
 
 
+@given(st.one_of(spans(kinds=("points", "collinear", "coplanar", "derivatives")), values_and_gradients()))
+@settings(deadline=None, max_examples=60)
+def test_no_basis_reads_the_moments_below_a_rows_order(case):
+    """lambda_i annihilates every degree below kappa_i, in the frame too, so the radial images, both
+    Gramians and both solves skip those moments of the rows of L: none of them is filled, and each
+    of them, read afterwards, is zero."""
+    span, degree_cap, ascending_ties = case
+    try:
+        graded = build_with_ties(span, degree_cap, ascending_ties)
+    except RankDeficientError:
+        return
+    kappa_max, cap = graded.kappas[-1], graded.moments.cap
+    data = list(range(1, graded.size + 1))
+    least_interpolate(graded, data=data)
+    if cap is None or cap >= 2 * kappa_max:
+        schaback_interpolate(graded, data=data)
+    rows, r = graded.rows, len(graded.frame.weights)
+    assert all(sum(alpha) >= kappa for row, kappa in zip(rows, graded.kappas) for alpha in row)
+    for row, kappa in zip(rows, graded.kappas):
+        assert all(row[alpha] == 0 for k in range(kappa) for alpha in monomials_of_degree(r, k))
+
+
 @pytest.mark.parametrize("weights", [(1,), (3,), (1, 1), (2, 5), (1, 1, 1), (1, 2, 3)])
 def test_the_signed_kernel_blocks_are_positive_definite(weights):
     """(-1)^kappa K_kappa has positive L D L^T pivots for kappa <= 5, the ratios of its leading
