@@ -22,7 +22,6 @@ from .functionals import (
     combine,
     expansion_polynomial,
     from_derivative,
-    inner_product,
     least_part,
     order,
     point_evaluation,
@@ -31,7 +30,7 @@ from .functionals import (
     radial_power_expansion,
     tensor_apply_radial,
 )
-from .graded import GradedBasis, build_graded_basis, verify_graded
+from .graded import GradedBasis, build_graded_basis
 from .interpolation import (
     AffineProjection,
     ComparisonReport,
@@ -44,10 +43,8 @@ from .interpolation import (
     least_basis,
     least_interpolate,
     polynomial_span_equal,
-    range_basis,
     schaback_basis,
     schaback_interpolate,
-    span_dimension_below,
 )
 from .polynomials import (
     Polynomial,
@@ -87,7 +84,6 @@ __all__ = [
     "four_point_radial_moment",
     "from_derivative",
     "graded_key",
-    "inner_product",
     "least_basis",
     "least_interpolate",
     "least_part",
@@ -100,10 +96,7 @@ __all__ = [
     "radial_image",
     "radial_monomial",
     "radial_power_expansion",
-    "range_basis",
     "schaback_basis",
     "schaback_interpolate",
-    "span_dimension_below",
     "tensor_apply_radial",
-    "verify_graded",
 ]

@@ -22,8 +22,8 @@ and keeps each column from the first time it is read.
 
 Radial images x |-> lambda ||x - .||_D^(2l), ||x||_D^2 = sum_k D_k x_k^2, come
 from the direct expansion sum over |m| = l of l!/m! D^m prod_k (x_k - y_k)^(2 m_k),
-in which each monomial x^gamma y^delta occurs once; tensor application and the
-degree-k bilinear form apply a functional to such an image.  The paper's
+in which each monomial x^gamma y^delta occurs once; tensor application applies a
+functional to such an image.  The paper's
 separated expansion, with p_{a,beta}(x) = ||x||^(2a) x^beta and ||.|| Euclidean,
 
     ||x - y||^(2k) = sum over a + |beta| + c = k of
@@ -73,7 +73,7 @@ _ZERO = Fraction(0)
 
 def _require_moment_cap(cap: int | None, needed: int, operation: str) -> None:
     """Raise unless moments up to degree ``needed`` exist under ``cap``: the one guard on a moment
-    cap, for applying a functional, searching its order, eliminating a span, radial images and V f."""
+    cap, for applying a functional, eliminating a span, radial images and V f."""
     if cap is not None and cap < needed:
         raise DegreeCapError(
             f"{operation} needs moments up to degree {needed}, functional cap is {cap}"
@@ -297,27 +297,25 @@ def from_derivative(alpha: Iterable[int], at: Sequence[Rational],
     return functional
 
 
-def order(functional: Functional, search_cap: int | None = None) -> int | None:
-    """Smallest total degree with a nonzero moment.
+def order(functional: Functional) -> int:
+    """Smallest total degree with a nonzero moment; -1 for the zero functional.
 
-    Returns -1 for the zero functional.  Returns None when every moment up
-    to the search cap vanishes but the functional is not structurally zero;
-    the order is then not determined by the inspected moments.  For point
-    combinations the default cap is n-1 (n support points), which always
-    suffices since evaluations at n distinct points are independent on
-    polynomials of degree <= n-1.
+    The search reaches the cap, or n-1 for a combination of n points, and always finds it:
+    evaluations at n distinct points are independent on polynomials of degree <= n-1, a
+    derivative atom of order alpha has the moment alpha! at degree |alpha| <= its cap, and a
+    nonzero ``MomentFunctional`` stores a nonzero moment at or below its cap.
     """
     if functional.is_zero:
         return -1
-    stored = functional.degree_cap
-    if search_cap is None:
-        search_cap = len(functional.points) - 1 if stored is None else stored
-    _require_moment_cap(stored, search_cap, "order search")
-    for k in range(search_cap + 1):
+    top = functional.degree_cap
+    if top is None:
+        top = len(functional.points) - 1
+    moment = functional._moment  # every exponent below is of degree <= top, within the cap
+    for k in range(top + 1):
         for alpha in monomials_of_degree(functional.dimension, k):
-            if functional.moment(alpha) != 0:
+            if moment(alpha):
                 return k
-    return None
+    raise AssertionError(f"order: {functional!r} is nonzero, yet no moment up to degree {top} is")
 
 
 def combine(functionals: Sequence[Functional], coefficients: Sequence[Rational]) -> Functional:
@@ -432,15 +430,6 @@ def tensor_apply_radial(lam: Functional, mu: Functional, k: int) -> Fraction:
     return mu(radial_image(lam, k))
 
 
-def inner_product(lam: Functional, mu: Functional, k: int) -> Fraction:
-    """(-1)^k (lambda (x) mu) ||x-y||^(2k).
-
-    Symmetric and bilinear; positive semidefinite on functionals of order
-    >= k, and definite modulo those of order >= k+1.
-    """
-    return (-1) ** k * tensor_apply_radial(lam, mu, k)
-
-
 @lru_cache(maxsize=256)
 def _radial_kernel(ell: int, weights: tuple[int, ...]) -> tuple[tuple[Exponent, tuple], ...]:
     """||t - s||_D^(2 ell) in integers, D the weights, grouped by the power s^delta:
@@ -518,7 +507,7 @@ def radial_image(lam: Functional, ell: int) -> Polynomial:
     return _polynomial(lam.dimension, *image_from_moments(moments.__getitem__, denominator, weights, ell))
 
 
-def least_part(lam: Functional, search_cap: int | None = None) -> Polynomial:
+def least_part(lam: Functional) -> Polynomial:
     """Lowest-degree nonzero homogeneous part of the moment series.
 
     With kappa the order of the functional, returns
@@ -526,11 +515,9 @@ def least_part(lam: Functional, search_cap: int | None = None) -> Polynomial:
     and the zero polynomial for the zero functional; the moments of degree kappa are lifted as for
     ``radial_image``.
     """
-    kappa = order(lam, search_cap)
+    kappa = order(lam)
     if kappa == -1:
         return Polynomial.zero(lam.dimension)
-    if kappa is None:
-        raise DegreeCapError("order not determined within the search cap")
     moments, denominator = _lifted_moments(lam._moment, monomials_of_degree(lam.dimension, kappa))
     return _polynomial(lam.dimension, *least_part_from_moments(moments.__getitem__, denominator,
                                                                (1,) * lam.dimension, kappa))

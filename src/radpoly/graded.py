@@ -55,7 +55,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError
 from .functionals import (Functional, MomentFunctional, PointFunctional, _atom_kernel, _require_moment_cap,
-                          combine, order)
+                          combine)
 from .polynomials import Exponent, Polynomial, monomial_sequence, monomials_of_degree
 from .rational_linalg import integer_vector, rref
 
@@ -197,9 +197,8 @@ class GradedBasis:
     row as integer numerators over one denominator.  ``moments`` is the span's integer moment
     table and ``hull`` its support's hull (None for R^d); ``lambdas``, T in ``Fraction``s
     (``transform``), the ``frame`` and its moment ``rows`` are derived when first asked for.
-    No invariants are enforced here; ``build_graded_basis`` guarantees them and
-    ``verify_graded`` rechecks them on demand (so corrupted instances can be constructed
-    in tests as negative controls).
+    No invariants are enforced here; ``build_graded_basis`` guarantees them (so corrupted
+    instances can be constructed in tests as negative controls).
     """
 
     span: tuple[Functional, ...]
@@ -269,8 +268,10 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
     """Eliminate the moment matrix of the given functionals.
 
     For a span of point combinations the default cap is n-1, which always
-    suffices for independent input, and the search stops at degree m-1 for m
-    distinct support points whatever the cap.  Spans containing moment functionals
+    suffices for independent input.  For a span of atoms (point and derivative
+    functionals) the search stops, whatever the cap, at degree sum over the sites x
+    of (a_x + 1) - 1, a_x the largest total derivative order of an atom at x: m-1
+    for m distinct support points.  Spans containing moment functionals
     must pass an explicit cap no larger than any stored moment cap.
 
     Raises RankDeficientError when fewer than n pivots exist up to the cap,
@@ -294,9 +295,18 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
     _require_moment_cap(table.cap, degree_cap, "graded elimination")
 
     search_cap, support = degree_cap, ()
-    if table.cap is None:  # a nonzero point combination on m distinct points has order <= m - 1
-        support = list(dict.fromkeys(x for f in span for x in f.points))
-        search_cap = min(degree_cap, len(support) - 1)
+    if all(isinstance(f, PointFunctional) for f in span):
+        # a nonzero combination of atoms, a_x the largest total derivative order of one at site x,
+        # has order <= sum over the sites of (a_x + 1) - 1 (m - 1 on m distinct points): it is nonzero
+        # on some q r, q = prod over y != x of (l - l(y))^(a_y + 1) for a linear l separating the
+        # sites and deg r <= a_x
+        tops: dict[tuple[Fraction, ...], int] = {}
+        for f in span:
+            for x, alpha in zip(f.points, f._orders):
+                tops[x] = max(tops.get(x, 0), sum(alpha))
+        search_cap = min(degree_cap, sum(tops.values()) + len(tops) - 1)
+        if table.cap is None:
+            support = list(tops)
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     transform: list[tuple[tuple[int, ...], int]] = []
     pivots: list[Exponent] = []
@@ -348,26 +358,3 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
         moments=table,
         hull=hull,
     )
-
-
-def verify_graded(basis: GradedBasis, k: int) -> bool:
-    """Directly check the degree-k graded property of a basis.
-
-    True iff every lambda_i with kappa_i >= k annihilates all monomials of
-    degree < k, and the lambda_i with kappa_i < k show a triangular (hence
-    independent) moment pattern on their pivots.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    for i, lam in enumerate(basis.lambdas):
-        if basis.kappas[i] >= k and order(lam, k - 1) not in (None, -1):
-            return False
-    head = [i for i in range(basis.size) if basis.kappas[i] < k]
-    for row, i in enumerate(head):
-        for col, j in enumerate(head):
-            value = basis.lambdas[i].moment(basis.pivots[j])
-            if row > col and value != 0:
-                return False
-            if row == col and value == 0:
-                return False
-    return True

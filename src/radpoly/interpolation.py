@@ -227,11 +227,6 @@ def least_basis(graded: GradedBasis) -> LeastBasis:
     return LeastBasis(graded, forms, _gramian(graded, forms))
 
 
-def range_basis(basis: SchabackBasis | LeastBasis) -> tuple[Polynomial, ...]:
-    """The polynomials spanning the interpolation space."""
-    return basis.w if isinstance(basis, SchabackBasis) else basis.g
-
-
 # ---------------------------------------------------------------------------
 # Interpolation
 
@@ -371,11 +366,6 @@ def _pivot_degrees(polys: Sequence[Polynomial]) -> list[int]:
     so dim(span(polys) ∩ deg < k) of the degrees lie below k."""
     monomials = _union_monomials(polys)[::-1]
     return [sum(monomials[col]) for col in linalg.pivot_columns(_coefficient_rows(polys, monomials))]
-
-
-def span_dimension_below(polys: Sequence[Polynomial], k: int) -> int:
-    """dim(span(polys) intersected with polynomials of degree < k)."""
-    return sum(1 for degree in _pivot_degrees(polys) if degree < k)
 
 
 # ---------------------------------------------------------------------------

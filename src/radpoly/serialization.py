@@ -168,7 +168,6 @@ def functional_from_obj(obj: Any) -> Functional:
 class ProblemFile:
     """Parsed CLI input: a span plus optional data or target."""
 
-    dimension: int
     functionals: tuple[Functional, ...]
     points: tuple[tuple[Fraction, ...], ...] | None
     values: tuple[Fraction, ...] | None
@@ -222,7 +221,6 @@ def problem_from_obj(obj: Any) -> ProblemFile:
         raise ValueError("'degree_cap' must be a nonnegative integer")
 
     return ProblemFile(
-        dimension=dimension,
         functionals=functionals,
         points=points,
         values=values,

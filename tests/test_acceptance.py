@@ -30,14 +30,12 @@ from radpoly import (
     radial_image,
     schaback_basis,
     schaback_interpolate,
-    span_dimension_below,
     tensor_apply_radial,
-    verify_graded,
 )
 from radpoly.cli import main
 from radpoly.rational_linalg import determinant, transpose
 from radpoly.verification import run_suite
-from test_graded import build_with_ties
+from test_graded import build_with_ties, verify_graded
 
 GOLDEN = Path(__file__).parent / "golden"
 

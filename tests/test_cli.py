@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -602,6 +603,24 @@ class TestDegreeCap:
         assert main(["interp", "--input", str(problem)]) == 2
         assert capsys.readouterr().err == (
             "radpoly: graded elimination needs moments up to degree 3, functional cap is 2\n")
+
+    @pytest.mark.parametrize("argv", [("basis",), ("interp", "--method", "both")])
+    def test_rank_deficient_derivative_span_stops_at_its_search_bound(self, tmp_path, capsys, argv):
+        """Two equal derivatives D p(5) have order <= 1, so the elimination stops at degree 1 whatever
+        the cap: searching to a cap of 30,000 took 1.6 s and about 560 MB, and the atom kernel's power
+        tables grow with the square of the cap."""
+        cap = 10**6
+        atom = {"type": "derivative", "alpha": [1], "at": [5], "cap": cap}
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({"dimension": 1, "degree_cap": cap, "functionals": [atom, atom],
+                                       "values": [1, 2]}))
+        capsys.readouterr()
+        start = time.perf_counter()
+        code, body = run(tmp_path, *argv, "--input", str(problem))
+        assert time.perf_counter() - start < 10
+        assert (code, body) == (2, b"")
+        assert capsys.readouterr().err == (
+            f"radpoly: rank deficient: found 1 pivots for 2 functionals searching degrees up to {cap}\n")
 
 
 class TestExpand:

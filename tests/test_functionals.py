@@ -8,6 +8,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +25,6 @@ from radpoly import (
     combine,
     expansion_polynomial,
     from_derivative,
-    inner_product,
     least_part,
     monomial_sequence,
     monomials_of_degree,
@@ -220,19 +220,20 @@ class TestOrder:
         assert order(PointFunctional([], [], dimension=1)) == -1
         assert order(MomentFunctional(2, 4, {})) == -1
 
-    def test_cap_outcome_is_a_value(self):
-        assert order(SECOND_DIFFERENCE, search_cap=1) is None
-        moment = MomentFunctional(1, 5, {(4,): 1})
-        assert order(moment, search_cap=2) is None
-        assert order(moment) == 4
-
-    def test_search_cap_beyond_stored_moments_rejected(self):
-        moment = MomentFunctional(1, 3, {(1,): 1})
-        with pytest.raises(DegreeCapError):
-            order(moment, search_cap=5)
+    def test_moment_functional_order_is_its_lowest_stored_degree(self):
+        assert order(MomentFunctional(1, 5, {(4,): 1, (5,): 2})) == 4
+        assert order(MomentFunctional(2, 3, {(0, 3): 1})) == 3
 
     def test_derivative_order_is_total_order(self):
         assert order(from_derivative((2, 1), (3, -2), 6)) == 3
+
+    def test_a_nonzero_functional_without_a_moment_breaks_an_invariant(self):
+        """order never returns None: a nonzero functional whose moments all vanish up to its search
+        top is an internal error that names the functional."""
+        lam = point_evaluation((7,))
+        with mock.patch.object(PointFunctional, "_moment", lambda self, key: 0):
+            with pytest.raises(AssertionError, match=r"order: PointFunctional\(1@\('7',\)\) is nonzero"):
+                order(lam)
 
 
 class TestRadialPowerExpansion:
@@ -349,13 +350,15 @@ class TestTensorApply:
 
 
 class TestInnerProduct:
+    """The degree-k form (-1)^k (lambda (x) mu) ||x-y||^(2k), read off ``tensor_apply_radial``."""
+
     def test_sign_adjusted_values(self):
-        assert inner_product(SECOND_DIFFERENCE, SECOND_DIFFERENCE, 2) == 24
-        assert inner_product(SECOND_DIFFERENCE, SECOND_DIFFERENCE, 1) == 0
+        assert tensor_apply_radial(SECOND_DIFFERENCE, SECOND_DIFFERENCE, 2) == 24
+        assert -tensor_apply_radial(SECOND_DIFFERENCE, SECOND_DIFFERENCE, 1) == 0
 
     def test_first_difference_k1(self):
         lam = PointFunctional([[1], [0]], [1, -1])
-        assert inner_product(lam, lam, 1) == 2
+        assert -tensor_apply_radial(lam, lam, 1) == 2
 
     def test_symmetric_and_bilinear(self):
         rng = random.Random(5)
@@ -367,11 +370,11 @@ class TestInnerProduct:
             mu = PointFunctional(pts[2:4] if len(pts) >= 4 else pts[:2], [3, 1])
             nu = point_evaluation(pts[0])
             for k in (1, 2):
-                assert inner_product(lam, mu, k) == inner_product(mu, lam, k)
+                assert tensor_apply_radial(lam, mu, k) == tensor_apply_radial(mu, lam, k)
                 combo = combine([mu, nu], [Fraction(2), Fraction(-3)])
-                assert inner_product(lam, combo, k) == 2 * inner_product(
+                assert tensor_apply_radial(lam, combo, k) == 2 * tensor_apply_radial(
                     lam, mu, k
-                ) - 3 * inner_product(lam, nu, k)
+                ) - 3 * tensor_apply_radial(lam, nu, k)
 
 
 class TestRadialImage:
@@ -428,10 +431,6 @@ class TestLeastPart:
 
     def test_zero_functional(self):
         assert least_part(PointFunctional([], [], dimension=3)).is_zero
-
-    def test_order_beyond_cap_is_an_error(self):
-        with pytest.raises(DegreeCapError):
-            least_part(SECOND_DIFFERENCE, search_cap=1)
 
     def test_homogeneous_of_the_order_degree(self):
         rng = random.Random(3)
@@ -492,7 +491,6 @@ def _point_functional_pair(draw):
 def test_tensor_application_symmetric_in_its_arguments(pair, k):
     lam, mu = pair
     assert tensor_apply_radial(lam, mu, k) == tensor_apply_radial(mu, lam, k)
-    assert inner_product(lam, mu, k) == (-1) ** k * tensor_apply_radial(lam, mu, k)
 
 
 @given(_point_functional_pair(), st.integers(0, 2), st.integers(-4, 4))
@@ -731,7 +729,6 @@ def test_every_exponent_from_outside_passes_one_check(name):
 CAPPED = from_derivative((2, 0), (0, 0), 3)
 CAP_GUARDS = {
     "lam(p)": (lambda: CAPPED(Polynomial.monomial(2, (4, 0))), 4, "applying a functional"),
-    "order": (lambda: order(CAPPED, 5), 5, "order search"),
     "build_graded_basis": (lambda: build_graded_basis([point_evaluation((0, 0)), CAPPED], 4), 4,
                            "graded elimination"),
     "schaback_basis": (lambda: schaback_basis(build_graded_basis([point_evaluation((0, 0)), CAPPED], 3)), 4,

@@ -22,7 +22,6 @@ from radpoly import (
     monomials_of_degree,
     order,
     point_evaluation,
-    verify_graded,
 )
 import radpoly.graded as graded_module
 from radpoly.graded import MomentTable
@@ -37,6 +36,27 @@ def evaluations(points):
 def reversed_monomials(d, degree):
     """The monomials of one degree in the reversed tie order (smaller first coordinate first)."""
     return reversed(list(monomials_of_degree(d, degree)))
+
+
+def verify_graded(basis, k):
+    """The degree-k graded property, checked directly on the moments of the lambda_i.
+
+    True iff every lambda_i with kappa_i >= k annihilates all monomials of degree < k, and the
+    lambda_i with kappa_i < k show a triangular (hence independent) moment pattern on their pivots.
+    """
+    below = monomial_sequence(basis.dimension, k - 1) if k else []
+    for lam, kappa in zip(basis.lambdas, basis.kappas):
+        if kappa >= k and any(lam.moment(alpha) for alpha in below):
+            return False
+    head = [i for i in range(basis.size) if basis.kappas[i] < k]
+    for row, i in enumerate(head):
+        for col, j in enumerate(head):
+            value = basis.lambdas[i].moment(basis.pivots[j])
+            if row > col and value != 0:
+                return False
+            if row == col and value == 0:
+                return False
+    return True
 
 
 def build_with_ties(span, degree_cap=None, ascending_ties=False):
@@ -374,6 +394,34 @@ def test_integer_elimination_matches_the_fraction_elimination(case):
     assert graded.rows is graded.rows  # the rows of L in the frame: built once, then cached
     if graded.hull is None:  # the frame is x: the rows of L reach the same top degree as these
         assert [row.denominator for row in graded.rows] == [row.denominator for row in rows]
+
+
+@st.composite
+def atom_spans(draw):
+    """(span, bound): values and gradients at distinct integer sites in d <= 2, each (site, order) at
+    most once, so the span is independent; bound is sum over the sites x of (a_x + 1) - 1, a_x the
+    largest total order at x.  A value is a point evaluation or a capped derivative of order 0."""
+    d = draw(st.integers(1, 2))
+    sites = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=4, unique=True))
+    orders = [(0,) * d, *(tuple(int(i == j) for j in range(d)) for i in range(d))]
+    span, bound = [], -1
+    for site in sites:
+        alphas = draw(st.lists(st.sampled_from(orders), min_size=1, max_size=d + 1, unique=True))
+        span += [point_evaluation(site) if not any(alpha) and draw(st.booleans())
+                 else from_derivative(alpha, site, 12) for alpha in alphas]
+        bound += max(map(sum, alphas)) + 1
+    return draw(st.permutations(span)), bound
+
+
+@given(atom_spans())
+@settings(deadline=None, max_examples=60)
+def test_orders_of_an_atom_span_stay_within_its_search_bound(case):
+    """The elimination stops an all-atom span's search at the bound; the Fraction elimination, which
+    searches to the whole cap of 12, finds every order at or below it, and the same orders."""
+    span, bound = case
+    _, kappas, _ = fraction_elimination(span, 12, False)
+    assert len(kappas) == len(span) and kappas[-1] <= bound
+    assert build_graded_basis(span, 12).kappas == tuple(kappas)
 
 
 @pytest.mark.parametrize("points, hull", [

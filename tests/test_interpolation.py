@@ -28,12 +28,11 @@ from radpoly import (
     point_evaluation,
     polynomial_span_equal,
     radial_image,
-    range_basis,
     schaback_basis,
     schaback_interpolate,
-    span_dimension_below,
 )
 from radpoly.functionals import _radial_kernel
+from radpoly.interpolation import SchabackBasis, _pivot_degrees
 from radpoly.rational_linalg import determinant, mat_vec, rref, solve, transpose
 from test_graded import RATIONALS, SPAN_KINDS, build_with_ties, spans
 from test_rational_linalg import invert, mat_mul
@@ -54,11 +53,16 @@ def monomial(d, alpha):
     return Polynomial.monomial(d, alpha)
 
 
+def in_x(basis):
+    """The basis polynomials in x: the w_j of a Schaback basis, the g_j of a least one."""
+    return basis.w if isinstance(basis, SchabackBasis) else basis.g
+
+
 def lambda_gramian(basis, polys=None):
     """(lambda_i p_j) in full, from graded.lambdas, for p_j the basis polynomials or
     ``polys``; the basis must store exactly its diagonal blocks and zeros elsewhere."""
     graded = basis.source
-    dense = tuple(tuple(lam(p) for p in polys or range_basis(basis)) for lam in graded.lambdas)
+    dense = tuple(tuple(lam(p) for p in polys or in_x(basis)) for lam in graded.lambdas)
     kappas = graded.kappas
     assert basis.gramian == tuple(tuple(v if kappas[i] == kappas[j] else 0 for j, v in enumerate(row))
                                   for i, row in enumerate(dense))
@@ -123,7 +127,7 @@ class TestSchabackBasis:
         """lambda_i p_j vanishes below the blocks; the basis stores exact zeros there."""
         graded = graded_on(SKEW)
         for basis in (schaback_basis(graded), least_basis(graded)):
-            polys = range_basis(basis)
+            polys = in_x(basis)
             for i in range(4):
                 for j in range(4):
                     if graded.kappas[i] > graded.kappas[j]:
@@ -320,18 +324,18 @@ class TestRangeBasis:
             Polynomial.variable(2, 1),
             monomial(2, (1, 1)),
         ]
-        assert polynomial_span_equal(range_basis(sb), expected)
-        assert polynomial_span_equal(range_basis(lb), expected)
+        assert polynomial_span_equal(sb.w, expected)
+        assert polynomial_span_equal(lb.g, expected)
 
     def test_two_points_span_linears(self):
         sb = schaback_basis(graded_on([(0,), (1,)]))
         assert polynomial_span_equal(
-            range_basis(sb), [Polynomial.constant(1, 1), Polynomial.variable(1, 0)]
+            sb.w, [Polynomial.constant(1, 1), Polynomial.variable(1, 0)]
         )
 
     def test_single_point_span_is_constants(self):
         sb = schaback_basis(graded_on([(7, -2)]))
-        assert range_basis(sb) == (Polynomial.constant(2, 1),)
+        assert sb.w == (Polynomial.constant(2, 1),)
 
 
 def test_span_equality_of_empty_and_zero_spans():
@@ -481,26 +485,27 @@ class TestProjectorLaws:
             while len(pts) < n:
                 pts.add(tuple(Fraction(rng.randint(-5, 5)) for _ in range(d)))
             graded = graded_on(list(pts))
-            sb = schaback_basis(graded)
-            lb = least_basis(graded)
+            # dim(span ∩ deg < k) is the number of pivot degrees below k
+            degrees = [_pivot_degrees(schaback_basis(graded).w), _pivot_degrees(least_basis(graded).g)]
             for k in range(max(graded.kappas) + 3):
                 tail = sum(1 for kappa in graded.kappas if kappa >= k)
-                assert span_dimension_below(sb.w, k) + tail == n
-                assert span_dimension_below(lb.g, k) + tail == n
+                for pivots in degrees:
+                    assert sum(degree < k for degree in pivots) + tail == n
 
     @given(st.integers(1, 2).flatmap(lambda d: st.lists(
         st.dictionaries(st.tuples(*[st.integers(0, 3)] * d), st.integers(-2, 2), max_size=4)
         .map(lambda terms: Polynomial(d, terms)), max_size=5)), st.integers(0, 7))
     @settings(deadline=None, max_examples=60)
     def test_span_dimension_below_is_the_rank_drop_past_degree_k(self, polys, k):
-        """Oracle: the rank of all coefficients less that of the degree >= k ones."""
+        """dim(span(polys) ∩ deg < k), the pivot degrees below k, against an oracle: the rank of all
+        coefficients less that of the degree >= k ones."""
         monomials = sorted({alpha for p in polys for alpha, _ in p.terms()})
 
         def rank(columns):
             return len(rref([[p.coefficient(alpha) for alpha in columns] for p in polys])[1])
 
         high = [alpha for alpha in monomials if sum(alpha) >= k]
-        assert span_dimension_below(polys, k) == rank(monomials) - rank(high)
+        assert sum(degree < k for degree in _pivot_degrees(polys)) == rank(monomials) - rank(high)
 
 
 class TestGeneralLinearBehaviour:
@@ -779,7 +784,7 @@ def dense_oracle(basis, b):
     graded = basis.source
     coefficients = solve(lambda_gramian(basis), mat_vec(graded.transform, b))
     f = Polynomial.zero(graded.dimension)
-    for a, p in zip(coefficients, range_basis(basis)):
+    for a, p in zip(coefficients, in_x(basis)):
         f = f + a * p
     return tuple(coefficients), f, tuple(mu(f) - value for mu, value in zip(graded.span, b))
 
@@ -1092,7 +1097,7 @@ def test_polynomials_built_unchecked_are_canonical(case):
             basis = make_basis(graded)
         except DegreeCapError:  # a moment cap below 2 kappa: no radial images
             continue
-        polys.extend(range_basis(basis))
+        polys.extend(in_x(basis))
         interpolants.append(interpolate(basis, data=datas[0]).interpolant)
     polys.extend(interpolants)
     polys.extend(c * f for f in interpolants for c in (Fraction(-2, 3), 0))
