@@ -39,7 +39,6 @@ from .interpolation import (
     SchabackBasis,
     compare_interpolants,
     flat_projector,
-    four_point_radial_moment,
     least_basis,
     least_interpolate,
     polynomial_span_equal,
@@ -81,7 +80,6 @@ __all__ = [
     "compare_interpolants",
     "expansion_polynomial",
     "flat_projector",
-    "four_point_radial_moment",
     "from_derivative",
     "graded_key",
     "least_basis",

@@ -297,19 +297,32 @@ def from_derivative(alpha: Iterable[int], at: Sequence[Rational],
     return functional
 
 
+def _order_bound(span: Iterable[Functional]) -> int:
+    """D + sum over the atom sites x of (a_x + 1): no nonzero combination of the span has a larger
+    order (the README gives the argument).  D is the top degree of a stored nonzero moment (-1 when
+    there is none) and a_x the largest total derivative order of an atom at x; a span of n distinct
+    points gets n-1, a derivative atom |alpha| and a moment table D, each within its cap."""
+    stored, tops = -1, {}
+    for f in span:
+        if isinstance(f, PointFunctional):
+            for x, alpha in zip(f._points, f._orders):
+                tops[x] = max(tops.get(x, 0), sum(alpha))
+        else:
+            stored = max(stored, max(map(sum, f._moments), default=-1))
+    return stored + sum(tops.values()) + len(tops)
+
+
 def order(functional: Functional) -> int:
     """Smallest total degree with a nonzero moment; -1 for the zero functional.
 
-    The search reaches the cap, or n-1 for a combination of n points, and always finds it:
-    evaluations at n distinct points are independent on polynomials of degree <= n-1, a
-    derivative atom of order alpha has the moment alpha! at degree |alpha| <= its cap, and a
-    nonzero ``MomentFunctional`` stores a nonzero moment at or below its cap.
+    The search reaches ``_order_bound`` of the functional and always finds it: n-1 for n
+    distinct points, which are independent on polynomials of degree <= n-1, |alpha| for a
+    derivative atom of order alpha, whose moment there is alpha!, and the top degree of a
+    nonzero ``MomentFunctional``'s stored moments.
     """
     if functional.is_zero:
         return -1
-    top = functional.degree_cap
-    if top is None:
-        top = len(functional.points) - 1
+    top = _order_bound((functional,))
     moment = functional._moment  # every exponent below is of degree <= top, within the cap
     for k in range(top + 1):
         for alpha in monomials_of_degree(functional.dimension, k):

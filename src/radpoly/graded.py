@@ -54,8 +54,8 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError
-from .functionals import (Functional, MomentFunctional, PointFunctional, _atom_kernel, _require_moment_cap,
-                          combine)
+from .functionals import (Functional, MomentFunctional, PointFunctional, _atom_kernel, _order_bound,
+                          _require_moment_cap, combine)
 from .polynomials import Exponent, Polynomial, monomial_sequence, monomials_of_degree
 from .rational_linalg import integer_vector, rref
 
@@ -268,11 +268,10 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
     """Eliminate the moment matrix of the given functionals.
 
     For a span of point combinations the default cap is n-1, which always
-    suffices for independent input.  For a span of atoms (point and derivative
-    functionals) the search stops, whatever the cap, at degree sum over the sites x
-    of (a_x + 1) - 1, a_x the largest total derivative order of an atom at x: m-1
-    for m distinct support points.  Spans containing moment functionals
-    must pass an explicit cap no larger than any stored moment cap.
+    suffices for independent input.  Spans containing moment functionals
+    must pass an explicit cap no larger than any stored moment cap.  Whatever
+    the cap, the search stops at ``_order_bound(span)``, past which no nonzero
+    combination of the span has its order: m-1 on m distinct support points.
 
     Raises RankDeficientError when fewer than n pivots exist up to the cap,
     reporting the rank that was achieved.
@@ -294,19 +293,8 @@ def build_graded_basis(functionals: Sequence[Functional], degree_cap: int | None
         raise ValueError("degree cap must be >= 0")
     _require_moment_cap(table.cap, degree_cap, "graded elimination")
 
-    search_cap, support = degree_cap, ()
-    if all(isinstance(f, PointFunctional) for f in span):
-        # a nonzero combination of atoms, a_x the largest total derivative order of one at site x,
-        # has order <= sum over the sites of (a_x + 1) - 1 (m - 1 on m distinct points): it is nonzero
-        # on some q r, q = prod over y != x of (l - l(y))^(a_y + 1) for a linear l separating the
-        # sites and deg r <= a_x
-        tops: dict[tuple[Fraction, ...], int] = {}
-        for f in span:
-            for x, alpha in zip(f.points, f._orders):
-                tops[x] = max(tops.get(x, 0), sum(alpha))
-        search_cap = min(degree_cap, sum(tops.values()) + len(tops) - 1)
-        if table.cap is None:
-            support = list(tops)
+    search_cap = min(degree_cap, _order_bound(span))
+    support = list(dict.fromkeys(x for f in span for x in f.points)) if table.cap is None else ()
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     transform: list[tuple[tuple[int, ...], int]] = []
     pivots: list[Exponent] = []

@@ -383,22 +383,6 @@ def _four_point_moment(graded: GradedBasis) -> Fraction | None:
     return sum(map(mul, weights, norms)) / next(w for w in reversed(weights) if w)
 
 
-def four_point_radial_moment(points: Sequence[Sequence[Rational]]) -> Fraction | None:
-    """lambda ||.||^2 for the essentially unique annihilator of a planar 4-set.
-
-    For four points in the plane spanning it, the conditions
-    sum_j a_j = 0 and sum_j a_j x_j = 0 determine a one-dimensional space of
-    weight vectors; the representative is normalized so the last point with
-    a nonzero weight gets weight 1 (for points ordered 0, i1, i2, z this is
-    the weight of z, forcing weight z(1)+z(2)-1 at the origin): the graded
-    basis's order-2 member.  Returns None for any other configuration.
-    """
-    pts = [as_point(p) for p in points]
-    if len(pts) != 4 or any(len(p) != 2 for p in pts) or len(set(pts)) != 4:
-        return None
-    return _four_point_moment(build_graded_basis([point_evaluation(p) for p in pts]))
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     """Exact comparison of the two interpolants on one point set."""

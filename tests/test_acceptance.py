@@ -19,7 +19,6 @@ from radpoly import (
     compare_interpolants,
     expansion_polynomial,
     flat_projector,
-    four_point_radial_moment,
     from_derivative,
     least_basis,
     least_interpolate,
@@ -36,6 +35,7 @@ from radpoly.cli import main
 from radpoly.rational_linalg import determinant, transpose
 from radpoly.verification import run_suite
 from test_graded import build_with_ties, verify_graded
+from test_interpolation import four_point_radial_moment
 
 GOLDEN = Path(__file__).parent / "golden"
 

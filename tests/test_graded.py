@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -24,6 +25,7 @@ from radpoly import (
     point_evaluation,
 )
 import radpoly.graded as graded_module
+from radpoly.functionals import _order_bound
 from radpoly.graded import MomentTable
 from radpoly.rational_linalg import determinant, integer_vector
 from test_functionals import _atom_combinations, _oracle_moment
@@ -172,6 +174,25 @@ class TestErrors:
         assert graded.kappas == (0, 1) and graded.degree_cap == 6
         assert max(built) <= 1
 
+    def test_a_mixed_span_searches_no_degree_past_its_order_bound(self, monkeypatch):
+        """Two equal D p(5) and the table {x^0: 1}, caps 10^6: the bound is 0 + (1 + 1) = 2, so no
+        column past degree 2 is built (searching to the cap took 0.8 s and 260 MB at a cap of 20,000)."""
+        missing = MomentTable.__missing__
+
+        def guarded(table, alpha):
+            assert sum(alpha) <= 2, f"column {alpha} lies past the order bound"
+            return missing(table, alpha)
+
+        monkeypatch.setattr(MomentTable, "__missing__", guarded)
+        span = [from_derivative((1,), (5,), 10**6), from_derivative((1,), (5,), 10**6),
+                MomentFunctional(1, 10**6, {(0,): 1})]
+        assert _order_bound(span) == 2
+        start = time.perf_counter()
+        with pytest.raises(RankDeficientError) as info:
+            build_graded_basis(span, degree_cap=10**6)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == "rank deficient: found 2 pivots for 3 functionals searching degrees up to 1000000"
+
     def test_moment_span_requires_explicit_cap(self):
         span = [MomentFunctional(1, 4, {(0,): 1}), MomentFunctional(1, 4, {(1,): 1})]
         with pytest.raises(ValueError):
@@ -205,6 +226,13 @@ class TestMixedAndMomentSpans:
         graded = build_graded_basis(span, degree_cap=5)
         assert graded.kappas == (0, 1)
         assert all(order(lam) == kappa for lam, kappa in zip(graded.lambdas, graded.kappas))
+
+    def test_the_order_bound_is_tight_on_a_mixed_span(self):
+        """delta_1 minus the table {1: 1, x: 1} has order 2 = D + (0 + 1): one degree short, the
+        search would miss its pivot."""
+        span = [point_evaluation((1,)), MomentFunctional(1, 5, {(0,): 1, (1,): 1})]
+        assert _order_bound(span) == 2
+        assert build_graded_basis(span, degree_cap=5).kappas == (0, 2)
 
 
 class TestRandomizedInvariants:
@@ -422,6 +450,48 @@ def test_orders_of_an_atom_span_stay_within_its_search_bound(case):
     _, kappas, _ = fraction_elimination(span, 12, False)
     assert len(kappas) == len(span) and kappas[-1] <= bound
     assert build_graded_basis(span, 12).kappas == tuple(kappas)
+
+
+BOUND_CAP = 9
+
+
+@st.composite
+def bound_spans(draw):
+    """Mixed spans in d <= 2 under a moment cap of 9: point evaluations and derivative atoms of order
+    <= 2 at a few shared sites, moment tables of degree <= 3 (the zero table among them) and copies
+    of an atom's moments cut at degree D <= 3, whose difference from the atom has order D + 1."""
+    d = draw(st.integers(1, 2))
+    coordinate = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    sites = draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=3, unique=True))
+    alphas = st.tuples(*[st.integers(0, 2)] * d).filter(lambda a: sum(a) <= 2)
+    atoms = [point_evaluation(x) if not any(a) and draw(st.booleans()) else from_derivative(a, x, BOUND_CAP)
+             for x, a in draw(st.lists(st.tuples(st.sampled_from(sites), alphas), max_size=4))]
+    exponent = st.tuples(*[st.integers(0, 3)] * d).filter(lambda a: sum(a) <= 3)
+    tables = [MomentFunctional(d, BOUND_CAP, draw(st.dictionaries(exponent, RATIONALS, max_size=3)))
+              for _ in range(draw(st.integers(0, 2)))]
+    for f in draw(st.lists(st.sampled_from(atoms), max_size=2)) if atoms else ():
+        top = draw(st.integers(0, 3))
+        tables.append(MomentFunctional(d, BOUND_CAP, {a: f.moment(a) for a in monomial_sequence(d, top)}))
+    return draw(st.permutations(atoms + tables or [MomentFunctional(d, BOUND_CAP)]))
+
+
+@given(bound_spans())
+@settings(deadline=None, max_examples=150)
+def test_the_order_bound_cuts_no_order_and_no_pivot(span):
+    """A reference elimination that searches to the whole cap (``_order_bound`` patched away) finds
+    the same orders, all within the bound, or for a rank-deficient span the same rank."""
+    with mock.patch.object(graded_module, "_order_bound", lambda _: 10**9):
+        try:
+            reference = build_graded_basis(span, BOUND_CAP)
+        except RankDeficientError as deficient:
+            reference = deficient
+    if isinstance(reference, RankDeficientError):
+        with pytest.raises(RankDeficientError) as info:
+            build_graded_basis(span, BOUND_CAP)
+        assert info.value.achieved_rank == reference.achieved_rank
+    else:
+        assert build_graded_basis(span, BOUND_CAP).kappas == reference.kappas
+        assert reference.kappas[-1] <= _order_bound(span)
 
 
 @pytest.mark.parametrize("points, hull", [

@@ -17,7 +17,6 @@ from radpoly import (
     build_graded_basis,
     compare_interpolants,
     flat_projector,
-    four_point_radial_moment,
     from_derivative,
     least_basis,
     least_part,
@@ -32,7 +31,7 @@ from radpoly import (
     schaback_interpolate,
 )
 from radpoly.functionals import _radial_kernel
-from radpoly.interpolation import SchabackBasis, _pivot_degrees
+from radpoly.interpolation import SchabackBasis, _four_point_moment, _pivot_degrees
 from radpoly.rational_linalg import determinant, mat_vec, rref, solve, transpose
 from test_graded import RATIONALS, SPAN_KINDS, build_with_ties, spans
 from test_rational_linalg import invert, mat_mul
@@ -393,6 +392,14 @@ class TestFlatProjector:
             assert proj(proj(x)) == proj(x)
             for p in pts:
                 assert proj(p) == p
+
+
+def four_point_radial_moment(points):
+    """The diagnostic ``compare`` reports: lambda ||.||^2 for the graded basis's order-2 member on
+    four distinct planar points, None for any other configuration."""
+    if len(points) != 4 or any(len(p) != 2 for p in points) or len(set(map(tuple, points))) != 4:
+        return None
+    return _four_point_moment(graded_on(points))
 
 
 def four_point_kernel_moment(points):

@@ -6,8 +6,9 @@ import pytest
 
 import radpoly
 
-# oracles that only the tests read: they live in the tests (verify_graded in test_graded)
-TEST_ONLY = ("inner_product", "range_basis", "span_dimension_below", "verify_graded")
+# oracles that only the tests read: they live in the tests (verify_graded in test_graded,
+# four_point_radial_moment in test_interpolation)
+TEST_ONLY = ("four_point_radial_moment", "inner_product", "range_basis", "span_dimension_below", "verify_graded")
 
 
 def test_all_is_sorted_and_every_name_resolves():
