@@ -11,7 +11,6 @@ from .errors import (
     DimensionMismatchError,
     RadpolyError,
     RankDeficientError,
-    SingularGramianError,
     SingularMatrixError,
 )
 from .functionals import (
@@ -32,7 +31,6 @@ from .functionals import (
 )
 from .graded import GradedBasis, build_graded_basis
 from .interpolation import (
-    AffineProjection,
     ComparisonReport,
     InterpolantReport,
     LeastBasis,
@@ -57,7 +55,6 @@ from .polynomials import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineProjection",
     "ComparisonReport",
     "DegreeCapError",
     "DimensionMismatchError",
@@ -72,7 +69,6 @@ __all__ = [
     "RadpolyError",
     "RankDeficientError",
     "SchabackBasis",
-    "SingularGramianError",
     "SingularMatrixError",
     "as_fraction",
     "build_graded_basis",

@@ -22,8 +22,8 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .errors import RadpolyError
-from .functionals import _radial_kernel, expansion_polynomial, radial_power_expansion
-from .graded import build_graded_basis
+from .functionals import PointFunctional, _radial_kernel, expansion_polynomial, radial_power_expansion
+from .graded import GradedBasis, build_graded_basis
 from .interpolation import compare_interpolants, least_interpolate, schaback_interpolate
 from .polynomials import Polynomial
 from .serialization import (
@@ -151,7 +151,9 @@ MAX_PRECISION = 1000
 MAX_VALUE_BITS = 2**20
 
 # The most bits the atom kernel's power tables may hold for the moment columns of an ``interp``
-# target: they grow quadratically in its degree, and x1^40000 at (5, 5) and (3, 4) peaked at 421 MB.
+# target, and the moment records of a ``basis`` output: both grow quadratically in the degree or
+# cap; x1^40000 at (5, 5) and (3, 4) peaked at 421 MB, and a value and a derivative at 5 with cap
+# 2,000 wrote 6.3 MB.
 MAX_TABLE_BITS = 2**30
 
 
@@ -182,6 +184,33 @@ def _require_value_size(polynomial: Polynomial, points, tables: bool = False) ->
                               f"the limit is {MAX_TABLE_BITS}")
 
 
+def _require_output_size(graded: GradedBasis) -> None:
+    """Exit 1 before any moment record is built if the ``basis`` output of a capped span may pass
+    ``MAX_TABLE_BITS``: each capped member is written as C(c + d, d) moment records up to its cap c,
+    and each lambda_i up to the span's, so the output grows with the square of the cap.  A record up
+    to degree c is estimated at c (b + bits(c)) bits when the span has atoms, b the bits of q x_j and
+    q (q the lcm of the coordinates' denominators), plus the largest weight or stored moment and,
+    for a lambda_i, the largest entry of T."""
+    cap, span, d = graded.moments.cap, graded.span, graded.dimension
+    if cap is None:  # a point span writes points and weights, no moment records
+        return
+    points = [x for f in span if isinstance(f, PointFunctional) for x in f.points]
+    q = math.lcm(*(c.denominator for x in points for c in x))
+    b = max((_bits(c * q) for x in points for c in x), default=0) + q.bit_length()
+    values = max((_bits(v) for f in span for v in (
+        f.weights if isinstance(f, PointFunctional) else (v for _, v in f.moments()))), default=0)
+    transform = max(_bits(t) for row in graded.transform for t in row)
+
+    def records(top: int, extra: int) -> int:
+        return math.comb(top + d, d) * ((top * (b + top.bit_length()) if points else 0) + values + extra)
+
+    estimate = (sum(records(f.degree_cap, 0) for f in span if f.degree_cap is not None)
+                + len(span) * records(cap, transform))
+    if estimate > MAX_TABLE_BITS:
+        raise _UsageError(f"size guard: the moment records may need up to {estimate} bits, "
+                          f"the limit is {MAX_TABLE_BITS}")
+
+
 def _render_decimal(value: Fraction, digits: int) -> str:
     """Fixed-point rendering, round half away from zero.  Presentation only."""
     sign = "-" if value < 0 else ""
@@ -202,6 +231,7 @@ def _render_decimal(value: Fraction, digits: int) -> str:
 def _cmd_basis(args) -> int:
     problem = _load(args.input, problem_from_obj)
     graded = build_graded_basis(problem.functionals, problem.degree_cap)
+    _require_output_size(graded)
     _emit(lambda: graded_basis_to_obj(graded), args.output)
     return 0
 

@@ -32,7 +32,3 @@ class RankDeficientError(RadpolyError):
 
 class SingularMatrixError(RadpolyError):
     """An exact linear solve met a singular matrix."""
-
-
-class SingularGramianError(RadpolyError):
-    """An interpolation Gramian turned out singular."""

@@ -16,9 +16,16 @@ is one sum, lambda(p) = sum over the terms of p of p_alpha * lambda(x^alpha), in
 Every atom moment comes from one columnar integer kernel, ``_atom_kernel``,
 which gives the moment of x^gamma at all of its atoms as one tuple of C-level
 products.  A point combination sums that column and keeps each moment it has
-computed as a fraction; the moment table of a span builds one kernel over the
-atoms of all its point functionals, adds a moment functional's stored moments
-and keeps each column from the first time it is read.
+computed as a fraction.  A span of functionals has one integer moment table,
+``MomentTable``: the columns V_alpha = (mu_1(x^alpha), ..., mu_n(x^alpha)) of the
+moment matrix, each built the first time it is read and then kept, so no reader
+builds a column it does not read.  One kernel over the atoms of all its point
+functionals gives the point part of a whole column at once; the stored moments of
+a moment functional are lifted to the same denominator.  Each column is kept as
+integers over one positive scale for its degree, so rational points and rational
+moments need no fractions inside the table.  The moments of a combination
+sum_j T[i][j] mu_j are a row of T V (``MomentRow``); a capped combination, from
+``combine`` or a graded basis, is read off its row up to the cap (``_capped``).
 
 Radial images x |-> lambda ||x - .||_D^(2l), ||x||_D^2 = sum_k D_k x_k^2, come
 from the direct expansion sum over |m| = l of l!/m! D^m prod_k (x_k - y_k)^(2 m_k),
@@ -49,7 +56,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product
+from itertools import accumulate, compress, product
 from operator import mul, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -67,6 +74,7 @@ from .polynomials import (
     monomials_of_degree,
     multi_factorial,
 )
+from .rational_linalg import integer_vector
 
 _ZERO = Fraction(0)
 
@@ -279,6 +287,97 @@ class MomentFunctional(Functional):
         return f"MomentFunctional(cap={self._degree_cap}, {{{body}}})"
 
 
+class MomentTable(dict):
+    """Integer moment columns of a span: self[alpha] is built the first time it is read, then kept.
+
+    mu_i(x^alpha) = self[alpha][i] / scale(|alpha|).  One atom kernel over the atoms of all point
+    functionals gives the point part of a column over r q^k, r and q the lcms of the atoms' weight
+    and coordinate denominators; a functional of several atoms sums its segment.  Moment
+    functionals add their stored moments, and the scale of degree k is the lcm of r q^k and the
+    denominators of the stored moments of degree k.  ``cap`` is the smallest moment cap of the
+    span (None when no functional has one); callers never read the table past it.
+    """
+
+    def __init__(self, span: Sequence[Functional]):
+        super().__init__()
+        self.span = tuple(span)
+        self.dimension = self.span[0].dimension
+        caps = [f.degree_cap for f in self.span if f.degree_cap is not None]
+        self.cap = min(caps) if caps else None
+        points = [f for f in self.span if isinstance(f, PointFunctional)]
+        self._column, self._point_scale = _atom_kernel(
+            self.dimension, [x for f in points for x in f.points], [w for f in points for w in f.weights],
+            [a for f in points for a in f._orders])
+        ends = list(accumulate(len(f.points) for f in points))
+        self._segments = None if all(len(f.points) == 1 for f in points) else list(zip([0, *ends], ends))
+        self._stored = [(i, f) for i, f in enumerate(self.span) if not isinstance(f, PointFunctional)]
+        self._denominators: dict[int, list[int]] = {}  # the stored moments' denominators, by degree
+        for alpha, moment in (item for _, f in self._stored for item in f.moments()):
+            self._denominators.setdefault(sum(alpha), []).append(moment.denominator)
+        self._scales: dict[int, int] = {}
+
+    def scale(self, k: int) -> int:
+        """The positive denominator of every column of degree k, computed once per degree."""
+        if k not in self._scales:
+            self._scales[k] = math.lcm(self._point_scale(k), *self._denominators.get(k, ()))
+        return self._scales[k]
+
+    def __missing__(self, alpha: Exponent) -> tuple[int, ...]:
+        column = self._column(alpha)
+        if self._segments:
+            column = tuple(sum(column[a:b]) for a, b in self._segments)
+        if self._stored:  # lift the point part to the scale and put each stored moment in its row
+            scale = self.scale(sum(alpha))
+            lift = scale // self._point_scale(sum(alpha))
+            column = [v * lift for v in column]
+            for i, f in self._stored:
+                column.insert(i, (f._moment(alpha) * scale).numerator)
+        self[alpha] = column = tuple(column)
+        return column
+
+    def rows(self, transform: Sequence[tuple[Sequence[int], int]], top: int) -> tuple[MomentRow, ...]:
+        """The rows of T V up to degree ``top``, for lambda_i = sum_j T[i][j] mu_j with T in integer
+        rows (numerators, denominator): the moments of the lambda_i, each over one denominator and
+        filled where read."""
+        scales = [self.scale(k) for k in range(top + 1)]
+        scale = math.lcm(*scales)
+        lifts = [scale // s for s in scales]
+        return tuple(MomentRow(self, lifts, ints, den * scale) for ints, den in transform)
+
+    def values(self, f: Polynomial) -> tuple[list[int], int]:
+        """V f = (mu_i(f)) as integer numerators over one denominator: each term of f's integer
+        form lifted by its degree's scale to their lcm.  Only the columns of f's terms are built."""
+        _require_moment_cap(self.cap, f.degree, "evaluating the span functionals")
+        if f.is_zero:
+            return [0] * len(self.span), 1
+        form, denominator = f._integer_form()
+        scales = [self.scale(sum(alpha)) for alpha, _ in form]
+        scale = math.lcm(*set(scales))
+        weights = [c * (scale // s) for (_, c), s in zip(form, scales)]
+        columns = [self[alpha] for alpha, _ in form]
+        return [sum(map(mul, weights, row)) for row in zip(*columns)], denominator * scale
+
+
+class MomentRow(dict):
+    """lambda(x^alpha) = self[alpha] / denominator for every alpha up to the row's top
+    degree; an entry is computed from its table column the first time it is read."""
+
+    def __init__(self, table: MomentTable, lifts: list[int], ints: Sequence[int], denominator: int):
+        super().__init__()
+        self._table, self._lifts, self._ints = table, lifts, ints
+        self.denominator = denominator
+
+    def __missing__(self, alpha: Exponent) -> int:
+        value = self[alpha] = sum(map(mul, self._ints, self._table[alpha])) * self._lifts[sum(alpha)]
+        return value
+
+
+def _capped(row: MomentRow, dimension: int, cap: int) -> MomentFunctional:
+    """The functional whose moments up to ``cap`` are the row's: a capped combination."""
+    return MomentFunctional(dimension, cap, {alpha: Fraction(row[alpha], row.denominator)
+                                             for alpha in monomial_sequence(dimension, cap) if row[alpha]})
+
+
 def point_evaluation(point: Sequence[Rational]) -> PointFunctional:
     """The evaluation functional p |-> p(x)."""
     return PointFunctional([point], [1])
@@ -352,18 +451,8 @@ def combine(functionals: Sequence[Functional], coefficients: Sequence[Rational])
             for x, w in zip(f.points, f.weights):
                 acc[x] = acc.get(x, Fraction(0)) + c * w
         return PointFunctional(list(acc.keys()), list(acc.values()), dimension=d)
-    cap = min(f.degree_cap for f in fs if f.degree_cap is not None)
-    monomials = monomial_sequence(d, cap)
-    moments: dict[Exponent, Fraction] = {}
-    for f, c in zip(fs, cs):
-        if c == 0:
-            continue
-        moment = f._moment
-        for alpha in monomials:
-            value = moment(alpha)
-            if value:
-                moments[alpha] = moments.get(alpha, _ZERO) + c * value
-    return MomentFunctional(d, cap, moments)
+    table = MomentTable(fs)
+    return _capped(table.rows([integer_vector(cs)], table.cap)[0], d, table.cap)
 
 
 @dataclass(frozen=True)

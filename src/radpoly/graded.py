@@ -1,14 +1,6 @@
 """Graded bases of finite-dimensional spaces of linear functionals.
 
-Everything is computed from one integer moment table per span: the columns
-V_alpha = (mu_1(x^alpha), ..., mu_n(x^alpha)) of the moment matrix, each built
-the first time it is read and then kept, so no reader builds a column it does
-not read.  The point functionals of a span share one atom kernel, which gives
-the point part of a whole column at once; the stored moments of a moment
-functional are lifted to the same denominator.  Each column is kept as integers
-over one positive scale for its degree, so rational points and rational moments
-need no fractions inside the table.
-
+Everything is computed from the span's integer moment table (``functionals.MomentTable``).
 Gauss elimination with row interchanges on that table (de Boor and Ron's
 elimination by segments) turns an independent family mu_1..mu_n into a
 basis lambda_i = sum_j T[i][j] mu_j with:
@@ -48,101 +40,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, RankDeficientError
-from .functionals import (Functional, MomentFunctional, PointFunctional, _atom_kernel, _order_bound,
+from .functionals import (Functional, MomentRow, MomentTable, PointFunctional, _capped, _order_bound,
                           _require_moment_cap, combine)
-from .polynomials import Exponent, Polynomial, monomial_sequence, monomials_of_degree
+from .polynomials import Exponent, monomials_of_degree
 from .rational_linalg import integer_vector, rref
-
-
-class MomentTable(dict):
-    """Integer moment columns of a span: self[alpha] is built the first time it is read, then kept.
-
-    mu_i(x^alpha) = self[alpha][i] / scale(|alpha|).  One atom kernel over the atoms of all point
-    functionals gives the point part of a column over r q^k, r and q the lcms of the atoms' weight
-    and coordinate denominators; a functional of several atoms sums its segment.  Moment
-    functionals add their stored moments, and the scale of degree k is the lcm of r q^k and the
-    denominators of the stored moments of degree k.  ``cap`` is the smallest moment cap of the
-    span (None when no functional has one); callers never read the table past it.
-    """
-
-    def __init__(self, span: Sequence[Functional]):
-        super().__init__()
-        self.span = tuple(span)
-        self.dimension = self.span[0].dimension
-        caps = [f.degree_cap for f in self.span if f.degree_cap is not None]
-        self.cap = min(caps) if caps else None
-        points = [f for f in self.span if isinstance(f, PointFunctional)]
-        self._column, self._point_scale = _atom_kernel(
-            self.dimension, [x for f in points for x in f.points], [w for f in points for w in f.weights],
-            [a for f in points for a in f._orders])
-        ends = list(accumulate(len(f.points) for f in points))
-        self._segments = None if all(len(f.points) == 1 for f in points) else list(zip([0, *ends], ends))
-        self._stored = [(i, f) for i, f in enumerate(self.span) if not isinstance(f, PointFunctional)]
-        self._denominators: dict[int, list[int]] = {}  # the stored moments' denominators, by degree
-        for alpha, moment in (item for _, f in self._stored for item in f.moments()):
-            self._denominators.setdefault(sum(alpha), []).append(moment.denominator)
-        self._scales: dict[int, int] = {}
-
-    def scale(self, k: int) -> int:
-        """The positive denominator of every column of degree k, computed once per degree."""
-        if k not in self._scales:
-            self._scales[k] = lcm(self._point_scale(k), *self._denominators.get(k, ()))
-        return self._scales[k]
-
-    def __missing__(self, alpha: Exponent) -> tuple[int, ...]:
-        column = self._column(alpha)
-        if self._segments:
-            column = tuple(sum(column[a:b]) for a, b in self._segments)
-        if self._stored:  # lift the point part to the scale and put each stored moment in its row
-            scale = self.scale(sum(alpha))
-            lift = scale // self._point_scale(sum(alpha))
-            column = [v * lift for v in column]
-            for i, f in self._stored:
-                column.insert(i, (f._moment(alpha) * scale).numerator)
-        self[alpha] = column = tuple(column)
-        return column
-
-    def rows(self, transform: Sequence[tuple[Sequence[int], int]], top: int) -> tuple[MomentRow, ...]:
-        """The rows of T V up to degree ``top``, for lambda_i = sum_j T[i][j] mu_j with T in integer
-        rows (numerators, denominator): the moments of the lambda_i, each over one denominator and
-        filled where read."""
-        scales = [self.scale(k) for k in range(top + 1)]
-        scale = lcm(*scales)
-        lifts = [scale // s for s in scales]
-        return tuple(MomentRow(self, lifts, ints, den * scale) for ints, den in transform)
-
-    def values(self, f: Polynomial) -> tuple[list[int], int]:
-        """V f = (mu_i(f)) as integer numerators over one denominator: each term of f's integer
-        form lifted by its degree's scale to their lcm.  Only the columns of f's terms are built."""
-        _require_moment_cap(self.cap, f.degree, "evaluating the span functionals")
-        if f.is_zero:
-            return [0] * len(self.span), 1
-        form, denominator = f._integer_form()
-        scales = [self.scale(sum(alpha)) for alpha, _ in form]
-        scale = lcm(*set(scales))
-        weights = [c * (scale // s) for (_, c), s in zip(form, scales)]
-        columns = [self[alpha] for alpha, _ in form]
-        return [sum(map(mul, weights, row)) for row in zip(*columns)], denominator * scale
-
-
-class MomentRow(dict):
-    """lambda(x^alpha) = self[alpha] / denominator for every alpha up to the row's top
-    degree; an entry is computed from its table column the first time it is read."""
-
-    def __init__(self, table: MomentTable, lifts: list[int], ints: Sequence[int], denominator: int):
-        super().__init__()
-        self._table, self._lifts, self._ints = table, lifts, ints
-        self.denominator = denominator
-
-    def __missing__(self, alpha: Exponent) -> int:
-        value = self[alpha] = sum(map(mul, self._ints, self._table[alpha])) * self._lifts[sum(alpha)]
-        return value
 
 
 class Hull(NamedTuple):
@@ -224,10 +130,7 @@ class GradedBasis:
         cap = self.moments.cap
         if cap is None:
             return tuple(combine(self.span, row) for row in self.transform)
-        monomials = monomial_sequence(self.dimension, cap)
-        return tuple(MomentFunctional(self.dimension, cap, {alpha: Fraction(row[alpha], row.denominator)
-                                                            for alpha in monomials if row[alpha]})
-                     for row in self.moments.rows(self.integer_transform, cap))
+        return tuple(_capped(row, self.dimension, cap) for row in self.moments.rows(self.integer_transform, cap))
 
     @cached_property
     def transform(self) -> tuple[tuple[Fraction, ...], ...]:

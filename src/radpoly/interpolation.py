@@ -55,10 +55,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import rational_linalg as linalg
-from .errors import DimensionMismatchError, SingularGramianError, SingularMatrixError
+from .errors import DimensionMismatchError, SingularMatrixError
 from .functionals import (
     _polynomial,
     _require_moment_cap,
@@ -83,31 +83,9 @@ from .polynomials import (
 # Flats
 
 
-@dataclass(frozen=True)
-class AffineProjection:
-    """Orthogonal projection onto an affine subspace: x |-> Q x + shift."""
-
-    linear: tuple[tuple[Fraction, ...], ...]
-    shift: tuple[Fraction, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.shift)
-
-    def __call__(self, point: Sequence[Rational]) -> tuple[Fraction, ...]:
-        x = as_point(point)
-        if len(x) != self.dimension:
-            raise DimensionMismatchError("point has wrong length for this projection")
-        image = linalg.mat_vec([list(row) for row in self.linear], list(x))
-        return tuple(v + s for v, s in zip(image, self.shift))
-
-
-def flat_projector(points: Sequence[Sequence[Rational]]) -> AffineProjection:
-    """Exact orthoprojector onto the affine hull of the given points.
-
-    The map is x |-> Q x + x0, where Q = sum_k u_k u_k^T / D_k is symmetric and
-    idempotent and x0 = x_1 - Q x_1 is the hull's point nearest 0.
-    """
+def flat_projector(points: Sequence[Sequence[Rational]]) -> Callable[[Sequence[Rational]], tuple[Fraction, ...]]:
+    """Exact orthoprojector onto the affine hull of the given points, in the hull's own coordinates:
+    P x = x_1 + sum_k (t_k(x) - t_k(x_1)) u_k, t_k(x) = u_k . x / D_k (see ``graded.Hull``)."""
     pts = [as_point(p) for p in points]
     if not pts:
         raise ValueError("need at least one point")
@@ -115,11 +93,16 @@ def flat_projector(points: Sequence[Sequence[Rational]]) -> AffineProjection:
     if any(len(p) != d for p in pts):
         raise DimensionMismatchError("points of mixed dimension")
     hull = _hull(pts)
-    pairs = list(zip(hull.directions, hull.weights))
-    q = [[sum((Fraction(u[i] * u[j], w) for u, w in pairs), Fraction(0)) for j in range(d)]
-         for i in range(d)]
-    x0 = [a - b for a, b in zip(pts[0], linalg.mat_vec(q, list(pts[0])))]
-    return AffineProjection(linear=tuple(tuple(row) for row in q), shift=tuple(x0))
+    base = hull(pts[0])
+
+    def project(point: Sequence[Rational]) -> tuple[Fraction, ...]:
+        x = as_point(point)
+        if len(x) != d:
+            raise DimensionMismatchError("point has wrong length for this projection")
+        shifts = [t - s for t, s in zip(hull(x), base)]
+        return tuple(c + sum(s * u[i] for s, u in zip(shifts, hull.directions)) for i, c in enumerate(pts[0]))
+
+    return project
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +129,12 @@ class _Basis:
     @cached_property
     def factors(self) -> linalg.BlockUpperFactors:
         """The Gramian factored one diagonal block at a time; each pivot of a block
-        of order kappa must have the sign ``_sign ** kappa``."""
-        factors = linalg.factor_block_upper(self.gramian, self.source.blocks())
+        of order kappa must have the sign ``_sign ** kappa``.  The blocks are definite,
+        so a zero pivot, which has no sign, breaks the law too."""
+        try:
+            factors = linalg.factor_block_upper(self.gramian, self.source.blocks())
+        except SingularMatrixError as exc:
+            raise AssertionError(f"{self._method} Gramian {exc}: a zero pivot breaks the sign law") from exc
         for bi, (block, (_, _, pivots)) in enumerate(zip(factors.blocks, factors.diagonal)):
             kappa = self.source.kappas[block[0]]
             wrong = [i for i, (num, _) in zip(block, pivots) if num * self._sign ** kappa < 0]
@@ -277,11 +264,7 @@ def _interpolate(method: str, basis: SchabackBasis | LeastBasis, data, target) -
     values, common = _data_vector(graded, data, target)
     lam_values = [(sum(map(mul, row, values)), denominator * common)  # lambda_i(f), unreduced
                   for row, denominator in graded.integer_transform]
-    try:
-        factors = basis.factors
-    except SingularMatrixError as exc:
-        raise SingularGramianError(f"{method} Gramian is singular") from exc
-    rows, forms, linear = graded.rows, basis.forms, graded.frame.linear
+    factors, rows, forms, linear = basis.factors, graded.rows, basis.forms, graded.frame.linear
     sums: dict[Exponent, int] = {}
     coeffs, scale, bits = [(0, 1)] * graded.size, 1, 1
     for bi, block in reversed(list(enumerate(factors.blocks))):

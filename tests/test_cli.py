@@ -562,6 +562,33 @@ class TestSizeGuard:
         assert code == 0 and capsys.readouterr().err == ""
         assert json.loads(body)["schaback"]["data"] == [x**4000 - y * z**2999 for x, y, z in points]
 
+    @staticmethod
+    def _value_and_derivative(tmp_path, cap):
+        """A value and a first derivative at 5, every cap ``cap``: basis writes both members and
+        both lambda_i as moment records up to the cap."""
+        path = tmp_path / f"records{cap}.json"
+        functionals = [{"type": "derivative", "alpha": [a], "at": [5], "cap": cap} for a in (0, 1)]
+        path.write_text(json.dumps({"dimension": 1, "degree_cap": cap, "functionals": functionals}))
+        return ["basis", "--input", str(path)]
+
+    @pytest.mark.parametrize("cap,estimate", [(20_000, 32_001_840_012), (10**6, 100_000_112_000_012)])
+    def test_oversized_basis_records_exit_one_with_one_line(self, tmp_path, capsys, cap, estimate):
+        """Four sets of cap + 1 records, each estimated at cap (bits(5) + bits(1) + bits(cap)) bits
+        plus the weights' 2 and, for the lambda_i, T's 2: at 20,000 basis ran until killed, at
+        10^6 it ended in a MemoryError traceback."""
+        code, body = run(tmp_path, *self._value_and_derivative(tmp_path, cap))
+        assert (code, body) == (1, b"")
+        assert capsys.readouterr().err == (f"radpoly: size guard: the moment records may need up to "
+                                           f"{estimate} bits, the limit is {cli.MAX_TABLE_BITS}\n")
+
+    def test_basis_records_within_the_limit_are_written(self, tmp_path, capsys):
+        """At cap 2,000 the estimate is about 2.6 * 10^8 bits: all 4 x 2,000 nonzero moments are written."""
+        code, body = run(tmp_path, *self._value_and_derivative(tmp_path, 2000))
+        assert code == 0 and capsys.readouterr().err == ""
+        out = json.loads(body)
+        assert [len(f["moments"]) for f in out["span"] + out["lambdas"]] == [2001, 2000, 2001, 2000]
+        assert out["lambdas"][1]["moments"][-1] == {"alpha": [2000], "value": 2000 * 5**1999}
+
 
 class TestDegreeCap:
     def test_explicit_cap_sets_the_elimination_cap(self, tmp_path):

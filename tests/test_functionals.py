@@ -697,6 +697,55 @@ def test_capped_combination_with_vanishing_moments_is_zero(d, data):
     assert order(lam) == -1
 
 
+def fraction_combination(functionals, coefficients):
+    """Oracle: sum_i c_i lambda_i accumulated moment by moment in Fractions over every member
+    and monomial up to the smallest cap, as ``combine`` once built a capped combination."""
+    d = functionals[0].dimension
+    cap = min(f.degree_cap for f in functionals if f.degree_cap is not None)
+    moments = {}
+    for f, c in zip(functionals, coefficients):
+        for alpha in monomial_sequence(d, cap):
+            moments[alpha] = moments.get(alpha, Fraction(0)) + Fraction(c) * f.moment(alpha)
+    return MomentFunctional(d, cap, moments)
+
+
+@st.composite
+def _capped_members(draw):
+    """Point evaluations, point combinations, derivative atoms and moment tables of different caps,
+    at least one of them capped, with coefficients that may be zero or fractional."""
+    d = draw(st.integers(1, 2))
+    coordinate = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    value = st.just(Fraction(0)) | st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    site = st.tuples(*[coordinate] * d)
+    kinds = {
+        "evaluation": site.map(point_evaluation),
+        "combination": st.lists(site, min_size=1, max_size=3, unique=True).flatmap(
+            lambda xs: st.lists(value, min_size=len(xs), max_size=len(xs)).map(
+                lambda ws: PointFunctional(xs, ws))),
+        "derivative": st.integers(1, 6).flatmap(lambda cap: st.builds(
+            from_derivative, st.tuples(*[st.integers(0, 2)] * d).filter(lambda a: sum(a) <= cap),
+            site, st.just(cap))),
+        "moments": st.integers(0, 6).flatmap(lambda cap: st.builds(
+            MomentFunctional, st.just(d), st.just(cap),
+            st.dictionaries(st.tuples(*[st.integers(0, cap)] * d).filter(lambda a: sum(a) <= cap),
+                            value, max_size=4))),
+    }
+    members = draw(st.lists(st.sampled_from(sorted(kinds)).flatmap(kinds.get), min_size=1, max_size=5))
+    capped = draw(st.sampled_from(["derivative", "moments"]).flatmap(kinds.get))
+    members.insert(draw(st.integers(0, len(members))), capped)
+    return members, draw(st.lists(value, min_size=len(members), max_size=len(members)))
+
+
+@given(_capped_members())
+@settings(deadline=None, max_examples=80)
+def test_capped_combination_matches_the_fraction_accumulation(case):
+    """A capped combine reads its row of the span's moment table: the Fraction accumulation's moments."""
+    members, coefficients = case
+    lam = combine(members, coefficients)
+    assert isinstance(lam, MomentFunctional)
+    assert lam == fraction_combination(members, coefficients)
+
+
 # Each entry point that takes exponents from outside, and the type a degree past its cap
 # raises there (None: no cap); the types are the ones each raised before the check was shared.
 CHECKED_ENTRY_POINTS = {

@@ -26,7 +26,7 @@ from radpoly import (
 )
 import radpoly.graded as graded_module
 from radpoly.functionals import _order_bound
-from radpoly.graded import MomentTable
+from radpoly.functionals import MomentTable
 from radpoly.rational_linalg import determinant, integer_vector
 from test_functionals import _atom_combinations, _oracle_moment
 

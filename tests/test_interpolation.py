@@ -11,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from radpoly import (
     DegreeCapError,
+    DimensionMismatchError,
     Polynomial,
     RankDeficientError,
-    SingularGramianError,
     build_graded_basis,
     compare_interpolants,
     flat_projector,
@@ -182,7 +182,8 @@ class TestSchabackInterpolation:
         graded = graded_on([(0,), (1,)])
         zero = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
         broken = replace(make_basis(graded), gramian=zero)
-        with pytest.raises(SingularGramianError, match=f"{method} Gramian"):
+        # the blocks are definite: a zero pivot has no sign and breaks the sign law
+        with pytest.raises(AssertionError, match=f"^{method} Gramian diagonal block 0: no pivot in column 0"):
             interpolate(broken, data=[0, 1])
 
     @pytest.mark.parametrize("method, make_basis, interpolate", METHODS, ids=["schaback", "least"])
@@ -203,7 +204,8 @@ class TestSchabackInterpolation:
         gramian[2][1:3] = [b, b * b / a]
         basis = replace(healthy, gramian=tuple(map(tuple, gramian)))
         for _ in range(2):
-            with pytest.raises(SingularGramianError, match=f"^{method} Gramian is singular"):
+            with pytest.raises(AssertionError, match=f"^{method} Gramian diagonal block 1: no pivot in column 2: "
+                                                     "a zero pivot breaks the sign law"):
                 interpolate(basis, data=[0, 0, 0, 1])
         assert "factors" not in vars(basis)  # a failed factorization is not cached
 
@@ -347,24 +349,22 @@ def test_span_equality_of_empty_and_zero_spans():
 
 
 class TestFlatProjector:
+    """P is a function of the point: checked by its values, against the hull it projects onto."""
+
     def test_spanning_points_give_identity(self):
         proj = flat_projector([(0, 0), (1, 0), (0, 1)])
-        assert proj.linear == ((1, 0), (0, 1))
-        assert proj.shift == (0, 0)
+        for x in [(3, -2), (Fraction(1, 3), 7), (0, 0)]:
+            assert proj(x) == x
 
     def test_diagonal_line(self):
         proj = flat_projector([(0, 0), (1, 1)])
-        half = Fraction(1, 2)
-        assert proj.linear == ((half, half), (half, half))
-        assert proj.shift == (0, 0)
+        assert proj((1, 0)) == proj((0, 1)) == (Fraction(1, 2), Fraction(1, 2))
+        assert proj((3, 5)) == (4, 4)
 
     def test_coordinate_plane(self):
         proj = flat_projector([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-        assert proj.linear == (
-            (1, 0, 0),
-            (0, 1, 0),
-            (0, 0, 0),
-        )
+        assert proj((2, -3, 5)) == (2, -3, 0)
+        assert proj((Fraction(1, 2), 0, -1)) == (Fraction(1, 2), 0, 0)
 
     def test_matches_the_gram_inverse_projector(self):
         rng = random.Random(5)
@@ -374,10 +374,13 @@ class TestFlatProjector:
                    for _ in range(rng.randint(1, d + 1))]
             proj = flat_projector(pts)
             q, shift = gram_projector(pts)
-            assert [list(row) for row in proj.linear] == q
-            assert list(proj.shift) == shift
+            for _ in range(3):
+                x = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d))
+                assert list(proj(x)) == [v + s for v, s in zip(mat_vec(q, list(x)), shift)]
 
     def test_idempotent_and_symmetric(self):
+        """P fixes the points and P(P x) = P x; x - P x is orthogonal to the hull's directions,
+        the differences of the points, which makes P the orthogonal projector."""
         rng = random.Random(13)
         for _ in range(10):
             d = rng.randint(2, 3)
@@ -385,13 +388,23 @@ class TestFlatProjector:
             pts = set()
             while len(pts) < n:
                 pts.add(tuple(Fraction(rng.randint(-4, 4)) for _ in range(d)))
-            proj = flat_projector(list(pts))
-            q = [list(row) for row in proj.linear]
-            assert q == [list(row) for row in transpose(q)]
-            x = tuple(Fraction(rng.randint(-6, 6)) for _ in range(d))
-            assert proj(proj(x)) == proj(x)
+            pts = list(pts)
+            proj = flat_projector(pts)
             for p in pts:
                 assert proj(p) == p
+            x = tuple(Fraction(rng.randint(-6, 6)) for _ in range(d))
+            assert proj(proj(x)) == proj(x)
+            normal = [a - b for a, b in zip(x, proj(x))]
+            for p in pts[1:]:
+                assert sum(c * (a - b) for c, a, b in zip(normal, p, pts[0])) == 0
+
+    def test_input_checks(self):
+        with pytest.raises(ValueError):
+            flat_projector([])
+        with pytest.raises(DimensionMismatchError):
+            flat_projector([(0, 0), (1, 0, 0)])
+        with pytest.raises(DimensionMismatchError):
+            flat_projector([(0, 0), (1, 1)])((1, 2, 3))
 
 
 def four_point_radial_moment(points):

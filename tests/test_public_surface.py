@@ -25,3 +25,10 @@ def test_a_test_only_oracle_is_not_exported(name):
 @pytest.mark.parametrize("function", [radpoly.order, radpoly.least_part])
 def test_the_order_search_takes_no_cap(function):
     assert len(inspect.signature(function).parameters) == 1
+
+
+@pytest.mark.parametrize("name", ["AffineProjection", "SingularGramianError"])
+def test_a_removed_second_path_is_not_exported(name):
+    """flat_projector returns a function, and a zero Gramian pivot fails the sign law."""
+    assert name not in radpoly.__all__
+    assert not hasattr(radpoly, name)
