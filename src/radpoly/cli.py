@@ -186,11 +186,12 @@ def _require_value_size(polynomial: Polynomial, points, tables: bool = False) ->
 
 def _require_output_size(graded: GradedBasis) -> None:
     """Exit 1 before any moment record is built if the ``basis`` output of a capped span may pass
-    ``MAX_TABLE_BITS``: each capped member is written as C(c + d, d) moment records up to its cap c,
-    and each lambda_i up to the span's, so the output grows with the square of the cap.  A record up
-    to degree c is estimated at c (b + bits(c)) bits when the span has atoms, b the bits of q x_j and
-    q (q the lcm of the coordinates' denominators), plus the largest weight or stored moment and,
-    for a lambda_i, the largest entry of T."""
+    ``MAX_TABLE_BITS``: each capped member is written as moment records up to its cap c, and each
+    lambda_i up to the span's, one record per monomial of the table's ``support`` up to c: C(c + d, d)
+    when the span has atoms, so the output grows with the square of the cap.  A record up to degree
+    c is estimated at c (b + bits(c)) bits when the span has atoms, b the bits of q x_j and q (q the
+    lcm of the coordinates' denominators), plus the largest weight or stored moment and, for a
+    lambda_i, the largest entry of T."""
     cap, span, d = graded.moments.cap, graded.span, graded.dimension
     if cap is None:  # a point span writes points and weights, no moment records
         return
@@ -202,7 +203,8 @@ def _require_output_size(graded: GradedBasis) -> None:
     transform = max(_bits(t) for row in graded.transform for t in row)
 
     def records(top: int, extra: int) -> int:
-        return math.comb(top + d, d) * ((top * (b + top.bit_length()) if points else 0) + values + extra)
+        count = math.comb(top + d, d) if points else len(graded.moments.support(top))
+        return count * ((top * (b + top.bit_length()) if points else 0) + values + extra)
 
     estimate = (sum(records(f.degree_cap, 0) for f in span if f.degree_cap is not None)
                 + len(span) * records(cap, transform))

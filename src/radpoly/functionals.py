@@ -15,17 +15,19 @@ is one sum, lambda(p) = sum over the terms of p of p_alpha * lambda(x^alpha), in
 
 Every atom moment comes from one columnar integer kernel, ``_atom_kernel``,
 which gives the moment of x^gamma at all of its atoms as one tuple of C-level
-products.  A point combination sums that column and keeps each moment it has
-computed as a fraction.  A span of functionals has one integer moment table,
-``MomentTable``: the columns V_alpha = (mu_1(x^alpha), ..., mu_n(x^alpha)) of the
-moment matrix, each built the first time it is read and then kept, so no reader
-builds a column it does not read.  One kernel over the atoms of all its point
-functionals gives the point part of a whole column at once; the stored moments of
-a moment functional are lifted to the same denominator.  Each column is kept as
-integers over one positive scale for its degree, so rational points and rational
-moments need no fractions inside the table.  The moments of a combination
-sum_j T[i][j] mu_j are a row of T V (``MomentRow``); a capped combination, from
-``combine`` or a graded basis, is read off its row up to the cap (``_capped``).
+products.  Every moment is read off an integer moment table, ``MomentTable``: a
+span's, or a functional's own, with it as the one member (``moment``, applying,
+``order``, radial images and least parts read that one).  Its columns
+V_alpha = (mu_1(x^alpha), ..., mu_n(x^alpha)) of the moment matrix are each built the
+first time they are read and then kept, so no reader builds a column it does not read.
+One kernel over the atoms of all its point functionals gives the point part of a whole
+column at once; the stored moments of a moment functional are lifted to the same
+denominator.  Each column is kept as integers over one positive scale for its degree,
+so rational points and rational moments need no fractions inside the table.  The
+moments of a combination sum_j T[i][j] mu_j are a row of T V (``MomentRow``); a capped
+combination, from ``combine`` or a graded basis, is read off its row up to the cap
+(``_capped``) where the table can be nonzero (``support``: every monomial when the span
+has atoms, else the stored ones).
 
 Radial images x |-> lambda ||x - .||_D^(2l), ||x||_D^2 = sum_k D_k x_k^2, come
 from the direct expansion sum over |m| = l of l!/m! D^m prod_k (x_k - y_k)^(2 m_k),
@@ -41,9 +43,7 @@ Radial images and lowest-degree parts of the moment series
 need nothing but a lookup of integer moments over one denominator:
 ``image_from_moments`` and ``least_part_from_moments`` take one and return the
 polynomial's integer coefficient sums over one denominator, so the same bodies serve
-a row of a graded basis's integer moment table and a functional, whose moments
-(its ``_moment``) ``radial_image`` and ``least_part`` read once and lift to integers
-over the lcm of their denominators.
+a row of a graded basis's integer moment table and the column of a functional's own.
 
 The order of a functional is the smallest total degree carrying a nonzero
 moment (equivalently, the largest k with lambda vanishing on all polynomials
@@ -76,9 +76,6 @@ from .polynomials import (
 )
 from .rational_linalg import integer_vector
 
-_ZERO = Fraction(0)
-
-
 def _require_moment_cap(cap: int | None, needed: int, operation: str) -> None:
     """Raise unless moments up to degree ``needed`` exist under ``cap``: the one guard on a moment
     cap, for applying a functional, eliminating a span, radial images and V f."""
@@ -93,13 +90,8 @@ def _apply(functional: "Functional", p: Polynomial) -> Fraction:
     if p.dimension != functional.dimension:
         raise DimensionMismatchError("functional and polynomial dimensions differ")
     _require_moment_cap(functional.degree_cap, p.degree, "applying a functional")
-    moment = functional._moment
-    total = _ZERO
-    for alpha, coeff in p._terms.items():
-        value = moment(alpha)
-        if value:
-            total += coeff * value
-    return total
+    values, denominator = functional._moment_table().values(p)
+    return Fraction(values[0], denominator)
 
 
 def _atom_kernel(dimension: int, points, weights, orders) -> tuple[Callable, Callable]:
@@ -138,11 +130,11 @@ def _atom_kernel(dimension: int, points, weights, orders) -> tuple[Callable, Cal
 class Functional:
     """A linear functional known by its moments: the protocol both representations share.
 
-    A subclass holds its own data and gives ``is_zero``, ``_moment`` (lambda(x^alpha) for a
-    checked key), ``_key`` (what equality of the same type compares)
-    and ``__call__ = _apply`` in its own body, where the benchmark tracer wraps it."""
+    A subclass holds its own data and gives ``is_zero``, ``_key`` (what equality of the same type
+    compares) and ``__call__ = _apply`` in its own body, where the benchmark tracer wraps it.  Its
+    moments are read off its own one-member ``MomentTable``, ``_table``, ignored by ==, hash and repr."""
 
-    __slots__ = ("_dimension", "_degree_cap")
+    __slots__ = ("_dimension", "_degree_cap", "_table")
 
     @property
     def dimension(self) -> int:
@@ -155,7 +147,15 @@ class Functional:
 
     def moment(self, alpha: Iterable[int]) -> Fraction:
         """lambda(x^alpha); alpha is checked against the dimension and the cap."""
-        return self._moment(_checked_exponent(alpha, self._dimension, self._degree_cap))
+        key = _checked_exponent(alpha, self._dimension, self._degree_cap)
+        table = self._moment_table()
+        return Fraction(table[key][0], table.scale(sum(key)))
+
+    def _moment_table(self) -> MomentTable:
+        """The functional's own moment table, with it as the one member."""
+        if self._table is None:
+            self._table = MomentTable((self,))
+        return self._table
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -173,9 +173,7 @@ class PointFunctional(Functional):
     which apply to polynomials of any degree.
     """
 
-    # _orders: each atom's derivative order; _kernel and _table: the atom kernel and the
-    # computed moments, built on demand and ignored by equality, hash and repr.
-    __slots__ = ("_points", "_weights", "_orders", "_kernel", "_table")
+    __slots__ = ("_points", "_weights", "_orders")  # _orders: each atom's derivative order
 
     def __init__(self, points: Iterable[Sequence[Rational]], weights: Iterable[Rational],
                  *, dimension: int | None = None):
@@ -205,8 +203,7 @@ class PointFunctional(Functional):
         self._weights = tuple(w for _, w in kept)
         self._orders = ((0,) * d,) * len(kept)
         self._degree_cap: int | None = None
-        self._kernel = None
-        self._table: dict[Exponent, Fraction] = {}
+        self._table = None
 
     @property
     def points(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -219,16 +216,6 @@ class PointFunctional(Functional):
     @property
     def is_zero(self) -> bool:
         return not self._weights
-
-    def _moment(self, key: Exponent) -> Fraction:
-        """lambda(x^key) for a checked key, computed once per functional."""
-        total = self._table.get(key)
-        if total is None:  # the column of the atom kernel, summed
-            if self._kernel is None:
-                self._kernel = _atom_kernel(self._dimension, self._points, self._weights, self._orders)
-            column, scale = self._kernel
-            total = self._table[key] = Fraction(sum(column(key)), scale(sum(key)))
-        return total
 
     __call__ = _apply
 
@@ -259,6 +246,7 @@ class MomentFunctional(Functional):
         self._dimension = dimension
         self._degree_cap = degree_cap
         self._moments = _canonical_terms(moments, dimension, degree_cap)
+        self._table = None
 
     @property
     def is_zero(self) -> bool:
@@ -272,10 +260,6 @@ class MomentFunctional(Functional):
     def moments(self) -> list[tuple[Exponent, Fraction]]:
         """Nonzero moments in graded order."""
         return sorted(self._moments.items(), key=lambda item: graded_key(item[0]))
-
-    def _moment(self, key: Exponent) -> Fraction:
-        """Table lookup for a checked key."""
-        return self._moments.get(key, _ZERO)
 
     __call__ = _apply
 
@@ -295,26 +279,36 @@ class MomentTable(dict):
     and coordinate denominators; a functional of several atoms sums its segment.  Moment
     functionals add their stored moments, and the scale of degree k is the lcm of r q^k and the
     denominators of the stored moments of degree k.  ``cap`` is the smallest moment cap of the
-    span (None when no functional has one); callers never read the table past it.
+    span (None when no functional has one); callers never read the table past it.  The table keeps
+    the members' atoms and stored moments, not the members: a functional's own table is no cycle.
     """
 
     def __init__(self, span: Sequence[Functional]):
         super().__init__()
-        self.span = tuple(span)
-        self.dimension = self.span[0].dimension
-        caps = [f.degree_cap for f in self.span if f.degree_cap is not None]
+        self.size = len(span)
+        self.dimension = span[0].dimension
+        caps = [f.degree_cap for f in span if f.degree_cap is not None]
         self.cap = min(caps) if caps else None
-        points = [f for f in self.span if isinstance(f, PointFunctional)]
+        points = [f for f in span if isinstance(f, PointFunctional)]
         self._column, self._point_scale = _atom_kernel(
             self.dimension, [x for f in points for x in f.points], [w for f in points for w in f.weights],
             [a for f in points for a in f._orders])
+        self._atoms = any(f.points for f in points)
         ends = list(accumulate(len(f.points) for f in points))
         self._segments = None if all(len(f.points) == 1 for f in points) else list(zip([0, *ends], ends))
-        self._stored = [(i, f) for i, f in enumerate(self.span) if not isinstance(f, PointFunctional)]
+        self._stored = [(i, f._moments) for i, f in enumerate(span) if not isinstance(f, PointFunctional)]
         self._denominators: dict[int, list[int]] = {}  # the stored moments' denominators, by degree
-        for alpha, moment in (item for _, f in self._stored for item in f.moments()):
+        for alpha, moment in (item for _, moments in self._stored for item in moments.items()):
             self._denominators.setdefault(sum(alpha), []).append(moment.denominator)
         self._scales: dict[int, int] = {}
+
+    def support(self, top: int) -> list[Exponent]:
+        """The monomials up to degree ``top``, in graded order, where a column can be nonzero: all of
+        them when the span has atoms, else those of the stored moments."""
+        if self._atoms:
+            return monomial_sequence(self.dimension, top)
+        stored = {alpha for _, moments in self._stored for alpha in moments if sum(alpha) <= top}
+        return sorted(stored, key=graded_key)
 
     def scale(self, k: int) -> int:
         """The positive denominator of every column of degree k, computed once per degree."""
@@ -323,15 +317,15 @@ class MomentTable(dict):
         return self._scales[k]
 
     def __missing__(self, alpha: Exponent) -> tuple[int, ...]:
-        column = self._column(alpha)
+        column = self._column(alpha) if self._atoms else ()  # the kernel would grow empty tables
         if self._segments:
             column = tuple(sum(column[a:b]) for a, b in self._segments)
         if self._stored:  # lift the point part to the scale and put each stored moment in its row
             scale = self.scale(sum(alpha))
             lift = scale // self._point_scale(sum(alpha))
             column = [v * lift for v in column]
-            for i, f in self._stored:
-                column.insert(i, (f._moment(alpha) * scale).numerator)
+            for i, moments in self._stored:
+                column.insert(i, (moments.get(alpha, 0) * scale).numerator)
         self[alpha] = column = tuple(column)
         return column
 
@@ -339,17 +333,21 @@ class MomentTable(dict):
         """The rows of T V up to degree ``top``, for lambda_i = sum_j T[i][j] mu_j with T in integer
         rows (numerators, denominator): the moments of the lambda_i, each over one denominator and
         filled where read."""
+        lifts, scale = self.lifts(top)
+        return tuple(MomentRow(self, lifts, ints, den * scale) for ints, den in transform)
+
+    def lifts(self, top: int) -> tuple[list[int], int]:
+        """The lifts scale // scale(k) of the degrees k <= ``top`` to their lcm, and that lcm."""
         scales = [self.scale(k) for k in range(top + 1)]
         scale = math.lcm(*scales)
-        lifts = [scale // s for s in scales]
-        return tuple(MomentRow(self, lifts, ints, den * scale) for ints, den in transform)
+        return [scale // s for s in scales], scale
 
     def values(self, f: Polynomial) -> tuple[list[int], int]:
         """V f = (mu_i(f)) as integer numerators over one denominator: each term of f's integer
         form lifted by its degree's scale to their lcm.  Only the columns of f's terms are built."""
         _require_moment_cap(self.cap, f.degree, "evaluating the span functionals")
         if f.is_zero:
-            return [0] * len(self.span), 1
+            return [0] * self.size, 1
         form, denominator = f._integer_form()
         scales = [self.scale(sum(alpha)) for alpha, _ in form]
         scale = math.lcm(*set(scales))
@@ -372,10 +370,11 @@ class MomentRow(dict):
         return value
 
 
-def _capped(row: MomentRow, dimension: int, cap: int) -> MomentFunctional:
+def _capped(row: MomentRow, cap: int) -> MomentFunctional:
     """The functional whose moments up to ``cap`` are the row's: a capped combination."""
-    return MomentFunctional(dimension, cap, {alpha: Fraction(row[alpha], row.denominator)
-                                             for alpha in monomial_sequence(dimension, cap) if row[alpha]})
+    table = row._table
+    return MomentFunctional(table.dimension, cap, {alpha: Fraction(row[alpha], row.denominator)
+                                                   for alpha in table.support(cap) if row[alpha]})
 
 
 def point_evaluation(point: Sequence[Rational]) -> PointFunctional:
@@ -422,10 +421,10 @@ def order(functional: Functional) -> int:
     if functional.is_zero:
         return -1
     top = _order_bound((functional,))
-    moment = functional._moment  # every exponent below is of degree <= top, within the cap
+    table = functional._moment_table()  # every exponent below is of degree <= top, within the cap
     for k in range(top + 1):
         for alpha in monomials_of_degree(functional.dimension, k):
-            if moment(alpha):
+            if table[alpha][0]:
                 return k
     raise AssertionError(f"order: {functional!r} is nonzero, yet no moment up to degree {top} is")
 
@@ -452,7 +451,7 @@ def combine(functionals: Sequence[Functional], coefficients: Sequence[Rational])
                 acc[x] = acc.get(x, Fraction(0)) + c * w
         return PointFunctional(list(acc.keys()), list(acc.values()), dimension=d)
     table = MomentTable(fs)
-    return _capped(table.rows([integer_vector(cs)], table.cap)[0], d, table.cap)
+    return _capped(table.rows([integer_vector(cs)], table.cap)[0], table.cap)
 
 
 @dataclass(frozen=True)
@@ -585,17 +584,16 @@ def least_part_from_moments(moment: Callable[[Exponent], int], denominator: int,
             for alpha, value in values if value}, denominator * top
 
 
-def _lifted_moments(moment: Callable[[Exponent], Fraction],
-                    exponents: Iterable[Exponent]) -> tuple[dict[Exponent, int], int]:
-    """moment(alpha) for each alpha, read once, as integers over one denominator, the lcm of theirs."""
-    values = {alpha: moment(alpha) for alpha in exponents}
-    denominator = math.lcm(*(v.denominator for v in values.values()))
-    return {alpha: v.numerator * (denominator // v.denominator) for alpha, v in values.items()}, denominator
+def _lifted_moment(lam: Functional, top: int) -> tuple[Callable[[Exponent], int], int]:
+    """lambda's integer moments up to degree ``top`` over one denominator, read off its own table."""
+    table = lam._moment_table()
+    lifts, scale = table.lifts(top)
+    return lambda alpha: table[alpha][0] * lifts[sum(alpha)], scale
 
 
 def radial_image(lam: Functional, ell: int) -> Polynomial:
-    """The polynomial x |-> lambda ||x - .||^(2 ell), lambda applied in y, from lambda's moments
-    at the kernel's powers of y, read once and lifted to integers over one denominator.
+    """The polynomial x |-> lambda ||x - .||^(2 ell), lambda applied in y, from lambda's integer
+    moments at the kernel's powers of y, over one denominator.
 
     For a nonzero functional of order kappa the degree is exactly
     2 ell - kappa when kappa <= 2 ell, and the image vanishes identically
@@ -604,9 +602,8 @@ def radial_image(lam: Functional, ell: int) -> Polynomial:
     if ell < 0:
         raise ValueError("ell must be >= 0")
     _require_moment_cap(lam.degree_cap, 2 * ell, "radial image")
-    weights = (1,) * lam.dimension
-    moments, denominator = _lifted_moments(lam._moment, (delta for delta, _ in _radial_kernel(ell, weights)))
-    return _polynomial(lam.dimension, *image_from_moments(moments.__getitem__, denominator, weights, ell))
+    return _polynomial(lam.dimension, *image_from_moments(*_lifted_moment(lam, 2 * ell),
+                                                          (1,) * lam.dimension, ell))
 
 
 def least_part(lam: Functional) -> Polynomial:
@@ -614,12 +611,11 @@ def least_part(lam: Functional) -> Polynomial:
 
     With kappa the order of the functional, returns
     sum over |alpha| = kappa of lambda(x^alpha) x^alpha / alpha!,
-    and the zero polynomial for the zero functional; the moments of degree kappa are lifted as for
+    and the zero polynomial for the zero functional; the moments of degree kappa are read as for
     ``radial_image``.
     """
     kappa = order(lam)
     if kappa == -1:
         return Polynomial.zero(lam.dimension)
-    moments, denominator = _lifted_moments(lam._moment, monomials_of_degree(lam.dimension, kappa))
-    return _polynomial(lam.dimension, *least_part_from_moments(moments.__getitem__, denominator,
+    return _polynomial(lam.dimension, *least_part_from_moments(*_lifted_moment(lam, kappa),
                                                                (1,) * lam.dimension, kappa))

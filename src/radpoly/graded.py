@@ -130,7 +130,7 @@ class GradedBasis:
         cap = self.moments.cap
         if cap is None:
             return tuple(combine(self.span, row) for row in self.transform)
-        return tuple(_capped(row, self.dimension, cap) for row in self.moments.rows(self.integer_transform, cap))
+        return tuple(_capped(row, cap) for row in self.moments.rows(self.integer_transform, cap))
 
     @cached_property
     def transform(self) -> tuple[tuple[Fraction, ...], ...]:

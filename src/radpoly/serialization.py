@@ -118,15 +118,13 @@ def functional_to_obj(f: Functional) -> dict:
             "weights": [format_rational(w) for w in f.weights],
         }
         return obj if f.points else {**obj, "d": f.dimension}
+    moments = f.moments() if isinstance(f, MomentFunctional) else [
+        (alpha, v) for alpha in monomial_sequence(f.dimension, f.degree_cap) if (v := f.moment(alpha))]
     return {
         "type": "moments",
         "d": f.dimension,
         "cap": f.degree_cap,
-        "moments": [
-            {"alpha": list(alpha), "value": format_rational(value)}
-            for alpha in monomial_sequence(f.dimension, f.degree_cap)
-            if (value := f._moment(alpha))  # each alpha is a checked exponent already
-        ],
+        "moments": [{"alpha": list(alpha), "value": format_rational(value)} for alpha, value in moments],
     }
 
 

@@ -589,6 +589,18 @@ class TestSizeGuard:
         assert [len(f["moments"]) for f in out["span"] + out["lambdas"]] == [2001, 2000, 2001, 2000]
         assert out["lambdas"][1]["moments"][-1] == {"alpha": [2000], "value": 2000 * 5**1999}
 
+    def test_a_moment_table_alone_is_counted_by_its_records(self, tmp_path, capsys):
+        """{x^0: 1} in d=2 at cap 10^5 writes one record for its member and one for its lambda: the
+        guard counts the stored monomials, where C(10^5 + 2, 2) records once refused 616 bytes."""
+        path = tmp_path / "one.json"
+        moments = [{"alpha": [0, 0], "value": 1}]
+        path.write_text(json.dumps({"dimension": 2, "degree_cap": 10**5, "functionals": [
+            {"type": "moments", "d": 2, "cap": 10**5, "moments": moments}]}))
+        code, body = run(tmp_path, "basis", "--input", str(path))
+        assert code == 0 and capsys.readouterr().err == ""
+        out = json.loads(body)
+        assert [f["moments"] for f in out["span"] + out["lambdas"]] == [moments, moments]
+
 
 class TestDegreeCap:
     def test_explicit_cap_sets_the_elimination_cap(self, tmp_path):

@@ -1,5 +1,6 @@
 """Functionals, the separated radial expansion, and everything built on it."""
 
+import gc
 import math
 import os
 import random
@@ -35,11 +36,18 @@ from radpoly import (
     schaback_basis,
     tensor_apply_radial,
 )
-from radpoly.functionals import _lifted_moments, image_from_moments, radial_monomial
+from radpoly.functionals import MomentTable, image_from_moments, radial_monomial
 from radpoly.rational_linalg import integer_vector
 from radpoly.serialization import functional_from_obj, functional_to_obj
 
 SECOND_DIFFERENCE = PointFunctional([[0], [1], [2]], [1, -2, 1])
+
+
+def lifted_moments(moment, exponents):
+    """moment(alpha) for each alpha, read once, as integers over one denominator, the lcm of theirs."""
+    values = {alpha: moment(alpha) for alpha in exponents}
+    denominator = math.lcm(*(v.denominator for v in values.values()))
+    return {alpha: v.numerator * (denominator // v.denominator) for alpha, v in values.items()}, denominator
 
 
 def separated_image(moment, denominator, weights, ell):
@@ -231,7 +239,7 @@ class TestOrder:
         """order never returns None: a nonzero functional whose moments all vanish up to its search
         top is an internal error that names the functional."""
         lam = point_evaluation((7,))
-        with mock.patch.object(PointFunctional, "_moment", lambda self, key: 0):
+        with mock.patch.object(MomentTable, "__missing__", lambda self, key: (0,) * self.size):
             with pytest.raises(AssertionError, match=r"order: PointFunctional\(1@\('7',\)\) is nonzero"):
                 order(lam)
 
@@ -281,7 +289,7 @@ class TestRadialPowerExpansion:
                          for a in monomials}
             for weights in ((1,) * d, tuple(rng.randint(1, 7) for _ in range(d))):
                 for moments, denominator in ((integers, 1), (integers, 6), (rationals, 5)):
-                    lifted, common = _lifted_moments(moments.__getitem__, monomials)
+                    lifted, common = lifted_moments(moments.__getitem__, monomials)
                     assert all(type(v) is int for v in lifted.values())
                     sums, over = image_from_moments(lifted.__getitem__, denominator * common, weights, ell)
                     image = Polynomial(d, {alpha: Fraction(v, over) for alpha, v in sums.items()})
@@ -744,6 +752,86 @@ def test_capped_combination_matches_the_fraction_accumulation(case):
     lam = combine(members, coefficients)
     assert isinstance(lam, MomentFunctional)
     assert lam == fraction_combination(members, coefficients)
+
+
+@st.composite
+def _single_functionals(draw):
+    """One functional and its Fraction moment oracle: a point combination at rational points (zero
+    weights allowed), a derivative atom at a rational point, or a moment table with rational stored
+    moments (possibly none)."""
+    d = draw(st.integers(1, 3))
+    coordinate = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    value = st.just(Fraction(0)) | st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    site = st.tuples(*[coordinate] * d)
+    kind = draw(st.sampled_from(["points", "derivative", "moments"]))
+    if kind == "points":
+        sites = draw(st.lists(site, max_size=4, unique=True))
+        weights = draw(st.lists(value, min_size=len(sites), max_size=len(sites)))
+        atoms = [(w, (0,) * d, x) for x, w in zip(sites, weights)]
+        return PointFunctional(sites, weights, dimension=d), lambda gamma: _oracle_moment(atoms, gamma)
+    if kind == "derivative":
+        alpha, x = draw(st.tuples(*[st.integers(0, 2)] * d)), draw(site)
+        lam = from_derivative(alpha, x, draw(st.integers(sum(alpha), 6)))
+        return lam, lambda gamma: _derivative_moment(alpha, x, gamma)
+    cap = draw(st.integers(0, 6))
+    stored = draw(st.dictionaries(st.sampled_from(monomial_sequence(d, cap)), value, max_size=5))
+    return MomentFunctional(d, cap, stored), lambda gamma: stored.get(gamma, Fraction(0))
+
+
+@given(_single_functionals(), st.data())
+@settings(deadline=None, max_examples=80)
+def test_a_functional_alone_reads_the_oracle_moments(case, data):
+    """moment, applying, order, radial_image and least_part of one functional, each read off its own
+    moment table, against the Fraction formula of its atoms or its stored moments."""
+    lam, oracle = case
+    d = lam.dimension
+    top = 6 if lam.degree_cap is None else lam.degree_cap  # at most 4 points: order <= 3 < 6
+    monomials = monomial_sequence(d, top)
+    assert [lam.moment(g) for g in monomials] == [oracle(g) for g in monomials]
+    terms = data.draw(st.dictionaries(st.sampled_from(monomials),
+                                      st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=6))
+    assert lam(Polynomial(d, terms)) == sum((c * oracle(g) for g, c in terms.items()), Fraction(0))
+    kappa = next((k for k in range(top + 1) if any(map(oracle, monomials_of_degree(d, k)))), -1)
+    assert order(lam) == kappa
+    least = {g: oracle(g) / math.prod(map(math.factorial, g)) for g in monomials_of_degree(d, max(kappa, 0))}
+    assert least_part(lam) == (Polynomial(d, least) if kappa >= 0 else Polynomial.zero(d))
+    for ell in range(top // 2 + 1):
+        assert radial_image(lam, ell) == separated_image(oracle, 1, (1,) * d, ell)
+
+
+def test_a_functional_and_its_table_form_no_cycle():
+    """A functional's own moment table keeps its atoms and stored moments, not the functional, so
+    reading moments leaves nothing for the cycle collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        p = Polynomial(2, {(0, 0): 1, (2, 1): Fraction(-1, 3)})
+        point = PointFunctional([(1, Fraction(1, 2)), (-2, 3)], [3, Fraction(-1, 5)])
+        table = MomentFunctional(2, 4, {(0, 0): 1, (1, 2): Fraction(2, 3)})
+        for lam in (point, table):
+            order(lam)
+            radial_image(lam, 2)
+            lam(p)
+        del point, table, lam
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_span_of_moment_tables_alone_reads_only_its_stored_monomials(monkeypatch):
+    """Without atoms a column is nonzero only at a stored monomial: the lambda_i of a large cap are
+    read there, with no column past the elimination's search (the order bound, degree 3 here)."""
+    built, missing = [], MomentTable.__missing__
+    monkeypatch.setattr(MomentTable, "__missing__",
+                        lambda self, alpha: built.append(alpha) or missing(self, alpha))
+    span = [MomentFunctional(2, 300, {(0, 0): 1, (0, 3): 2}),
+            MomentFunctional(2, 400, {(1, 0): Fraction(1, 3), (0, 3): -1})]
+    graded = build_graded_basis(span, 300)
+    assert [f.moments() for f in graded.lambdas] == [
+        [((0, 0), 1), ((0, 3), 2)], [((1, 0), 1), ((0, 3), -3)]]
+    assert [f.moments() for f in graded.lambdas] == [
+        combine(span, row).moments() for row in graded.transform]
+    assert set(built) <= set(monomial_sequence(2, 3))
 
 
 # Each entry point that takes exponents from outside, and the type a degree past its cap

@@ -5,6 +5,7 @@ import inspect
 import pytest
 
 import radpoly
+from radpoly import functionals
 
 # oracles that only the tests read: they live in the tests (verify_graded in test_graded,
 # four_point_radial_moment in test_interpolation)
@@ -32,3 +33,10 @@ def test_a_removed_second_path_is_not_exported(name):
     """flat_projector returns a function, and a zero Gramian pivot fails the sign law."""
     assert name not in radpoly.__all__
     assert not hasattr(radpoly, name)
+
+
+def test_every_moment_is_read_off_a_moment_table():
+    """A functional alone has no moment path of its own: its moments come from its own table."""
+    assert not hasattr(radpoly.PointFunctional, "_moment")
+    assert not hasattr(radpoly.MomentFunctional, "_moment")
+    assert not hasattr(functionals, "_lifted_moments")
