@@ -337,10 +337,15 @@ class MomentTable(dict):
         return tuple(MomentRow(self, lifts, ints, den * scale) for ints, den in transform)
 
     def lifts(self, top: int) -> tuple[list[int], int]:
-        """The lifts scale // scale(k) of the degrees k <= ``top`` to their lcm, and that lcm."""
-        scales = [self.scale(k) for k in range(top + 1)]
-        scale = math.lcm(*scales)
-        return [scale // s for s in scales], scale
+        """The lifts scale // scale(k) of the degrees k <= ``top`` to their lcm, and that lcm.  Only
+        the degrees of ``support`` are computed: an atom-free table has scale 1 at every other degree."""
+        degrees = range(top + 1) if self._atoms else {sum(alpha) for alpha in self.support(top)}
+        scales = {k: self.scale(k) for k in degrees}
+        scale = math.lcm(*scales.values())
+        lifts = [scale] * (top + 1)
+        for k, s in scales.items():
+            lifts[k] = scale // s
+        return lifts, scale
 
     def values(self, f: Polynomial) -> tuple[list[int], int]:
         """V f = (mu_i(f)) as integer numerators over one denominator: each term of f's integer

@@ -28,16 +28,21 @@ W_j from degree kappa_j up to 2 kappa_j, G_j at kappa_j, and lambda_i p as sum_a
 L_i[alpha] over the terms of p's integer form of degree at least kappa_i (L_i is zero below).
 Both Gramians (lambda_i w_j) and (lambda_i g_j) are block upper triangular, as
 lambda_i annihilates degrees below kappa_i, and only their diagonal blocks are
-computed.  The block of order kappa is symmetric, (-1)^kappa-definite for w
-(Micchelli) and positive definite for g (de Boor-Ron); factoring reads only its
-upper triangle and checks every pivot's sign.  Both solves are the same block
+read.  The block of order kappa is symmetric, (-1)^kappa-definite for w
+(Micchelli) and positive definite for g (de Boor-Ron), and equal to M H M^T, M the
+block's degree-kappa moments and H the (kappa, kappa) part of ||t - s||^(2 kappa)
+or diag(1 / alpha!).  On a full block (frame x, every monomial of degree kappa a
+pivot) M in pivot order is unit upper triangular, U: the block is factored as
+U H U^T, with H's factors cached per order and no Gramian entry computed.  Any
+other block is computed and factored as it stands.  Either way the factoring
+checks every pivot's sign, H's once per order.  Both solves are the same block
 back-substitution from the highest order down: row i's entries above the blocks
 times the solved c_j sum to lambda_i(F), F = sum c_j p_j so far, and after the
 last block F is the interpolant (in hull coordinates for a degenerate point set,
 mapped to x by one ``substitute_affine``); the sweeps' integer pairs build F with no
 ``Fraction``.  The data of a target p are V p, and the certificate mu_i(f) - b_i = V f - b
 reads only V; both are integer numerators over one denominator, and ``Fraction``s are
-built only for the report.
+built only for the report.  ``gramian``, all diagonal blocks, is built only when read.
 
 Either interpolant matches every functional in M exactly and never raises
 the degree of its argument.
@@ -52,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from operator import mul
 from typing import Callable, Sequence
@@ -61,6 +66,7 @@ from . import rational_linalg as linalg
 from .errors import DimensionMismatchError, SingularMatrixError
 from .functionals import (
     _polynomial,
+    _radial_kernel,
     _require_moment_cap,
     image_from_moments,
     least_part_from_moments,
@@ -75,6 +81,7 @@ from .polynomials import (
     as_point,
     graded_key,
     monomial_sequence,
+    multi_factorial,
     substitute_affine,
 )
 
@@ -112,13 +119,12 @@ def flat_projector(points: Sequence[Sequence[Rational]]) -> Callable[[Sequence[R
 @dataclass(frozen=True)
 class _Basis:
     """Basis polynomials in their graded basis's ``frame``, each held once as its lowest-terms
-    integer form ((alpha, numerator) pairs over a denominator), and their Gramian's diagonal blocks
-    (zeros outside them).  The Gramian's factors and the polynomials (``polys`` in the frame, the
-    basis in x) are built when first read and cached outside the fields (``==`` ignores them)."""
+    integer form ((alpha, numerator) pairs over a denominator).  Their Gramian's diagonal blocks,
+    its factors and the polynomials (``polys`` in the frame, the basis in x) are built when first
+    read and cached outside the fields (``==`` ignores them)."""
 
     source: GradedBasis
     forms: tuple[tuple[tuple[tuple[Exponent, int], ...], int], ...]
-    gramian: tuple[tuple[Fraction, ...], ...]
 
     @cached_property
     def polys(self) -> tuple[Polynomial, ...]:
@@ -127,21 +133,55 @@ class _Basis:
         return tuple(_polynomial(r, dict(nums), den) for nums, den in self.forms)
 
     @cached_property
+    def gramian(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The Gramian's diagonal blocks, zeros outside them: lambda_i p_j vanishes below the
+        blocks, and no solve reads above.  No solve reads this either: ``factors`` builds only
+        the blocks it factors as G."""
+        n = self.source.size
+        gramian = [[Fraction(0)] * n for _ in range(n)]
+        for block in self.source.blocks():
+            for i, row in zip(block, _gramian_block(self.source, self.forms, block)):
+                gramian[i][block[0]:block[-1] + 1] = row  # blocks are contiguous
+        return tuple(map(tuple, gramian))
+
+    @cached_property
     def factors(self) -> linalg.BlockUpperFactors:
-        """The Gramian factored one diagonal block at a time; each pivot of a block
-        of order kappa must have the sign ``_sign ** kappa``.  The blocks are definite,
-        so a zero pivot, which has no sign, breaks the law too."""
-        try:
-            factors = linalg.factor_block_upper(self.gramian, self.source.blocks())
-        except SingularMatrixError as exc:
-            raise AssertionError(f"{self._method} Gramian {exc}: a zero pivot breaks the sign law") from exc
-        for bi, (block, (_, _, pivots)) in enumerate(zip(factors.blocks, factors.diagonal)):
-            kappa = self.source.kappas[block[0]]
-            wrong = [i for i, (num, _) in zip(block, pivots) if num * self._sign ** kappa < 0]
-            if wrong:
-                raise AssertionError(f"{self._method} Gramian block {bi} (order {kappa}): "
-                                     f"the pivot at index {wrong[0]} breaks the sign law")
-        return factors
+        """The Gramian factored one diagonal block at a time.  A block is full when its frame is x
+        and its pivots are all C(kappa + d - 1, d - 1) monomials of its order kappa: there it is
+        G = U H U^T, with U read off the rows of L (``_outer``) and H's factors cached per order
+        (``_middle_factors``), and no entry of G is computed.  Every other block is built and
+        factored as G, and each pivot must have the sign ``_sign ** kappa`` (``_signed_ldl``)."""
+        graded = self.source
+        d, x_frame, blocks = graded.dimension, graded.frame.linear is None, graded.blocks()
+        diagonal, outer = [], []
+        for bi, block in enumerate(blocks):
+            kappa = graded.kappas[block[0]]
+            if x_frame and len(block) == math.comb(kappa + d - 1, d - 1):
+                outer.append(self._outer(bi, block))
+                diagonal.append(_middle_factors(type(self), tuple(graded.pivots[i] for i in block)))
+            else:
+                outer.append(None)
+                diagonal.append(_signed_ldl(type(self), kappa, _gramian_block(graded, self.forms, block),
+                                            f"Gramian diagonal block {bi}", block))
+        return linalg.BlockUpperFactors(tuple(map(tuple, blocks)), tuple(diagonal), tuple(outer))
+
+    def _outer(self, bi: int, block: Sequence[int]) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """U of a full block, U[r][c] = lambda_i(x^beta_c) for i = block[r] and beta the block's
+        pivots, as the rows of its (c, numerator, denominator) right of the diagonal in lowest
+        terms.  The elimination makes U unit upper triangular: lambda_i(x^beta_i) = 1, and
+        lambda_i annihilates the pivots before beta_i.  Each row is checked for both."""
+        graded = self.source
+        pivots = [graded.pivots[i] for i in block]
+        outer = []
+        for r, i in enumerate(block):
+            row = graded.rows[i]
+            den, entries = row.denominator, [row[beta] for beta in pivots]
+            if any(entries[:r]) or entries[r] != den:
+                raise AssertionError(f"{self._method} Gramian diagonal block {bi} (order {graded.kappas[i]}): "
+                                     f"U is not unit upper triangular at index {i}")
+            outer.append(tuple((c, v // g, den // g) for c, v in enumerate(entries[r + 1:], r + 1) if v
+                               for g in [math.gcd(v, den)]))
+        return tuple(outer)
 
     def _in_x(self) -> tuple[Polynomial, ...]:
         """The basis polynomials in x, mapped there by one substitution when first read."""
@@ -155,6 +195,17 @@ class SchabackBasis(_Basis):
     _method, _sign = "schaback", -1  # not fields: they carry no annotation
     w = cached_property(_Basis._in_x)
 
+    @staticmethod
+    def _middle(kappa: int, monomials: Sequence[Exponent]) -> list[list[int]]:
+        """K_kappa: the coefficient of t^gamma s^delta, |gamma| = |delta| = kappa, in ||t - s||^(2 kappa)."""
+        index = {alpha: k for k, alpha in enumerate(monomials)}
+        middle = [[0] * len(monomials) for _ in monomials]
+        for delta, terms in _radial_kernel(kappa, (1,) * len(monomials[0])):
+            if sum(delta) == kappa:  # then |gamma| = kappa too
+                for gamma, coeff in terms:
+                    middle[index[gamma]][index[delta]] = coeff
+        return middle
+
 
 class LeastBasis(_Basis):
     """Least parts: ``polys`` are the G_j and ``g`` the g_j = G_j(A x), both built when first read."""
@@ -162,31 +213,60 @@ class LeastBasis(_Basis):
     _method, _sign = "least", 1
     g = cached_property(_Basis._in_x)
 
+    @staticmethod
+    def _middle(kappa: int, monomials: Sequence[Exponent]) -> list[list[Fraction]]:
+        """diag(1 / alpha!), the pairing of the least parts."""
+        return [[Fraction(int(alpha == beta), multi_factorial(alpha)) for beta in monomials] for alpha in monomials]
 
-def _gramian(graded: GradedBasis, forms):
-    """The diagonal blocks of (lambda_i p_j), sum_alpha p_j[alpha] L_i[alpha] on each upper triangle,
-    mirrored, over the terms of p_j of degree at least the block's kappa: lambda_i annihilates the
-    lower ones.  Zeros elsewhere: lambda_i p_j vanishes below the blocks, and no solve reads above."""
-    rows = graded.rows
-    gramian = [[Fraction(0)] * len(rows) for _ in rows]
-    for block in graded.blocks():
-        kappa = graded.kappas[block[0]]
-        high = {j: [(a, c) for a, c in forms[j][0] if sum(a) >= kappa] for j in block}
-        for i, j in combinations_with_replacement(block, 2):
-            row = rows[i]
-            gramian[i][j] = gramian[j][i] = Fraction(sum(c * row[a] for a, c in high[j]),
-                                                     forms[j][1] * row.denominator)
-    return tuple(map(tuple, gramian))
+
+def _signed_ldl(basis: type[_Basis], kappa: int, block, name: str, columns: Sequence[int]):
+    """``linalg._ldl`` of a definite block of order kappa, each pivot checked to have the sign
+    ``basis._sign ** kappa``.  A zero pivot has no sign, so it breaks the law too."""
+    try:
+        factors = linalg._ldl(block, name, columns)
+    except SingularMatrixError as exc:
+        raise AssertionError(f"{basis._method} {exc}: a zero pivot breaks the sign law") from exc
+    wrong = [c for c, (num, _) in zip(columns, factors[2]) if num * basis._sign ** kappa < 0]
+    if wrong:
+        raise AssertionError(f"{basis._method} {name} (order {kappa}): the pivot at index {wrong[0]} "
+                             "breaks the sign law")
+    return factors
+
+
+@lru_cache(maxsize=256)
+def _middle_factors(basis: type[_Basis], pivots: tuple[Exponent, ...]) -> tuple[tuple, tuple, tuple]:
+    """The factors of H in G = U H U^T on a full block in x with these pivots, all the monomials of
+    one order kappa.  G = M~ H M~^T for M~ the block's degree-kappa moments: H = K_kappa (Schaback)
+    or diag(1 / alpha!) (least), ``basis._middle``, with the monomials in pivot order, so that M~ is
+    U.  The elimination orders them as ``monomials_of_degree`` does, so H is factored once per
+    (method, kappa, d).  H's pivots are checked against the sign law here; G is congruent to H, so
+    its pivots have the same signs (Sylvester's law of inertia)."""
+    kappa = sum(pivots[0])
+    return _signed_ldl(basis, kappa, basis._middle(kappa, pivots), f"full-block H in dimension {len(pivots[0])}",
+                       range(len(pivots)))
+
+
+def _gramian_block(graded: GradedBasis, forms, block: Sequence[int]) -> list[list[Fraction]]:
+    """The diagonal block of (lambda_i p_j) on ``block``: sum_alpha p_j[alpha] L_i[alpha] on its upper
+    triangle, mirrored, over the terms of p_j of degree at least the block's kappa: lambda_i
+    annihilates the lower ones."""
+    rows, kappa = graded.rows, graded.kappas[block[0]]
+    high = {j: [(a, c) for a, c in forms[j][0] if sum(a) >= kappa] for j in block}
+    gramian: list[list[Fraction]] = [[Fraction(0)] * len(block) for _ in block]
+    for (r, i), (c, j) in combinations_with_replacement(enumerate(block), 2):
+        row = rows[i]
+        gramian[r][c] = gramian[c][r] = Fraction(sum(v * row[a] for a, v in high[j]), forms[j][1] * row.denominator)
+    return gramian
 
 
 def schaback_basis(graded: GradedBasis) -> SchabackBasis:
-    """Radial images w_j = lambda_j ||Px - .||^(2 kappa_j) and their Gramian.
+    """Radial images w_j = lambda_j ||Px - .||^(2 kappa_j).
 
     P projects onto the affine hull of an all-point span's support (else P = I).
     The basis keeps the integer forms of the W_j, read off the rows of L in the
     frame from degree kappa_j up to 2 kappa_j (lambda_j annihilates the lower
-    degrees, so those moments are 0 and not read), and its Gramian (lambda_i W_j)
-    is taken there too.
+    degrees, so those moments are 0 and not read); its Gramian (lambda_i W_j) is
+    taken there too, when read.
     """
     _require_moment_cap(graded.moments.cap, 2 * graded.kappas[-1], "radial image")
     rows, weights = graded.rows, graded.frame.weights
@@ -198,20 +278,19 @@ def schaback_basis(graded: GradedBasis) -> SchabackBasis:
         if degree != kappa:  # t(x) is onto the hull, so w_j = W_j(t(x)) has W_j's degree
             raise AssertionError(
                 f"schaback_basis: radial image w_{j} has degree {degree}, not its order {kappa}")
-    return SchabackBasis(graded, forms, _gramian(graded, forms))
+    return SchabackBasis(graded, forms)
 
 
 def least_basis(graded: GradedBasis) -> LeastBasis:
-    """Lowest-degree homogeneous parts g_j and the Gramian (lambda_i g_j), both
-    as the integer forms of the G_j and (lambda_i G_j) in the frame, read off the
-    rows of L at degree kappa_j."""
+    """Lowest-degree homogeneous parts g_j, as the integer forms of the G_j in the
+    frame, read off the rows of L at degree kappa_j."""
     rows, weights = graded.rows, graded.frame.weights
     forms = tuple(_renormalize(*least_part_from_moments(row.__getitem__, row.denominator, weights, kappa))
                   for row, kappa in zip(rows, graded.kappas))
     for j, ((nums, _), kappa) in enumerate(zip(forms, graded.kappas)):
         if {sum(alpha) for alpha, _ in nums} != {kappa}:  # A is onto R^r: g_j = G_j(A x) is too
             raise AssertionError(f"least_basis: least part g_{j} is not homogeneous of degree {kappa}")
-    return LeastBasis(graded, forms, _gramian(graded, forms))
+    return LeastBasis(graded, forms)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ Every general elimination here is a view of one forward elimination, ``_echelon`
 ``determinant`` and ``pivot_columns`` read its echelon form off, ``rref`` reduces
 upward from it and ``solve`` is the rref of [A | b]; both passes walk a pivot row's nonzero
 entries only, into the rows whose entry in its column is nonzero.  ``factor_block_upper`` runs
-L D L^T on each symmetric diagonal block's upper triangle instead; each caller
-reduces a block's right-hand side by the blocks solved, for ``sweep`` to solve it.
+L D L^T on each symmetric diagonal block's upper triangle instead (``_ldl``).  A caller that knows
+a block as C H C^T, C unit upper triangular, factors H alone and hands C to ``sweep`` as the
+block's ``outer`` factor: the interpolation Gramians' full blocks are read that way, with no
+entry of the block computed.  Each caller reduces a block's right-hand side by the blocks
+solved, for ``sweep`` to solve it.
 Both run on (numerator, denominator) integer pairs, each step reduced to lowest terms
 with a positive denominator by ``_sub_mul``'s gcds: ``Fraction``'s values and heights.
 
@@ -146,65 +149,83 @@ def _quotient(n: int, d: int, p: int, q: int) -> tuple[int, int]:
     return (-n, -d) if d < 0 else (n, d)
 
 
+def _reduce(y: list[tuple[int, int]], r: int, row) -> tuple[int, int]:
+    """y[r] - sum (a/b) y[c] over the row's (c, a, b), in lowest terms."""
+    n, d = y[r]
+    for c, a, b in row:
+        p, q = y[c]
+        if p:
+            n, d = _sub_mul(n, d, a, b, p, q)
+    return n, d
+
+
 class BlockUpperFactors(NamedTuple):
     """The diagonal blocks of a block upper triangular matrix factored for many right-hand
-    sides, B = L U per block, in (numerator, positive denominator) pairs in lowest terms, as
-    tall as ``Fraction``'s: the rows of L as their nonzero (r, num, den) left of the diagonal,
-    the rows of U as their nonzero (c, num, den) right of it, and the pivots U[r][r] as pairs."""
+    sides, in (numerator, positive denominator) pairs in lowest terms, as tall as ``Fraction``'s.
+    Block ``bi`` is C H C^T.  ``outer[bi]`` holds the rows of the unit upper triangular C as their
+    nonzero (c, num, den) right of the diagonal, or is None for C = I.  ``diagonal[bi]`` is H = L U:
+    the rows of L as their nonzero (r, num, den) left of the diagonal, the rows of U as their
+    nonzero (c, num, den) right of it, and the pivots U[r][r] as pairs."""
 
     blocks: tuple[tuple[int, ...], ...]
     diagonal: tuple[tuple[tuple, tuple, tuple], ...]
+    outer: tuple[tuple | None, ...]
 
     def sweep(self, bi: int, values: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-        """Solve block ``bi`` for ``values``, its right-hand side less the later blocks' part, by L
-        then U: (numerator, positive denominator) pairs in any terms in, pairs in lowest terms out."""
+        """Solve block ``bi`` for ``values``, its right-hand side less the later blocks' part, by
+        C^-1, L^-1, U^-1 and C^-T in turn: (numerator, positive denominator) pairs in any terms in,
+        pairs in lowest terms out."""
         lower, upper, pivots = self.diagonal[bi]
-        y: list[tuple[int, int]] = []
-        for (n, d), row in zip(values, lower):
-            n, d = n // (g := gcd(n, d)), d // g
-            for r, a, b in row:
+        outer = self.outer[bi]
+        y = [(n // g, d // g) for n, d in values for g in [gcd(n, d)]]
+        if outer:
+            for r in reversed(range(len(y))):
+                y[r] = _reduce(y, r, outer[r])
+        for r, row in enumerate(lower):
+            y[r] = _reduce(y, r, row)
+        for r in reversed(range(len(y))):
+            y[r] = _quotient(*_reduce(y, r, upper[r]), *pivots[r])
+        if outer:
+            for r, row in enumerate(outer):  # C^T is lower: y[r] is final, so take it from the later rows
                 p, q = y[r]
-                if p:
-                    n, d = _sub_mul(n, d, a, b, p, q)
-            y.append((n, d))
-        for r in range(len(y) - 1, -1, -1):
-            n, d = y[r]
-            for c, a, b in upper[r]:
-                p, q = y[c]
-                if p:
-                    n, d = _sub_mul(n, d, a, b, p, q)
-            y[r] = _quotient(n, d, *pivots[r])
+                for c, a, b in row if p else ():
+                    y[c] = _sub_mul(*y[c], a, b, p, q)
         return y
+
+
+def _ldl(block: Sequence[Sequence[Fraction | int]], name: str, columns: Sequence[int]) -> tuple[tuple, tuple, tuple]:
+    """One symmetric block as ``BlockUpperFactors.diagonal`` holds it, reading its upper triangle
+    only.  L D L^T with no row swap: row r of U = D L^T is the block's row r after step r, whose
+    multipliers are L[i][r] = U[r][i] / U[r][r].  SingularMatrixError, naming ``name`` and
+    ``columns[r]``, when step r meets a zero pivot (a zero leading minor): with no row swap,
+    that column has no pivot."""
+    m = len(block)
+    a = [[(0, 1)] * r + [(v.numerator, v.denominator) for v in row[r:]] for r, row in enumerate(block)]
+    lower: list[list[tuple[int, int, int]]] = [[] for _ in block]
+    for r, head in enumerate(a):
+        pn, pd = head[r]
+        if not pn:
+            raise SingularMatrixError(f"{name}: no pivot in column {columns[r]}")
+        for i in range(r + 1, m):
+            if head[i][0]:
+                fn, fd = _quotient(*head[i], pn, pd)
+                lower[i].append((r, fn, fd))
+                for c in range(i, m):
+                    if head[c][0]:
+                        a[i][c] = _sub_mul(*a[i][c], fn, fd, *head[c])
+    upper = (tuple((c, *v) for c, v in enumerate(row[r + 1:], r + 1) if v[0]) for r, row in enumerate(a))
+    return tuple(map(tuple, lower)), tuple(upper), tuple(row[r] for r, row in enumerate(a))
 
 
 def factor_block_upper(matrix: Sequence[Sequence[Fraction]],
                        blocks: Sequence[Sequence[int]]) -> BlockUpperFactors:
-    """Factor each diagonal block once, ``blocks`` listing index groups in order.  The
-    blocks must be symmetric; only their upper triangles are read.  L D L^T with no row
-    swap: row r of U = D L^T is the block's row r after step r, whose multipliers are
-    L[i][r] = U[r][i] / U[r][r].  SingularMatrixError when step r of a block meets a zero
-    pivot (a zero leading minor): with no row swap, that column has no pivot."""
+    """Factor each diagonal block once, ``blocks`` listing index groups in order, by ``_ldl``
+    with C = I.  The blocks must be symmetric; only their upper triangles are read.
+    SingularMatrixError names the block and the column with no pivot."""
     blocks = tuple(map(tuple, blocks))
-    diagonal = []
-    for bi, block in enumerate(blocks):
-        m = len(block)
-        a = [[(0, 1)] * r + [(v.numerator, v.denominator) for v in (matrix[i][j] for j in block[r:])]
-             for r, i in enumerate(block)]
-        lower: list[list[tuple[int, int, int]]] = [[] for _ in block]
-        for r, head in enumerate(a):
-            pn, pd = head[r]
-            if not pn:
-                raise SingularMatrixError(f"diagonal block {bi}: no pivot in column {block[r]}")
-            for i in range(r + 1, m):
-                if head[i][0]:
-                    fn, fd = _quotient(*head[i], pn, pd)
-                    lower[i].append((r, fn, fd))
-                    for c in range(i, m):
-                        if head[c][0]:
-                            a[i][c] = _sub_mul(*a[i][c], fn, fd, *head[c])
-        upper = (tuple((c, *v) for c, v in enumerate(row[r + 1:], r + 1) if v[0]) for r, row in enumerate(a))
-        diagonal.append((tuple(map(tuple, lower)), tuple(upper), tuple(row[r] for r, row in enumerate(a))))
-    return BlockUpperFactors(blocks, tuple(diagonal))
+    diagonal = tuple(_ldl([[matrix[i][j] for j in block] for i in block], f"diagonal block {bi}", block)
+                     for bi, block in enumerate(blocks))
+    return BlockUpperFactors(blocks, diagonal, (None,) * len(blocks))
 
 
 def solve_block_upper(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction],

@@ -834,6 +834,26 @@ def test_a_span_of_moment_tables_alone_reads_only_its_stored_monomials(monkeypat
     assert set(built) <= set(monomial_sequence(2, 3))
 
 
+def test_the_lifts_of_a_span_of_moment_tables_compute_only_its_stored_degrees(monkeypatch):
+    """An atom-free table has scale 1 at every degree with no stored moment, so its lifts up to a cap
+    of 10^6 compute the scales of the stored degrees alone, and lift every other degree by the lcm;
+    a span with atoms computes every degree.  The lifts are those of all the scales."""
+    computed, scale_of = [], MomentTable.scale
+    monkeypatch.setattr(MomentTable, "scale", lambda self, k: computed.append(k) or scale_of(self, k))
+    table = MomentTable([MomentFunctional(1, 10 ** 6, {(0,): 1}),
+                         MomentFunctional(1, 10 ** 6, {(2,): Fraction(1, 3), (5,): Fraction(-1, 4)})])
+    lifts, scale = table.lifts(10 ** 6)
+    assert sorted(set(computed)) == [0, 2, 5]
+    assert (scale, lifts[:7], len(lifts)) == (12, [12, 12, 4, 12, 12, 3, 12], 10 ** 6 + 1)
+    computed.clear()
+    assert table.lifts(6) == ([scale // scale_of(table, k) for k in range(7)], 12)
+    assert sorted(set(computed)) == [0, 2, 5]
+    computed.clear()
+    points = MomentTable([point_evaluation((Fraction(1, 2),)), MomentFunctional(1, 8, {(1,): Fraction(1, 3)})])
+    assert points.lifts(4) == ([48, 8, 12, 6, 3], 48)  # scales 1, lcm(2, 3), 4, 8, 16
+    assert sorted(set(computed)) == [0, 1, 2, 3, 4]
+
+
 # Each entry point that takes exponents from outside, and the type a degree past its cap
 # raises there (None: no cap); the types are the ones each raised before the check was shared.
 CHECKED_ENTRY_POINTS = {

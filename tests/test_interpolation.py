@@ -31,13 +31,16 @@ from radpoly import (
     schaback_interpolate,
 )
 from radpoly.functionals import _radial_kernel
-from radpoly.interpolation import SchabackBasis, _four_point_moment, _pivot_degrees
-from radpoly.rational_linalg import determinant, mat_vec, rref, solve, transpose
+from radpoly.interpolation import LeastBasis, SchabackBasis, _four_point_moment, _middle_factors, _pivot_degrees
+from radpoly.rational_linalg import (BlockUpperFactors, determinant, factor_block_upper, identity, mat_vec, rref,
+                                     solve, transpose)
 from test_graded import RATIONALS, SPAN_KINDS, build_with_ties, spans
 from test_rational_linalg import invert, mat_mul
 
 GRID = [(0, 0), (1, 0), (0, 1), (1, 1)]
 SKEW = [(0, 0), (1, 0), (0, 1), (1, 2)]
+SKEWED = [(0, 0), (2, 1), (1, 1), (-1, 3)]  # its full block of order 1 has U = [[1, 1/2], [0, 1]]
+PARTIAL = [(0, 0), (1, 0), (0, 1), (1, 2), (2, 1)]  # kappas 0, 1, 1, 2, 2: 2 of the 3 monomials of order 2
 METHODS = [
     ("schaback", schaback_basis, schaback_interpolate),
     ("least", least_basis, least_interpolate),
@@ -66,6 +69,20 @@ def lambda_gramian(basis, polys=None):
     assert basis.gramian == tuple(tuple(v if kappas[i] == kappas[j] else 0 for j, v in enumerate(row))
                                   for i, row in enumerate(dense))
     return dense
+
+
+def corrupt_gramian_blocks(monkeypatch, change):
+    """Every Gramian block a basis builds passes through ``change(block, gramian)`` first."""
+    import radpoly.interpolation as interpolation
+
+    build = interpolation._gramian_block
+
+    def corrupted(graded, forms, block):
+        gramian = build(graded, forms, block)
+        change(block, gramian)
+        return gramian
+
+    monkeypatch.setattr(interpolation, "_gramian_block", corrupted)
 
 
 def apolar(f, g):
@@ -178,10 +195,13 @@ class TestSchabackInterpolation:
             schaback_interpolate(graded, data=[0, 1, 2])
 
     @pytest.mark.parametrize("method, make_basis, interpolate", METHODS, ids=["schaback", "least"])
-    def test_singular_gramian_is_reported(self, method, make_basis, interpolate):
-        graded = graded_on([(0,), (1,)])
-        zero = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
-        broken = replace(make_basis(graded), gramian=zero)
+    def test_singular_gramian_is_reported(self, method, make_basis, interpolate, monkeypatch):
+        broken = make_basis(graded_on([(0, 0), (1, 1)]))  # a hull frame: each block is factored as G
+
+        def zero(block, gramian):
+            gramian[0][0] = Fraction(0)
+
+        corrupt_gramian_blocks(monkeypatch, zero)
         # the blocks are definite: a zero pivot has no sign and breaks the sign law
         with pytest.raises(AssertionError, match=f"^{method} Gramian diagonal block 0: no pivot in column 0"):
             interpolate(broken, data=[0, 1])
@@ -197,38 +217,78 @@ class TestSchabackInterpolation:
             interpolate(broken, data=[0, 0, 1])
 
     @pytest.mark.parametrize("method, make_basis, interpolate", METHODS, ids=["schaback", "least"])
-    def test_singular_diagonal_block_raises_on_every_call(self, method, make_basis, interpolate):
-        healthy = make_basis(graded_on(GRID))  # blocks [0], [1, 2], [3]
-        gramian = [list(row) for row in healthy.gramian]
-        a, b = gramian[1][1:3]  # block [1, 2] becomes [[a, b], [b, b^2 / a]], symmetric of rank one
-        gramian[2][1:3] = [b, b * b / a]
-        basis = replace(healthy, gramian=tuple(map(tuple, gramian)))
+    def test_singular_diagonal_block_raises_on_every_call(self, method, make_basis, interpolate, monkeypatch):
+        basis = make_basis(graded_on(PARTIAL))  # blocks [0], [1, 2], [3, 4]; the last is 2 of the 3 of order 2
+
+        def rank_one(block, gramian):  # block [3, 4] becomes [[a, b], [b, b^2 / a]], symmetric of rank one
+            if block == [3, 4]:
+                (a, b), _ = gramian
+                gramian[1][:] = [b, b * b / a]
+
+        corrupt_gramian_blocks(monkeypatch, rank_one)
         for _ in range(2):
-            with pytest.raises(AssertionError, match=f"^{method} Gramian diagonal block 1: no pivot in column 2: "
+            with pytest.raises(AssertionError, match=f"^{method} Gramian diagonal block 2: no pivot in column 4: "
                                                      "a zero pivot breaks the sign law"):
-                interpolate(basis, data=[0, 0, 0, 1])
+                interpolate(basis, data=[0, 0, 0, 1, 2])
         assert "factors" not in vars(basis)  # a failed factorization is not cached
 
     @pytest.mark.parametrize("method, make_basis, interpolate", METHODS, ids=["schaback", "least"])
     def test_corrupted_factors_fail_the_residual_certificate(self, method, make_basis, interpolate):
-        basis = make_basis(graded_on([(0,), (1,), (3,)]))
+        """A Gramian block of a hull frame, factored as G: its pivot plus 1 is caught by V f - b."""
+        basis = make_basis(graded_on([(0, 0), (1, 1), (3, 3)]))
         interpolate(basis, data=[0, 0, 1])  # factors the Gramian and caches the factors
         factors = basis.factors
+        assert factors.outer == (None,) * 3
         lower, upper, ((num, den),) = factors.diagonal[-1]  # the top block is 1 x 1
-        patched = (lower, upper, ((num + den, den),))  # its pivot plus 1
+        patched = (lower, upper, ((num + den, den),))
         vars(basis)["factors"] = factors._replace(diagonal=factors.diagonal[:-1] + (patched,))
         with pytest.raises(AssertionError, match=rf"^{method}_interpolate: residual mu_\d\(f\)"):
             interpolate(basis, data=[0, 0, 1])
 
     @pytest.mark.parametrize("method, make_basis, interpolate", METHODS, ids=["schaback", "least"])
-    def test_wrong_sign_pivot_is_named(self, method, make_basis, interpolate):
-        healthy = make_basis(graded_on([(0,), (1,), (3,)]))  # 1 x 1 blocks of orders 0, 1, 2
-        gramian = [list(row) for row in healthy.gramian]
-        gramian[1][1] = -gramian[1][1]  # still nonsingular, but against the sign law
-        broken = replace(healthy, gramian=tuple(map(tuple, gramian)))
-        message = rf"^{method} Gramian block 1 \(order 1\): the pivot at index 1 breaks the sign law"
+    def test_wrong_sign_pivot_is_named(self, method, make_basis, interpolate, monkeypatch):
+        broken = make_basis(graded_on([(0, 0), (1, 1), (3, 3)]))  # a hull frame, 1 x 1 blocks of orders 0, 1, 2
+
+        def flip(block, gramian):  # still nonsingular, but against the sign law
+            if block == [1]:
+                gramian[0][0] = -gramian[0][0]
+
+        corrupt_gramian_blocks(monkeypatch, flip)
+        message = rf"^{method} Gramian diagonal block 1 \(order 1\): the pivot at index 1 breaks the sign law"
         with pytest.raises(AssertionError, match=message):
             interpolate(broken, data=[0, 0, 1])
+
+    @pytest.mark.parametrize("method, make_basis, interpolate", METHODS, ids=["schaback", "least"])
+    @pytest.mark.parametrize("i, alpha", [(2, (1, 0)), (1, (1, 0))], ids=["below", "diagonal"])
+    def test_a_full_block_checks_that_u_is_unit_upper_triangular(self, method, make_basis, interpolate, i, alpha):
+        """Block [1, 2] of order 1 is full, U H U^T with U = (lambda_i(x^beta_j)): a nonzero moment
+        below U's diagonal, or a diagonal moment other than 1, is named."""
+        basis = make_basis(graded_on(SKEWED))
+        basis.source.rows[i][alpha] += 1
+        message = rf"^{method} Gramian diagonal block 1 \(order 1\): U is not unit upper triangular at index {i}$"
+        with pytest.raises(AssertionError, match=message):
+            interpolate(basis, data=[0, 0, 0, 1])
+
+    @pytest.mark.parametrize("method, make_basis, interpolate", METHODS, ids=["schaback", "least"])
+    @pytest.mark.parametrize("part", ["outer", "pivot"])
+    def test_corrupted_full_block_factors_fail_the_residual_certificate(self, method, make_basis, interpolate,
+                                                                        part):
+        """A full block's cached U entry or H pivot plus 1 is caught by V f - b: the factors of
+        a full block are never checked against G, which is not built."""
+        basis = make_basis(graded_on(SKEWED))
+        interpolate(basis, data=[0, 0, 1, 1])
+        factors = basis.factors
+        (((c, num, den),), ()), (lower, upper, pivots) = factors.outer[1], factors.diagonal[1]  # U[0][1] = 1/2
+        if part == "outer":
+            factors = factors._replace(outer=(*factors.outer[:1], (((c, num + den, den),), ()), *factors.outer[2:]))
+        else:
+            (pn, pd), rest = pivots[0], pivots[1:]
+            factors = factors._replace(diagonal=(*factors.diagonal[:1], (lower, upper, ((pn + pd, pd), *rest)),
+                                                 *factors.diagonal[2:]))
+        vars(basis)["factors"] = factors
+        assert "gramian" not in vars(basis)
+        with pytest.raises(AssertionError, match=rf"^{method}_interpolate: residual mu_\d\(f\)"):
+            interpolate(basis, data=[0, 0, 1, 1])
 
     @pytest.mark.parametrize("make_basis, image, message", [
         (schaback_basis, "image_from_moments", r"^schaback_basis: radial image w_0 has degree 1"),
@@ -730,6 +790,86 @@ def test_diagonal_gramian_blocks_are_products_with_the_rows_of_l(case):
             for (r, i), (c, j) in ((x, y) for x in enumerate(block) for y in enumerate(block)):
                 scale = rows[i].denominator * rows[j].denominator
                 assert basis.gramian[i][j] == Fraction(product[r][c], scale), (basis._method, i, j)
+
+
+def held_matrices(factors, bi):
+    """The outer factor U (the identity when there is none) and H = L U of block ``bi``, from the pairs
+    ``factors`` holds."""
+    lower, upper, pivots = factors.diagonal[bi]
+    m = len(pivots)
+    u, h_lower, h_upper = identity(m), identity(m), [[Fraction(0)] * m for _ in range(m)]
+    for matrix, rows in ((u, factors.outer[bi] or ()), (h_lower, lower), (h_upper, upper)):
+        for r, row in enumerate(rows):
+            for c, num, den in row:
+                matrix[r][c] = Fraction(num, den)
+    for r, (num, den) in enumerate(pivots):
+        h_upper[r][r] = Fraction(num, den)
+    return u, mat_mul(h_lower, h_upper)
+
+
+@given(st.one_of(spans(kinds=("points", "collinear", "coplanar", "derivatives")), values_and_gradients()))
+@settings(deadline=None, max_examples=80)
+def test_full_gramian_blocks_are_u_h_ut_and_every_block_keeps_the_sign_law(case):
+    """A block is full when the frame is x and its pivots are all the monomials of its order kappa.
+    There the factors hold U = (lambda_i(x^beta_j)), read here off the rows of L at the block's
+    pivots beta and unit upper triangular, and H = K_kappa (Schaback) or diag(1 / alpha!) (least),
+    and G = U H U^T.  Other blocks hold G's own factors and no U.  G's own L D L^T pivots, which
+    the solves no longer compute on a full block, have the sign (-1)^kappa (Schaback) or are
+    positive (least) on every block."""
+    span, degree_cap, ascending_ties = case
+    try:
+        graded = build_with_ties(span, degree_cap, ascending_ties)
+    except RankDeficientError:
+        return
+    d, rows, cap = graded.dimension, graded.rows, graded.moments.cap
+    blocks = graded.blocks()
+    bases = [least_basis(graded)] + ([schaback_basis(graded)] if cap is None or cap >= 2 * graded.kappas[-1] else [])
+    for basis in bases:
+        own = factor_block_upper(basis.gramian, blocks)
+        for bi, block in enumerate(blocks):
+            kappa = graded.kappas[block[0]]
+            assert all(num * basis._sign ** kappa > 0 for _, _, pivots in [own.diagonal[bi]] for num, _ in pivots)
+            u, h = held_matrices(basis.factors, bi)
+            gramian = [[basis.gramian[i][j] for j in block] for i in block]
+            monomials, kernel = kernel_block(kappa, (1,) * d)
+            pivots = [graded.pivots[i] for i in block]
+            if graded.frame.linear is None and sorted(pivots) == sorted(monomials):  # in pivot order:
+                kernel = [[kernel[monomials.index(a)][monomials.index(b)] for b in pivots] for a in pivots]
+                assert u == [[Fraction(rows[i][beta], rows[i].denominator) for beta in pivots] for i in block]
+                assert all(u[r][r] == 1 and not any(u[r][:r]) for r in range(len(block)))
+                assert h == (kernel if basis._method == "schaback" else
+                             [[Fraction(int(a == b), multi_factorial(a)) for b in pivots] for a in pivots])
+                assert mat_mul(mat_mul(u, h), transpose(u)) == gramian, (basis._method, bi)
+            else:
+                assert basis.factors.outer[bi] is None and h == gramian, (basis._method, bi)
+
+
+@pytest.mark.parametrize("basis", [SchabackBasis, LeastBasis], ids=["schaback", "least"])
+def test_the_cached_middle_factors_keep_the_sign_law(basis):
+    """H's pivots, checked once when H is factored, have the sign (-1)^kappa (Schaback) or are
+    positive (least) for d <= 3 and kappa <= 8, and L U is H."""
+    for d in (1, 2, 3):
+        for kappa in range(9):
+            monomials = tuple(monomials_of_degree(d, kappa))
+            lower, upper, pivots = factors = _middle_factors(basis, monomials)
+            assert len(pivots) == math.comb(kappa + d - 1, d - 1)
+            assert all(num * basis._sign ** kappa > 0 for num, _ in pivots), (d, kappa)
+            if kappa <= 4:
+                held = held_matrices(BlockUpperFactors((), (factors,), (None,)), 0)[1]
+                assert held == [[Fraction(v) for v in row] for row in basis._middle(kappa, monomials)]
+
+
+def test_a_middle_block_against_the_sign_law_is_named():
+    """Factoring H checks its pivots: -K_1 in d=2, against the law of order 1, names its first pivot."""
+
+    class Flipped(SchabackBasis):
+        @staticmethod
+        def _middle(kappa, monomials):
+            return [[-v for v in row] for row in SchabackBasis._middle(kappa, monomials)]
+
+    message = r"^schaback full-block H in dimension 2 \(order 1\): the pivot at index 0 breaks the sign law$"
+    with pytest.raises(AssertionError, match=message):
+        _middle_factors.__wrapped__(Flipped, ((1, 0), (0, 1)))
 
 
 @given(st.one_of(spans(kinds=("points", "collinear", "coplanar", "derivatives")), values_and_gradients()))

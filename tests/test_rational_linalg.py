@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from radpoly import SingularMatrixError
 from radpoly.rational_linalg import (
+    BlockUpperFactors,
     _echelon,
+    _ldl,
     determinant,
     factor_block_upper,
     identity,
@@ -361,3 +363,27 @@ def test_pair_factors_and_sweeps_match_the_rref_solve(blocks, data):
                 for v in factors.sweep(bi, [(rhs[i].numerator * lift, rhs[i].denominator * lift) for i in block])]
     assert all(den > 0 and math.gcd(num, den) == 1 for num, den in solution)  # zero as (0, 1)
     assert [Fraction(num, den) for num, den in solution] == solve(matrix, rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_blocks(), st.data())
+def test_sweeps_through_an_outer_factor_match_the_rref_solve(block, data):
+    """A block held as C H C^T, C unit upper triangular (the ``outer`` rows) and only H factored,
+    sweeps by C^-1, H's two factors and C^-T to solve's rationals on C H C^T, each pair in lowest
+    terms with a positive denominator."""
+    h, _ = block
+    n = len(h)
+    c = identity(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            c[i][j] = data.draw(st.one_of(st.just(Fraction(0)), mixed_rationals()))
+    outer = tuple(tuple((j, v.numerator, v.denominator) for j, v in enumerate(row[i + 1:], i + 1) if v)
+                  for i, row in enumerate(c))
+    factors = BlockUpperFactors((tuple(range(n)),), (_ldl(h, "H", range(n)),), (outer,))
+    rhs = data.draw(st.lists(mixed_rationals(), min_size=n, max_size=n))
+    lift = data.draw(st.integers(1, 2 ** 64))
+    solution = factors.sweep(0, [(v.numerator * lift, v.denominator * lift) for v in rhs])
+    assert all(den > 0 and math.gcd(num, den) == 1 for num, den in solution)
+    assert [Fraction(num, den) for num, den in solution] == solve(mat_mul(mat_mul(c, h), transpose(c)), rhs)
+    assert factors._replace(outer=(None,)).sweep(0, [(v.numerator, v.denominator) for v in rhs]) == [
+        (v.numerator, v.denominator) for v in solve(h, rhs)]
